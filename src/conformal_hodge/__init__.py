@@ -5,7 +5,6 @@ from .series import (
     HolomorphicSeries,
     InnerProductValue,
     TruncationWarning,
-    combine,
     cr_residual,
     div_curl,
     evaluate,

@@ -1,182 +1,79 @@
 """Laurent-coefficient calculus on the annulus r_in <= |z| <= 1.
 
-Fields carry indices (m, n) in a symmetric band; inner products come from
-the closed-form moments of z^a zbar^b over the annulus.  The Dirichlet
-Poisson solver augments the Laurent table with powers of ln(z zbar), which
-is what the z^-1 modes and the two-circle boundary matching require.
+Laurent fields share the coefficient table of the disk fields, with the
+index offset -band_limit, so the element-wise operations and the pairing
+of ``series`` serve them unchanged.  The Dirichlet Poisson solver augments
+the Laurent table with powers of ln(z zbar), which is what the z^-1 modes
+and the two-circle boundary matching require.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import InnerProductValue
+from .series import (
+    CoefficientField,
+    InnerProductValue,
+    add,
+    angular_sums,
+    coefficient_norm,
+    evaluate,
+    inner_product,
+    norm,
+    pair_sums,
+    scale,
+    subtract,
+    wirtinger,
+)
 
 
 class NonConformalInputError(ValueError):
     """Input field has nonzero antiholomorphic content."""
 
 
-class LaurentField:
-    """Polynomial in z, zbar, 1/z, 1/zbar with a band limit on the indices."""
+class LaurentField(CoefficientField):
+    """Polynomial in z, zbar, 1/z, 1/zbar with a band limit on the indices.
 
-    __slots__ = ("_terms", "band_limit", "r_in")
+    ``table[i, j]`` is the coefficient of z^(i-band_limit) zbar^(j-band_limit).
+    ``terms`` is a {(m, n): c} mapping, or a 2-D complex array used as the
+    table itself (then band_limit is required).
+    """
+
+    __slots__ = ("band_limit", "r_in")
 
     def __init__(self, terms=None, r_in=0.5, band_limit=None):
         if not 0.0 < r_in < 1.0:
             raise ValueError("r_in must lie strictly between 0 and 1")
-        clean = {}
-        for (m, n), c in (terms or {}).items():
-            c = complex(c)
-            if c != 0:
-                clean[(int(m), int(n))] = clean.get((int(m), int(n)), 0j) + c
-        inferred = max((max(abs(m), abs(n)) for m, n in clean), default=0)
         if band_limit is None:
-            band_limit = inferred
-        if inferred > band_limit:
+            band_limit = max((max(abs(int(m)), abs(int(n)))
+                              for (m, n), c in (terms or {}).items() if c != 0), default=0)
+        super().__init__(terms, -int(band_limit))
+        if max(self.table.shape) > 2 * band_limit + 1:
             raise ValueError(f"index outside band limit {band_limit}")
-        self._terms = clean
         self.band_limit = int(band_limit)
         self.r_in = float(r_in)
 
-    def terms(self):
-        return dict(self._terms)
+    @property
+    def offset(self):
+        return -self.band_limit
 
-    def items(self):
-        return sorted(self._terms.items())
+    @property
+    def _bound(self):
+        return self.band_limit
 
-    def coefficient(self, m, n):
-        return self._terms.get((m, n), 0j)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentField):
-            return NotImplemented
-        return self._terms == other._terms and self.r_in == other.r_in
-
-    def __repr__(self):
-        return f"LaurentField({dict(self.items())!r}, r_in={self.r_in})"
-
-    def __add__(self, other):
-        self._check_domain(other)
-        terms = self.terms()
-        for idx, c in other._terms.items():
-            terms[idx] = terms.get(idx, 0j) + c
-        return LaurentField(terms, r_in=self.r_in,
-                            band_limit=max(self.band_limit, other.band_limit))
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, a):
-        return LaurentField(
-            {idx: complex(a) * c for idx, c in self._terms.items()},
-            r_in=self.r_in,
-            band_limit=self.band_limit,
-        )
-
-    def conjugate(self):
-        return LaurentField(
-            {(n, m): c.conjugate() for (m, n), c in self._terms.items()},
-            r_in=self.r_in,
-            band_limit=self.band_limit,
-        )
-
-    def is_real(self, tol=0.0):
-        for (m, n), c in self._terms.items():
-            if abs(c - self._terms.get((n, m), 0j).conjugate()) > tol:
-                return False
-        return True
-
-    def coefficient_norm(self):
-        return math.sqrt(sum(abs(c) ** 2 for c in self._terms.values()))
-
-    def wirtinger(self, which):
-        terms = {}
-        if which == "d_z":
-            for (m, n), c in self._terms.items():
-                if m != 0:
-                    terms[(m - 1, n)] = terms.get((m - 1, n), 0j) + m * c
-        elif which == "d_zbar":
-            for (m, n), c in self._terms.items():
-                if n != 0:
-                    terms[(m, n - 1)] = terms.get((m, n - 1), 0j) + n * c
-        else:
-            raise ValueError(f"unknown derivative {which!r}")
-        return LaurentField(terms, r_in=self.r_in)
-
-    def real_part(self):
-        return (self + self.conjugate()).scaled(0.5)
-
-    def imag_part(self):
-        return (self - self.conjugate()).scaled(-0.5j)
-
-    def holomorphic_part(self):
-        return LaurentField(
-            {(m, n): c for (m, n), c in self._terms.items() if n == 0},
-            r_in=self.r_in,
-        )
-
-    def antiholomorphic_norm(self):
-        return math.sqrt(
-            sum(abs(c) ** 2 for (m, n), c in self._terms.items() if n != 0)
-        )
-
-    def evaluate(self, point):
-        z = complex(point)
-        zb = z.conjugate()
-        return sum(c * z**m * zb**n for (m, n), c in self.items())
-
-    def evaluate_grid(self, points):
-        points = np.asarray(points, dtype=complex)
-        out = np.zeros_like(points)
-        conj = np.conj(points)
-        for (m, n), c in self.items():
-            out += c * points ** float(m) * conj ** float(n)
-        return out
-
-    def _check_domain(self, other):
-        if not isinstance(other, LaurentField):
-            raise TypeError("expected a LaurentField")
-        if other.r_in != self.r_in:
-            raise ValueError("operands live on annuli with different r_in")
+    def _like(self, table, bound):
+        return LaurentField(table, r_in=self.r_in, band_limit=bound)
 
 
 def laurent_monomial(m, n, c=1.0, r_in=0.5):
     return LaurentField({(m, n): c}, r_in=r_in)
 
 
-# -- closed-form moments -------------------------------------------------------
-
-
-def annulus_moment(a, r_in):
-    """Integral of z^a zbar^a over the annulus (angular average already zero for a != b)."""
-    if a == -1:
-        return 2 * math.pi * math.log(1.0 / r_in)
-    return math.pi * (1.0 - r_in ** (2 * a + 2)) / (a + 1)
-
-
-def annulus_inner(f: LaurentField, g: LaurentField) -> InnerProductValue:
-    """Complex pairing over the annulus, conjugate-linear in the second slot."""
-    f._check_domain(g)
-    buckets = defaultdict(list)
-    for (p, q), d in g.items():
-        buckets[p - q].append((p, q, d))
-    total = 0j
-    for (m, n), c in f.items():
-        for p, q, d in buckets.get(m - n, ()):
-            total += c * d.conjugate() * annulus_moment(m + q, f.r_in)
-    return InnerProductValue(total)
-
-
-def annulus_norm(f: LaurentField) -> float:
-    return math.sqrt(max(annulus_inner(f, f).real_value, 0.0))
+annulus_inner = inner_product
+annulus_norm = norm
 
 
 # -- conformal classification ---------------------------------------------------
@@ -203,124 +100,96 @@ def annulus_classify(h: LaurentField, tol=0.0) -> AnnulusClassification:
             f"field has antiholomorphic coefficient mass {bad:.3e}"
         )
     c = h.coefficient(-1, 0)
-    rest = {
-        (m, n): v for (m, n), v in h.terms().items() if (m, n) != (-1, 0) and n == 0
-    }
     return AnnulusClassification(
         a4_coeff=c.imag,
         a5_coeff=c.real,
-        a6_part=LaurentField(rest, r_in=h.r_in),
+        a6_part=subtract(h.holomorphic_part(), laurent_monomial(-1, 0, c, r_in=h.r_in)),
     )
 
 
 # -- log-augmented fields and the Dirichlet-Poisson solve ------------------------
 
 
+def _over(f: LaurentField, which):
+    """f / z (which 'd_z') or f / zbar ('d_zbar'): one index drops by one."""
+    pad = ((0, 0), (1, 0)) if which == "d_z" else ((1, 0), (0, 0))
+    return LaurentField(np.pad(f.table, pad), r_in=f.r_in, band_limit=f.band_limit + 1)
+
+
 class LogLaurentField:
-    """sum c_{mnl} z^m zbar^n ln(z zbar)^l; closed under the annulus Laplace solve."""
+    """sum_l L_l ln(z zbar)^l, one Laurent level L_l per power of the logarithm.
 
-    __slots__ = ("_terms", "r_in")
+    Closed under the annulus Laplace solve.
+    """
 
-    def __init__(self, terms=None, r_in=0.5):
-        clean = {}
-        for (m, n, ell), c in (terms or {}).items():
-            c = complex(c)
-            if c != 0:
-                key = (int(m), int(n), int(ell))
-                clean[key] = clean.get(key, 0j) + c
-        self._terms = clean
+    __slots__ = ("levels", "r_in")
+
+    def __init__(self, levels=(), r_in=0.5):
+        self.levels = tuple(levels)
         self.r_in = float(r_in)
 
     @staticmethod
     def from_laurent(f: LaurentField):
-        return LogLaurentField(
-            {(m, n, 0): c for (m, n), c in f.items()}, r_in=f.r_in
-        )
+        return LogLaurentField((f,), r_in=f.r_in)
 
-    def items(self):
-        return sorted(self._terms.items())
+    def _level(self, ell):
+        return self.levels[ell] if ell < len(self.levels) else LaurentField(r_in=self.r_in)
 
     def __add__(self, other):
-        terms = dict(self._terms)
-        for idx, c in other._terms.items():
-            terms[idx] = terms.get(idx, 0j) + c
-        return LogLaurentField(terms, r_in=self.r_in)
+        count = max(len(self.levels), len(other.levels))
+        return LogLaurentField(
+            [add(self._level(ell), other._level(ell)) for ell in range(count)], r_in=self.r_in
+        )
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def scaled(self, a):
-        return LogLaurentField(
-            {idx: complex(a) * c for idx, c in self._terms.items()}, r_in=self.r_in
-        )
-
-    def conjugate(self):
-        return LogLaurentField(
-            {(n, m, ell): c.conjugate() for (m, n, ell), c in self._terms.items()},
-            r_in=self.r_in,
-        )
-
-    def real_part(self):
-        return (self + self.conjugate()).scaled(0.5)
-
-    def imag_part(self):
-        return (self - self.conjugate()).scaled(-0.5j)
+        return LogLaurentField([scale(f, a) for f in self.levels], r_in=self.r_in)
 
     def wirtinger(self, which):
-        # d/dz [z^m zbar^n ln^l] = m z^(m-1) zbar^n ln^l + l z^(m-1) zbar^n ln^(l-1)
-        terms = defaultdict(complex)
-        for (m, n, ell), c in self._terms.items():
-            if which == "d_z":
-                if m != 0:
-                    terms[(m - 1, n, ell)] += m * c
-                if ell > 0:
-                    terms[(m - 1, n, ell - 1)] += ell * c
-            elif which == "d_zbar":
-                if n != 0:
-                    terms[(m, n - 1, ell)] += n * c
-                if ell > 0:
-                    terms[(m, n - 1, ell - 1)] += ell * c
-            else:
-                raise ValueError(f"unknown derivative {which!r}")
-        return LogLaurentField(terms, r_in=self.r_in)
+        # d/dz [L ln^l] = (d_z L) ln^l + l (L / z) ln^(l-1)
+        out = []
+        for ell, f in enumerate(self.levels):
+            term = wirtinger(f, which)
+            if ell + 1 < len(self.levels):
+                term = add(term, scale(_over(self.levels[ell + 1], which), ell + 1))
+            out.append(term)
+        return LogLaurentField(out, r_in=self.r_in)
 
     def boundary_trace(self, radius):
         """Angular-mode coefficients of the restriction to |z| = radius."""
-        modes = defaultdict(complex)
+        modes = {}
         ln_r2 = 2.0 * math.log(radius)
-        for (m, n, ell), c in self._terms.items():
-            modes[m - n] += c * radius ** (m + n) * ln_r2**ell
-        return dict(modes)
+        for ell, f in enumerate(self.levels):
+            i, j = np.indices(f.table.shape)
+            vals = f.table * float(radius) ** (i + j + 2 * f.offset) * ln_r2**ell
+            sums = list(enumerate(angular_sums(vals).tolist()))
+            sums += [(-k, v) for k, v in enumerate(angular_sums(vals.T).tolist()) if k]
+            for k, v in sums:
+                modes[k] = modes.get(k, 0j) + v
+        return modes
 
     def laurent_part(self):
         """(pure Laurent component, coefficient norm of the leftover log terms)."""
-        plain = {}
-        leftover_sq = 0.0
-        for (m, n, ell), c in self._terms.items():
-            if ell == 0:
-                plain[(m, n)] = plain.get((m, n), 0j) + c
-            else:
-                leftover_sq += abs(c) ** 2
-        return LaurentField(plain, r_in=self.r_in), math.sqrt(leftover_sq)
+        leftover = math.sqrt(sum(coefficient_norm(f) ** 2 for f in self.levels[1:]))
+        return self._level(0), leftover
 
     def coefficient_norm(self):
-        return math.sqrt(sum(abs(c) ** 2 for c in self._terms.values()))
+        return math.sqrt(sum(coefficient_norm(f) ** 2 for f in self.levels))
 
     def evaluate(self, point):
-        z = complex(point)
-        zb = z.conjugate()
-        ln = math.log((z * zb).real)
-        return sum(c * z**m * zb**n * ln**ell for (m, n, ell), c in self.items())
+        ln = math.log(abs(complex(point)) ** 2)
+        return sum(evaluate(f, point) * ln**ell for ell, f in enumerate(self.levels))
 
     def inner(self, other) -> InnerProductValue:
         """Complex pairing using the log-weighted radial moments."""
-        buckets = defaultdict(list)
-        for (p, q, le2), d in other.items():
-            buckets[p - q].append((p, q, le2, d))
         total = 0j
-        for (m, n, le1), c in self.items():
-            for p, q, le2, d in buckets.get(m - n, ()):
-                total += c * d.conjugate() * _log_moment(m + q, le1 + le2, self.r_in)
+        for l1, f in enumerate(self.levels):
+            for l2, g in enumerate(other.levels):
+                start, sums = pair_sums(f, g)
+                moments = [_log_moment(start + a, l1 + l2, self.r_in) for a in range(len(sums))]
+                total += complex(sums @ np.array(moments))
         return InnerProductValue(total)
 
     def norm(self):
@@ -354,34 +223,33 @@ def poisson_annulus(rhs: LaurentField) -> LogLaurentField:
     mode with the harmonic pairs {z^k, zbar^-k} (and {1, ln(z zbar)} for
     the rotationally symmetric mode).
     """
-    scale = max(rhs.coefficient_norm(), 1.0)
-    if not rhs.is_real(tol=1e-12 * scale):
+    size = max(rhs.coefficient_norm(), 1.0)
+    if not rhs.is_real(tol=1e-12 * size):
         raise ValueError("poisson_annulus needs a real-valued right-hand side")
     rhs = rhs.real_part()
     r_in = rhs.r_in
-    particular = defaultdict(complex)
-    for (m, n), c in rhs.items():
-        if m != -1 and n != -1:
-            particular[(m + 1, n + 1, 0)] += c / (4.0 * (m + 1) * (n + 1))
-        elif m == -1 and n != -1:
-            particular[(0, n + 1, 1)] += c / (4.0 * (n + 1))
-        elif m != -1 and n == -1:
-            particular[(m + 1, 0, 1)] += c / (4.0 * (m + 1))
-        else:
-            particular[(0, 0, 2)] += c / 8.0
-    part = LogLaurentField(particular, r_in=r_in)
+    # z^m zbar^n -> z^(m+1) zbar^(n+1) / (4 (m+1)(n+1)); a zero lifted power
+    # takes the factor ln(z zbar) instead, and both zero take ln^2 / 8
+    i, j = np.indices(rhs.table.shape)
+    m1, n1 = i + 1 + rhs.offset, j + 1 + rhs.offset
+    den = 4.0 * np.where(m1 == 0, 1, m1) * np.where(n1 == 0, 1, n1)
+    den = den * np.where((m1 == 0) & (n1 == 0), 2, 1)
+    lifted = np.pad(rhs.table / den, ((2, 0), (2, 0)))
+    log_power = np.pad((m1 == 0).astype(int) + (n1 == 0), ((2, 0), (2, 0)))
+    part = LogLaurentField(
+        [LaurentField(np.where(log_power == ell, lifted, 0), r_in=r_in,
+                      band_limit=rhs.band_limit + 1) for ell in range(3)],
+        r_in=r_in,
+    )
     outer = part.boundary_trace(1.0)
     inner = part.boundary_trace(r_in)
-    correction = defaultdict(complex)
-    for k in sorted(set(outer) | set(inner)):
-        t1 = outer.get(k, 0j)
-        t2 = inner.get(k, 0j)
+    plain, logs = {}, {}
+    for k in sorted(outer):  # both circles carry the same angular modes
+        t1, t2 = outer[k], inner[k]
         if k == 0:
             # basis {1, ln(z zbar)} with traces {1, 2 ln r}
-            a = -t1
-            b = (t1 - t2) / (2.0 * math.log(r_in))
-            correction[(0, 0, 0)] += a
-            correction[(0, 0, 1)] += b
+            plain[(0, 0)] = -t1
+            logs[(0, 0)] = (t1 - t2) / (2.0 * math.log(r_in))
         else:
             # basis {z^k, zbar^-k} (k > 0) traces r^k, r^-k on |z| = r
             kk = abs(k)
@@ -390,9 +258,12 @@ def poisson_annulus(rhs: LaurentField) -> LogLaurentField:
             )
             sol = np.linalg.solve(mat, np.array([-t1, -t2]))
             if k > 0:
-                correction[(k, 0, 0)] += sol[0]
-                correction[(0, -k, 0)] += sol[1]
+                plain[(k, 0)] = sol[0]
+                plain[(0, -k)] = sol[1]
             else:
-                correction[(0, kk, 0)] += sol[0]
-                correction[(-kk, 0, 0)] += sol[1]
-    return part + LogLaurentField(correction, r_in=r_in)
+                plain[(0, kk)] = sol[0]
+                plain[(-kk, 0)] = sol[1]
+    correction = LogLaurentField(
+        [LaurentField(plain, r_in=r_in), LaurentField(logs, r_in=r_in)], r_in=r_in
+    )
+    return part + correction

@@ -9,6 +9,7 @@ degeneracy), 4 incompatible domain/subcommand.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import re
@@ -44,34 +45,12 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_INCOMPATIBLE = 4
 
-# Parallelism cap honoured by any internal worker pools (all current
-# computations run serially, so the cap is respected trivially).
-MAX_THREADS = 1
-
-
 class InputError(Exception):
     pass
 
 
 class IncompatibleError(Exception):
     pass
-
-
-def _read_threads_env():
-    global MAX_THREADS
-    raw = os.environ.get("CONFORMAL_HODGE_THREADS")
-    if raw is None:
-        return
-    try:
-        val = int(raw)
-        if val < 1:
-            raise ValueError
-        MAX_THREADS = val
-    except ValueError:
-        print(
-            f"warning: ignoring invalid CONFORMAL_HODGE_THREADS={raw!r}",
-            file=sys.stderr,
-        )
 
 
 # -- small parsers ---------------------------------------------------------------
@@ -125,32 +104,32 @@ def parse_series_spec(spec):
         return ser.series_from_json(ser.read_json(spec))
     text = spec.replace(" ", "")
     try:
-        return HolomorphicSeries([complex(text)])
+        coeffs = {0: complex(text)}
     except ValueError:
-        pass
-    coeffs = {}
-    for term in _split_top_level(text):
-        if not term:
-            raise InputError(f"empty term in series expression {spec!r}")
-        m = _TERM_RE.match(term)
-        if m and m.group("z"):
-            power = int(m.group("pow") or 1)
-            coef_text = m.group("coef")
-            coef = 1.0 + 0j
-            if coef_text:
+        coeffs = {}
+        for term in _split_top_level(text):
+            if not term:
+                raise InputError(f"empty term in series expression {spec!r}")
+            m = _TERM_RE.match(term)
+            if m and m.group("z"):
+                power = int(m.group("pow") or 1)
+                coef_text = m.group("coef")
+                coef = 1.0 + 0j
+                if coef_text:
+                    try:
+                        coef = complex(coef_text.strip("()"))
+                    except ValueError as exc:
+                        raise InputError(f"bad coefficient {coef_text!r} in {spec!r}") from exc
+            else:
+                power = 0
                 try:
-                    coef = complex(coef_text.strip("()"))
+                    coef = complex(term.strip("()"))
                 except ValueError as exc:
-                    raise InputError(f"bad coefficient {coef_text!r} in {spec!r}") from exc
-        else:
-            power = 0
-            try:
-                coef = complex(term.strip("()"))
-            except ValueError as exc:
-                raise InputError(f"cannot parse term {term!r} in {spec!r}") from exc
-        coeffs[power] = coeffs.get(power, 0j) + coef
-    top = max(coeffs)
-    return HolomorphicSeries([coeffs.get(k, 0j) for k in range(top + 1)])
+                    raise InputError(f"cannot parse term {term!r} in {spec!r}") from exc
+            coeffs[power] = coeffs.get(power, 0j) + coef
+    if not all(cmath.isfinite(c) for c in coeffs.values()):
+        raise InputError(f"non-finite coefficient in series expression {spec!r}")
+    return HolomorphicSeries([coeffs.get(k, 0j) for k in range(max(coeffs) + 1)])
 
 
 _CONFIG_KEYS = ("dt", "steps", "sample_stride", "degree", "tol")
@@ -276,6 +255,8 @@ def cmd_classify(args):
         extra = {}
     elif kind == "annulus":
         data = ser.read_json(args.input)
+        if not isinstance(data, dict):
+            raise ser.FormatError("laurent JSON must be an object")
         data.setdefault("r_in", payload)
         f = ser.laurent_from_json(data)
         if f.r_in != payload:
@@ -577,7 +558,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _read_threads_env()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,6 +21,7 @@ from .series import (
     HolomorphicSeries,
     TruncationWarning,
     add,
+    angular_sums,
     as_field,
     boundary_max,
     coefficient_norm,
@@ -49,12 +50,9 @@ class NonvanishingCheckError(ValueError):
 
 def project_con_rule(f) -> HolomorphicSeries:
     """Closed-form projection: z^m zbar^n -> (m-n+1)/(m+1) z^(m-n) for m >= n, else 0."""
-    f = as_field(f)
-    out = [0j] * (f.max_degree + 1)
-    for (m, n), c in f.items():
-        if m >= n:
-            out[m - n] += c * (m - n + 1) / (m + 1)
-    return HolomorphicSeries(out)
+    t = as_field(f).table
+    m, n = np.indices(t.shape)
+    return HolomorphicSeries(angular_sums(t * ((m - n + 1) / (m + 1))))
 
 
 def project_con_gram_oracle(f, degree=None) -> HolomorphicSeries:
@@ -110,9 +108,7 @@ def project_con_bergman(f, quadrature=QuadratureSpec(), degree=None) -> Holomorp
 
 def adjoint_dz_disk(h, max_degree=None) -> HolomorphicSeries:
     """Adjoint of d/dz on holomorphic fields over the disk: a_k z^k -> (k+2) a_k z^(k+1)."""
-    h = series.as_series(h)
-    out = [0j] + [(k + 2) * c for k, c in enumerate(h.coeffs)]
-    result = HolomorphicSeries(out)
+    result = (HolomorphicSeries([0, 0, 1.0]) * series.as_series(h)).derivative()
     if max_degree is not None and result.degree > max_degree:
         warnings.warn(
             f"adjoint_dz_disk: top coefficient a_{max_degree} nonzero, output truncated",
@@ -137,19 +133,16 @@ def poisson_disk(rhs) -> BivariateField:
     if not rhs.is_real(tol=1e-12 * max(coefficient_norm(rhs), 1.0)):
         raise ValueError("poisson_disk needs a real-valued right-hand side")
     rhs = real_part(rhs)  # exact symmetrisation of roundoff
-    particular = {}
-    trace = {}
-    for (m, n), c in rhs.items():
-        coeff = c / (4.0 * (m + 1) * (n + 1))
-        particular[(m + 1, n + 1)] = particular.get((m + 1, n + 1), 0j) + coeff
-        k = m - n
-        trace[k] = trace.get(k, 0j) + coeff
-    correction = {}
-    for k, t in trace.items():
-        idx = (k, 0) if k >= 0 else (0, -k)
-        correction[idx] = correction.get(idx, 0j) + t
-    out = BivariateField(particular, max_degree=rhs.max_degree + 2)
-    return subtract(out, BivariateField(correction, max_degree=rhs.max_degree + 2))
+    m, n = np.indices(rhs.table.shape)
+    lifted = rhs.table / (4.0 * (m + 1) * (n + 1))
+    rows, cols = lifted.shape
+    out = np.zeros((rows + 1, cols + 1), dtype=complex)
+    out[1:, 1:] = lifted
+    # the trace of angular mode k is the sum of its diagonal; subtract its
+    # harmonic extension z^k (k >= 0) or zbar^-k (k < 0)
+    out[:rows, 0] -= angular_sums(lifted)
+    out[0, 1:cols] -= angular_sums(lifted.T)[1:]
+    return BivariateField(out, max_degree=rhs.max_degree + 2)
 
 
 def grad_bar(potential) -> BivariateField:
@@ -215,12 +208,7 @@ class DecompositionResult:
 
 
 def _orthogonality_matrix(parts):
-    k = len(parts)
-    mat = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            mat[i][j] = inner_product(parts[i], parts[j]).real_value
-    return tuple(tuple(row) for row in mat)
+    return tuple(tuple(inner_product(p, q).real_value for q in parts) for p in parts)
 
 
 def conformal_decompose(f) -> DecompositionResult:
@@ -238,7 +226,7 @@ def conformal_decompose(f) -> DecompositionResult:
     gF = grad_bar(F)
     sG = sgrad_bar(G)
     h_field = subtract(subtract(f, gF), sG)
-    h = HolomorphicSeries([h_field.coefficient(k, 0) for k in range(h_field.max_degree + 1)])
+    h = HolomorphicSeries(h_field.table[:, :1])
     recon = add(add(h.to_field(), gF), sG)
     residual_norm = norm(subtract(f, recon))
     parts = [h.to_field(), gF, sG]

@@ -25,6 +25,7 @@ from .mapping import (
     EmbeddingError,
     adjoint_dz_mapped,
     map_inner_product,
+    map_norm,
     project_con_mapped,
     pullback,
 )
@@ -86,21 +87,19 @@ class PotentialSpec:
 
 
 def compose_bivariate(W, g, max_degree=DEFAULT_MAX_DEGREE):
-    """Substitute g into W: sum W_ab g^a conj(g)^b, truncated with mass reporting."""
+    """Substitute g into W: sum W_ab g^a conj(g)^b, truncated with mass reporting.
+
+    Horner's rule in g over the rows of W's table, and in conj(g) along each
+    row; truncating every partial product keeps all degrees up to max_degree.
+    """
     W, g = as_field(W), as_field(g)
     gc = conjugate(g)
-    pow_g = {0: series.monomial(0, 0)}
-    pow_gc = {0: series.monomial(0, 0)}
-
-    def _power(table, base, k):
-        if k not in table:
-            table[k] = multiply(_power(table, base, k - 1), base, max_degree=max_degree)
-        return table[k]
-
     total = series.zero_field()
-    for (a, b), c in W.items():
-        term = multiply(_power(pow_g, g, a), _power(pow_gc, gc, b), max_degree=max_degree)
-        total = add(total, scale(term, c))
+    for row in reversed(W.table.tolist()):
+        inner = series.zero_field()
+        for c in reversed(row):
+            inner = add(multiply(inner, gc, max_degree=max_degree), c)
+        total = add(multiply(total, g, max_degree=max_degree), inner)
     return total
 
 
@@ -144,13 +143,6 @@ class StationaryResult:
     residual_norm: float
 
 
-def _coeff_array(h: HolomorphicSeries, length):
-    out = np.zeros(length, dtype=complex)
-    cs = h.coeffs[:length]
-    out[: len(cs)] = cs
-    return out
-
-
 def stationary_solve(V: PotentialSpec, init, tol=1e-10, max_iter=50, damping=0.5,
                      domain="disk", degree=None) -> StationaryResult:
     """Damped Newton (least-squares steps) on the truncated coefficient vector.
@@ -165,10 +157,10 @@ def stationary_solve(V: PotentialSpec, init, tol=1e-10, max_iter=50, damping=0.5
 
     def residual_vec(x):
         r = stationary_residual(HolomorphicSeries(x), V, domain=domain)
-        arr = _coeff_array(r, m)
+        arr = r.to_array(m)
         return np.concatenate([arr.real, arr.imag])
 
-    x = _coeff_array(init, n)
+    x = init.to_array(n)
     r = residual_vec(x)
     rnorm = float(np.linalg.norm(r))
     iterations = 0
@@ -230,13 +222,11 @@ class FirstIntegralReport:
 
 
 def first_integrals(state: WaveState, c, max_m) -> FirstIntegralReport:
-    x = _coeff_array(state.xi, max_m + 1)
-    v = _coeff_array(state.xi_t, max_m + 1)
-    vals = tuple(
-        0.5 * abs(v[k]) ** 2 + 0.5 * (k * k + k + c) * abs(x[k]) ** 2
-        for k in range(max_m + 1)
-    )
-    return FirstIntegralReport(values=vals, t=state.t)
+    x = state.xi.to_array(max_m + 1)
+    v = state.xi_t.to_array(max_m + 1)
+    k = np.arange(max_m + 1)
+    vals = 0.5 * np.abs(v) ** 2 + 0.5 * (k * k + k + c) * np.abs(x) ** 2
+    return FirstIntegralReport(values=tuple(vals.tolist()), t=state.t)
 
 
 def wave_rhs(state: WaveState, V: PotentialSpec) -> HolomorphicSeries:
@@ -289,8 +279,8 @@ def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = max(state0.xi.degree, state0.xi_t.degree, max_m) + 1
-    x = _coeff_array(state0.xi, n)
-    v = _coeff_array(state0.xi_t, n)
+    x = state0.xi.to_array(n)
+    v = state0.xi_t.to_array(n)
     quadratic = V.kind == "quadratic"
     ks = np.arange(n, dtype=float)
 
@@ -303,8 +293,7 @@ def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride
     else:
 
         def accel(xc):
-            rhs = wave_rhs(WaveState(HolomorphicSeries(xc), HolomorphicSeries([]), 0.0), V)
-            return _coeff_array(rhs, n)
+            return wave_rhs(WaveState(HolomorphicSeries(xc), HolomorphicSeries(), 0), V).to_array(n)
 
     initial_scale = max(float(np.linalg.norm(x)) + float(np.linalg.norm(v)), 1.0)
     times, xs, vs, reports = [], [], [], []
@@ -417,17 +406,14 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
         proj_degree = max(state0.xi.degree + 1, 2)
     n_phi = degree + 1
     n_xi = proj_degree + 1
-    phi_arr = _coeff_array(state0.phi.phi, n_phi)
-    xi_arr = _coeff_array(state0.xi, n_xi)
+    phi_arr = state0.phi.phi.to_array(n_phi)
+    xi_arr = state0.xi.to_array(n_xi)
 
     def rhs(phi_c, xi_c):
         mapping = ConformalMap(HolomorphicSeries(phi_c), validate=False)
         st = GeodesicState(mapping, HolomorphicSeries(xi_c), 0.0)
         phi_dot, xi_dot = geodesic_rhs(st, proj_degree=proj_degree, max_degree=degree)
-        return (
-            _coeff_array(phi_dot.truncated(degree, warn=False), n_phi),
-            _coeff_array(xi_dot, n_xi),
-        )
+        return phi_dot.to_array(n_phi), xi_dot.to_array(n_xi)
 
     times, phis, xis, energies, derivs = [], [], [], [], []
 
@@ -479,13 +465,8 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
 def solve_composition(inner: HolomorphicSeries, rhs: HolomorphicSeries, degree):
     """Find series c with c(inner(z)) = rhs(z) matched through the available orders."""
     rows = max(rhs.degree, degree * max(inner.degree, 1)) + 1
-    M = np.zeros((rows, degree + 1), dtype=complex)
-    power = HolomorphicSeries([1.0])
-    for k in range(degree + 1):
-        M[:, k] = _coeff_array(power, rows)
-        power = (power * inner).truncated(rows - 1, warn=False)
-    b = _coeff_array(rhs, rows)
-    sol, *_ = np.linalg.lstsq(M, b, rcond=None)
+    M = ConformalMap(inner, validate=False).power_table(degree, rows - 1).T
+    sol, *_ = np.linalg.lstsq(M, rhs.to_array(rows), rcond=None)
     return HolomorphicSeries(sol)
 
 
@@ -523,8 +504,4 @@ def variation_identity_defect(mapping: ConformalMap, xi, eta0, eta1,
     diff = fd - closed
     diff_pull = pullback(mapping, diff, max_degree)
     closed_pull = pullback(mapping, closed, max_degree)
-    defect = math.sqrt(max(
-        map_inner_product(mapping, diff_pull.to_field(), diff_pull.to_field()).real_value, 0.0))
-    ref = math.sqrt(max(
-        map_inner_product(mapping, closed_pull.to_field(), closed_pull.to_field()).real_value, 0.0))
-    return defect, ref
+    return map_norm(mapping, diff_pull), map_norm(mapping, closed_pull)

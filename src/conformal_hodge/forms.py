@@ -1,10 +1,10 @@
 """Differential forms on flat planar charts and the subspace membership test.
 
-Components are coefficient fields: polynomial on the disk, Laurent on the
-annulus.  Orientation fixes star(dx) = dy, star(dy) = -dx, and on 1-forms
-the co-differential is delta = star d star, so that for a vector field
-u + iv the reflected image u dx - v dy has delta = u_x - v_y and
-d = -(v_x + u_y) dx^dy.
+Components are coefficient fields, polynomial on the disk and Laurent on the
+annulus, and the ``series`` operations serve both.  Orientation fixes
+star(dx) = dy, star(dy) = -dx, and on 1-forms the co-differential is
+delta = star d star, so that for a vector field u + iv the reflected image
+u dx - v dy has delta = u_x - v_y and d = -(v_x + u_y) dx^dy.
 """
 
 from __future__ import annotations
@@ -14,77 +14,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import annulus as ann
 from . import disk as disk_mod
-from . import series
-from .annulus import LaurentField, LogLaurentField, laurent_monomial, poisson_annulus
-
-
-# -- generic component arithmetic (disk polynomials or annulus Laurent tables) --
-
-
-def _is_laurent(f):
-    return isinstance(f, LaurentField)
-
-
-def _d_z(f):
-    return f.wirtinger("d_z") if _is_laurent(f) else series.wirtinger(f, "d_z")
-
-
-def _d_zbar(f):
-    return f.wirtinger("d_zbar") if _is_laurent(f) else series.wirtinger(f, "d_zbar")
-
-
-def _scale(f, a):
-    return f.scaled(a) if _is_laurent(f) else series.scale(f, a)
-
-
-def _add(f, g):
-    return f + g if _is_laurent(f) else series.add(f, g)
-
-
-def _sub(f, g):
-    return f - g if _is_laurent(f) else series.subtract(f, g)
-
-
-def _real(f):
-    return f.real_part() if _is_laurent(f) else series.real_part(f)
-
-
-def _imag(f):
-    return f.imag_part() if _is_laurent(f) else series.imag_part(f)
-
-
-def _coefficient_norm(f):
-    return f.coefficient_norm() if _is_laurent(f) else series.coefficient_norm(f)
-
-
-def _inner_real(f, g):
-    if _is_laurent(f):
-        return ann.annulus_inner(f, g).real_value
-    return series.inner_product(f, g).real_value
-
-
-def _field_norm(f):
-    return ann.annulus_norm(f) if _is_laurent(f) else series.norm(f)
-
-
-def _evaluate_grid(f, pts):
-    return f.evaluate_grid(pts) if _is_laurent(f) else series.evaluate_grid(f, pts)
+from .annulus import LogLaurentField, laurent_monomial, poisson_annulus
+from .series import (
+    add,
+    as_field,
+    coefficient_norm,
+    evaluate_grid,
+    imag_part,
+    inner_product,
+    norm,
+    real_part,
+    scale,
+    subtract,
+    wirtinger,
+)
 
 
 def d_x(f):
     """Partial derivative in x: d_z + d_zbar."""
-    return _add(_d_z(f), _d_zbar(f))
+    return add(wirtinger(f, "d_z"), wirtinger(f, "d_zbar"))
 
 
 def d_y(f):
     """Partial derivative in y: i (d_z - d_zbar)."""
-    return _scale(_sub(_d_z(f), _d_zbar(f)), 1j)
+    return scale(subtract(wirtinger(f, "d_z"), wirtinger(f, "d_zbar")), 1j)
 
 
 def _check_real(name, f, tol_factor=1e-9):
-    if not f.is_real(tol=tol_factor * max(_coefficient_norm(f), 1.0)):
+    if not f.is_real(tol=tol_factor * max(coefficient_norm(f), 1.0)):
         raise ValueError(f"{name} component of a form must be real-valued")
 
 
@@ -124,7 +82,7 @@ def star(form):
     if isinstance(form, ZeroForm):
         return TwoForm(form.value)
     if isinstance(form, OneForm):
-        return OneForm(u_dx=_scale(form.v_dy, -1), v_dy=form.u_dx)
+        return OneForm(u_dx=scale(form.v_dy, -1), v_dy=form.u_dx)
     if isinstance(form, TwoForm):
         return ZeroForm(form.density)
     raise TypeError(f"not a form: {type(form).__name__}")
@@ -134,7 +92,7 @@ def exterior_derivative(form):
     if isinstance(form, ZeroForm):
         return OneForm(u_dx=d_x(form.value), v_dy=d_y(form.value))
     if isinstance(form, OneForm):
-        return TwoForm(_sub(d_x(form.v_dy), d_y(form.u_dx)))
+        return TwoForm(subtract(d_x(form.v_dy), d_y(form.u_dx)))
     if isinstance(form, TwoForm):
         raise ValueError("no 3-forms on a 2-manifold")
     raise TypeError(f"not a form: {type(form).__name__}")
@@ -143,10 +101,10 @@ def exterior_derivative(form):
 def codifferential(form):
     """delta = star d star on 1- and 2-forms (positive sign in two dimensions)."""
     if isinstance(form, OneForm):
-        return ZeroForm(_add(d_x(form.u_dx), d_y(form.v_dy)))
+        return ZeroForm(add(d_x(form.u_dx), d_y(form.v_dy)))
     if isinstance(form, TwoForm):
         w = form.density
-        return OneForm(u_dx=_scale(d_y(w), -1), v_dy=d_x(w))
+        return OneForm(u_dx=scale(d_y(w), -1), v_dy=d_x(w))
     if isinstance(form, ZeroForm):
         raise ValueError("the co-differential of a 0-form vanishes identically")
     raise TypeError(f"not a form: {type(form).__name__}")
@@ -165,7 +123,8 @@ def one_form_calculus(form, op):
 
 def form_inner(alpha: OneForm, beta: OneForm) -> float:
     """L2 pairing of 1-forms: integral of (u1 u2 + v1 v2)."""
-    return _inner_real(alpha.u_dx, beta.u_dx) + _inner_real(alpha.v_dy, beta.v_dy)
+    return (inner_product(alpha.u_dx, beta.u_dx).real_value
+            + inner_product(alpha.v_dy, beta.v_dy).real_value)
 
 
 def form_norm(alpha: OneForm) -> float:
@@ -181,14 +140,13 @@ def flat_map(f) -> OneForm:
     This is the isometry under which conformal fields correspond exactly to
     the harmonic (closed and co-closed) 1-forms.
     """
-    if not _is_laurent(f):
-        f = series.as_field(f)
-    return OneForm(u_dx=_real(f), v_dy=_scale(_imag(f), -1))
+    f = as_field(f)
+    return OneForm(u_dx=real_part(f), v_dy=scale(imag_part(f), -1))
 
 
 def sharp_map(alpha: OneForm):
     """Inverse of flat_map: u dx + v dy -> the field u - iv."""
-    return _add(alpha.u_dx, _scale(alpha.v_dy, -1j))
+    return add(alpha.u_dx, scale(alpha.v_dy, -1j))
 
 
 # -- boundary traces --------------------------------------------------------------
@@ -198,8 +156,8 @@ def boundary_traces(alpha: OneForm, radius=1.0, samples=256):
     """(max tangential, max normal) component over a sample circle |z| = radius."""
     theta = 2 * math.pi * np.arange(samples) / samples
     pts = radius * np.exp(1j * theta)
-    u = _evaluate_grid(alpha.u_dx, pts)
-    v = _evaluate_grid(alpha.v_dy, pts)
+    u = evaluate_grid(alpha.u_dx, pts)
+    v = evaluate_grid(alpha.v_dy, pts)
     tangent = pts * 1j / radius
     normal = pts / radius
     tang = u * tangent.real + v * tangent.imag
@@ -246,50 +204,48 @@ def hodge_membership(alpha: OneForm, domain: str, tol=1e-10) -> MembershipReport
     a factor of 3 of the decision threshold are reported as inconclusive
     rather than guessed.
     """
-    if domain == "disk":
-        return _membership_disk(alpha, tol)
-    if domain == "annulus":
-        return _membership_annulus(alpha, tol)
-    raise ValueError(f"membership classification supports disk/annulus, not {domain!r}")
-
-
-def _membership_disk(alpha: OneForm, tol) -> MembershipReport:
+    if domain not in ("disk", "annulus"):
+        raise ValueError(f"membership classification supports disk/annulus, not {domain!r}")
     f = sharp_map(alpha)
-    dec = disk_mod.conformal_decompose(f)
-    gF = disk_mod.grad_bar(dec.multipliers.F)
-    sG = disk_mod.sgrad_bar(dec.multipliers.G)
-    norms = {
-        "A1": series.norm(gF),
-        "A2": series.norm(sG),
-        "A3": 0.0,
-        "A4": 0.0,
-        "A5": 0.0,
-        "A6": series.norm(dec.conformal.to_field()),
-    }
-    labels, inconclusive = _labels_from_norms(norms, series.norm(f), tol)
-    d_defect = series.coefficient_norm(exterior_derivative(alpha).density)
-    delta_defect = series.coefficient_norm(codifferential(alpha).value)
-    tang, nrm = boundary_traces(alpha, radius=1.0)
+    split = _split_disk if domain == "disk" else _split_annulus
+    norms, stray, coordinates, potentials = split(f)
+    total = norm(f)
+    labels, inconclusive = _labels_from_norms(norms, total, tol)
+    if stray > tol * max(total, 1.0):
+        inconclusive = tuple(sorted(set(inconclusive) | {"unresolved"}))
+    traces = [boundary_traces(alpha, radius=r) for r in ((1.0, f.r_in) if f.r_in else (1.0,))]
     return MembershipReport(
-        domain="disk",
+        domain=domain,
         labels=labels,
         norms=norms,
         inconclusive=inconclusive,
-        boundary_tangential_max=tang,
-        boundary_normal_max=nrm,
-        closedness_defect=d_defect,
-        coclosedness_defect=delta_defect,
-        coordinates={},
-        potentials={"A1": dec.multipliers.F, "A2": dec.multipliers.G},
+        boundary_tangential_max=max(t for t, _ in traces),
+        boundary_normal_max=max(n for _, n in traces),
+        closedness_defect=coefficient_norm(exterior_derivative(alpha).density),
+        coclosedness_defect=coefficient_norm(codifferential(alpha).value),
+        coordinates=coordinates,
+        potentials=potentials,
     )
 
 
-def _membership_annulus(alpha: OneForm, tol) -> MembershipReport:
-    f = sharp_map(alpha)
-    r_in = f.r_in
-    residue = _d_zbar(f).scaled(2)
-    F = poisson_annulus(residue.real_part())
-    G = poisson_annulus(residue.imag_part())
+def _split_disk(f):
+    dec = disk_mod.conformal_decompose(f)
+    F, G = dec.multipliers.F, dec.multipliers.G
+    norms = {
+        "A1": norm(disk_mod.grad_bar(F)),
+        "A2": norm(disk_mod.sgrad_bar(G)),
+        "A3": 0.0,
+        "A4": 0.0,
+        "A5": 0.0,
+        "A6": norm(dec.conformal.to_field()),
+    }
+    return norms, 0.0, {}, {"A1": F, "A2": G}
+
+
+def _split_annulus(f):
+    residue = scale(wirtinger(f, "d_zbar"), 2)
+    F = poisson_annulus(real_part(residue))
+    G = poisson_annulus(imag_part(residue))
     W = F + G.scaled(1j)
     gradient_sum = W.wirtinger("d_z").scaled(2)
     h_log = LogLaurentField.from_laurent(f) - gradient_sum
@@ -299,39 +255,20 @@ def _membership_annulus(alpha: OneForm, tol) -> MembershipReport:
 
     gF = F.wirtinger("d_z").scaled(2)
     sG = G.wirtinger("d_z").scaled(2j)
-    one_over_z = laurent_monomial(-1, 0, 1.0, r_in=r_in)
-    basis_norm = ann.annulus_norm(one_over_z)
+    one_over_z = laurent_monomial(-1, 0, 1.0, r_in=f.r_in)
+    basis_norm = norm(one_over_z)
     c_res = harmonic.coefficient(-1, 0)
     # Under the reflected sharp the field 1/z is the d ln(x^2+y^2) direction
     # (normal harmonic, exact) and i/z is its star image.
     a4_coord = c_res.real
     a5_coord = c_res.imag
-    a6_part = harmonic - one_over_z.scaled(c_res)
+    a6_part = subtract(harmonic, scale(one_over_z, c_res))
     norms = {
         "A1": gF.norm(),
         "A2": sG.norm(),
         "A3": 0.0,
         "A4": abs(a4_coord) * basis_norm,
         "A5": abs(a5_coord) * basis_norm,
-        "A6": ann.annulus_norm(a6_part),
+        "A6": norm(a6_part),
     }
-    total = ann.annulus_norm(f)
-    labels, inconclusive = _labels_from_norms(norms, total, tol)
-    if stray > tol * max(total, 1.0):
-        inconclusive = tuple(sorted(set(inconclusive) | {"unresolved"}))
-    d_defect = _coefficient_norm(exterior_derivative(alpha).density)
-    delta_defect = _coefficient_norm(codifferential(alpha).value)
-    t_out, n_out = boundary_traces(alpha, radius=1.0)
-    t_in, n_in = boundary_traces(alpha, radius=r_in)
-    return MembershipReport(
-        domain="annulus",
-        labels=labels,
-        norms=norms,
-        inconclusive=inconclusive,
-        boundary_tangential_max=max(t_out, t_in),
-        boundary_normal_max=max(n_out, n_in),
-        closedness_defect=d_defect,
-        coclosedness_defect=delta_defect,
-        coordinates={"A4": a4_coord, "A5": a5_coord},
-        potentials={"A1": F, "A2": G},
-    )
+    return norms, stray, {"A4": a4_coord, "A5": a5_coord}, {"A1": F, "A2": G}

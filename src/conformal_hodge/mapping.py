@@ -133,40 +133,32 @@ class ConformalMap:
 
     # -- cached series helpers ------------------------------------------------
 
-    def power(self, k, max_degree):
-        """phi^k truncated at max_degree (cached)."""
-        key = ("pow", k, max_degree)
-        if key not in self._caches:
-            if k == 0:
-                out = HolomorphicSeries([1.0])
-            else:
-                out = (self.power(k - 1, max_degree) * self.phi).truncated(
-                    max_degree, warn=False
-                )
-            self._caches[key] = out
-        return self._caches[key]
+    def power_table(self, degree, max_degree):
+        """Rows k = 0..degree: coefficients of phi^k truncated at max_degree (cached)."""
+        key = ("powers", max_degree)
+        table = self._caches.get(key)
+        if table is None or len(table) <= degree:
+            table = np.zeros((degree + 1, max_degree + 1), dtype=complex)
+            table[0, 0] = 1.0
+            phi = self.phi.coeffs[: max_degree + 1]
+            for k in range(1, degree + 1 if phi.size else 1):
+                table[k] = np.convolve(table[k - 1], phi)[: max_degree + 1]
+            table.flags.writeable = False
+            self._caches[key] = table
+        return table[: degree + 1]
 
-    def weighted_basis(self, degree, max_degree):
-        """Series phi' * phi^k for k = 0..degree, the pulled-back monomial frame."""
-        key = ("basis", degree, max_degree)
-        if key not in self._caches:
-            self._caches[key] = [
-                (self.phi_prime * self.power(k, max_degree)).truncated(
-                    max_degree, warn=False
-                )
-                for k in range(degree + 1)
-            ]
-        return self._caches[key]
+    def power(self, k, max_degree):
+        """phi^k truncated at max_degree."""
+        return HolomorphicSeries(self.power_table(k, max_degree)[k])
 
     def basis_matrix(self, degree, max_degree):
-        """Rows are the coefficient vectors of phi' phi^k (padded to equal width)."""
-        key = ("bmat", degree, max_degree)
+        """Rows are the coefficient vectors of phi' phi^k, the pulled-back monomial frame."""
+        key = ("basis", degree, max_degree)
         if key not in self._caches:
-            basis = self.weighted_basis(degree, max_degree)
-            width = max(b.degree for b in basis) + 1
-            B = np.zeros((degree + 1, width), dtype=complex)
-            for j, b in enumerate(basis):
-                B[j, : len(b.coeffs)] = b.coeffs
+            powers = self.power_table(degree, max_degree)
+            B = np.zeros_like(powers)
+            for j, d in enumerate(self.phi_prime.coeffs[: max_degree + 1].tolist()):
+                B[:, j:] += d * powers[:, : max_degree + 1 - j]
             self._caches[key] = B
         return self._caches[key]
 
@@ -184,11 +176,8 @@ class ConformalMap:
         return degree * max(self.phi.degree, 1) + self.phi_prime.degree
 
     def compose_with(self, xi: HolomorphicSeries, max_degree):
-        """xi o phi truncated at max_degree (cached per coefficient tuple)."""
-        key = ("compose", xi.coeffs, max_degree)
-        if key not in self._caches:
-            self._caches[key] = xi.compose(self.phi, max_degree)
-        return self._caches[key]
+        """xi o phi truncated at max_degree."""
+        return xi.compose(self.phi, max_degree)
 
 
 def map_inner_product(mapping: ConformalMap, f, g) -> InnerProductValue:
@@ -246,13 +235,11 @@ def project_con_mapped(mapping: ConformalMap, f, degree, max_degree=None) -> Hol
     dphi = mapping.phi_prime.to_field()
     wf = multiply(dphi, f, max_degree=f.max_degree + dphi.max_degree)
     B = mapping.basis_matrix(degree, max_degree)
-    # <<wf, phi' phi^j>> pairs each (m, n) term against basis coefficient m-n
-    rhs = np.zeros(degree + 1, dtype=complex)
-    width = B.shape[1]
-    for (m, n), c in wf.items():
-        k = m - n
-        if 0 <= k < width:
-            rhs += c * (math.pi / (m + 1) + series._INNER_PRODUCT_FAULT) * B[:, k].conj()
+    # <<wf, z^k>> collects the terms of angular index k = m - n, so
+    # <<wf, phi' phi^j>> is the sum over k against basis coefficient k
+    moments = series.angular_sums(wf.table * series.pair_constants(len(wf.table))[:, None])
+    width = min(len(moments), B.shape[1])
+    rhs = B[:, :width].conj() @ moments[:width]
     coeffs = _solve_gram(mapping, rhs, degree, max_degree)
     return HolomorphicSeries(coeffs)
 
@@ -281,14 +268,8 @@ def adjoint_dz_mapped(mapping: ConformalMap, xi, degree, max_degree=None) -> Hol
     A = (HolomorphicSeries([0.0, 0.0, 1.0]) * mapping.phi_prime * xi_pull).truncated(
         max_degree + 1, warn=False
     )
-    A_z = A.derivative()
-    powers = [mapping.power(j, max_degree) for j in range(degree + 1)]
-    width = max(max(p.degree for p in powers), A_z.degree) + 1
-    P = np.zeros((degree + 1, width), dtype=complex)
-    for j, p in enumerate(powers):
-        P[j, : len(p.coeffs)] = p.coeffs
-    a = np.zeros(width, dtype=complex)
-    a[: len(A_z.coeffs)] = A_z.coeffs
-    rhs = P.conj() @ (a * series.pair_constants(width))
+    P = mapping.power_table(degree, max_degree)
+    a = A.derivative().to_array(P.shape[1])
+    rhs = P.conj() @ (a * series.pair_constants(P.shape[1]))
     coeffs = _solve_gram(mapping, rhs, degree, max_degree)
     return HolomorphicSeries(coeffs)

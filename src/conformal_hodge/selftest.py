@@ -39,10 +39,8 @@ class SuiteResult:
 
 
 def _series_gap(a: HolomorphicSeries, b: HolomorphicSeries) -> float:
-    return max(
-        (abs(a.coefficient(k) - b.coefficient(k)) for k in range(max(a.degree, b.degree) + 1)),
-        default=0.0,
-    )
+    n = max(len(a.coeffs), len(b.coeffs))
+    return float(np.max(np.abs(a.to_array(n) - b.to_array(n)), initial=0.0))
 
 
 def suite_projection_three_way(quadrature=DEFAULT_QUADRATURE, degree=6):

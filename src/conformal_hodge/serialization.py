@@ -9,6 +9,7 @@ are deterministic (sorted keys, shortest round-trip floats) and atomic.
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import tempfile
@@ -29,7 +30,6 @@ def _terms_to_list(items):
     return [
         {"m": m, "n": n, "re": c.real, "im": c.imag}
         for (m, n), c in items
-        if c != 0
     ]
 
 
@@ -41,6 +41,8 @@ def _terms_from_list(entries, what="field"):
             val = complex(float(e["re"]), float(e["im"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed {what} term {e!r}") from exc
+        if not cmath.isfinite(val):
+            raise FormatError(f"non-finite coefficient in {what} term {e!r}")
         if key in terms:
             raise FormatError(f"duplicate index {key} in {what} terms")
         terms[key] = val
@@ -149,6 +151,8 @@ def map_from_json(d: dict) -> ConformalMap:
         coeffs = [complex(re, im) for re, im in d["coeffs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("map JSON needs 'coeffs' as [[re, im], ...]") from exc
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise FormatError("map JSON has a non-finite coefficient")
     return ConformalMap(HolomorphicSeries(coeffs))
 
 

@@ -1,17 +1,20 @@
-"""Exact algebra of truncated bivariate polynomial fields on the unit disk.
+"""Exact algebra of truncated coefficient fields on the disk and the annulus.
 
 A field is a finite sum ``sum c_{mn} z^m zbar^n`` identified with the
 complex-valued function it evaluates to, and hence with a planar vector
-field ``u + i v``.  All values are immutable after construction and every
-operation is a pure function; reductions run in a fixed (sorted-index)
-order so results are bit-reproducible.
+field ``u + i v``.  Its coefficients live in one dense complex array,
+``table[i, j] = c_{i+offset, j+offset}``: offset 0 for polynomials on the
+disk, ``-band_limit`` for Laurent fields on an annulus.  Every operation
+below is one array expression on that table and serves both domains.
+All values are immutable after construction and every operation is a pure
+function; reductions run in a fixed index order so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -40,74 +43,83 @@ def _warn_truncation(op, dropped, total, warn_tol):
         )
 
 
-class BivariateField:
-    """Polynomial in z and zbar with complex coefficients, total degree <= max_degree."""
+def _trimmed(table):
+    """Drop trailing all-zero rows and columns; the zero table has shape (0, 0)."""
+    if table.size and table[-1].any() and table[:, -1].any():
+        return table
+    rows = np.flatnonzero(table.any(axis=1))
+    if not rows.size:
+        return np.zeros((0, 0), dtype=complex)
+    cols = np.flatnonzero(table.any(axis=0))
+    return table[: rows[-1] + 1, : cols[-1] + 1]
 
-    __slots__ = ("_terms", "max_degree")
 
-    def __init__(self, terms=None, max_degree=None, drop_tolerance=DROP_TOLERANCE):
-        clean = {}
-        for (m, n), c in (terms or {}).items():
-            m = int(m)
-            n = int(n)
-            if m < 0 or n < 0:
-                raise ValueError(f"negative index ({m}, {n}) not allowed here")
-            c = complex(c)
-            if abs(c) >= drop_tolerance and c != 0:
-                clean[(m, n)] = clean.get((m, n), 0j) + c
-        inferred = max((m + n for m, n in clean), default=0)
-        if max_degree is None:
-            max_degree = max(inferred, 0)
-        if inferred > max_degree:
-            raise ValueError(
-                f"term of total degree {inferred} exceeds max_degree {max_degree}"
-            )
-        self._terms = clean
-        self.max_degree = int(max_degree)
+class CoefficientField:
+    """Coefficient table shared by disk and annulus fields.
 
-    @classmethod
-    def _raw(cls, terms, max_degree):
-        # trusted constructor: terms already {(int, int): nonzero complex}
-        obj = object.__new__(cls)
-        obj._terms = terms
-        obj.max_degree = max_degree
-        return obj
+    ``table[i, j]`` multiplies ``z^(i+offset) zbar^(j+offset)``; the table is
+    trimmed to the rows and columns that hold a nonzero term.  Subclasses
+    fix the offset, the domain radius ``r_in`` and the truncation bound.
+    """
+
+    __slots__ = ("table",)
+    offset = 0
+    r_in = 0.0
+
+    def __init__(self, terms, offset, drop_tolerance=0.0):
+        if isinstance(terms, np.ndarray):
+            table = np.asarray(terms, dtype=complex)
+        else:
+            entries = [(int(m) - offset, int(n) - offset, complex(c))
+                       for (m, n), c in (terms or {}).items() if c and abs(c) >= drop_tolerance]
+            if any(i < 0 or j < 0 for i, j, _ in entries):
+                raise ValueError(f"index below the lowest power {offset}")
+            table = np.zeros((max((e[0] for e in entries), default=-1) + 1,
+                              max((e[1] for e in entries), default=-1) + 1), dtype=complex)
+            for i, j, c in entries:
+                table[i, j] += c
+        table = _trimmed(table)
+        table.flags.writeable = False
+        self.table = table
 
     # -- accessors ---------------------------------------------------------
 
-    def terms(self):
-        """Copy of the coefficient table {(m, n): c}."""
-        return dict(self._terms)
-
     def items(self):
-        """Terms in lexicographic (m, n) order."""
-        return sorted(self._terms.items())
+        """Nonzero terms ((m, n), c) in lexicographic (m, n) order."""
+        i, j = np.nonzero(self.table)
+        o = self.offset
+        return [((m + o, n + o), c) for m, n, c in
+                zip(i.tolist(), j.tolist(), self.table[i, j].tolist())]
+
+    def terms(self):
+        """Copy of the coefficient table as {(m, n): c}."""
+        return dict(self.items())
 
     def coefficient(self, m, n):
-        return self._terms.get((m, n), 0j)
-
-    def degree(self):
-        """Largest total degree actually present (0 for the zero field)."""
-        return max((m + n for m, n in self._terms), default=0)
+        i, j = m - self.offset, n - self.offset
+        if 0 <= i < self.table.shape[0] and 0 <= j < self.table.shape[1]:
+            return complex(self.table[i, j])
+        return 0j
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.table.size)
 
     def __len__(self):
-        return len(self._terms)
+        return int(np.count_nonzero(self.table))
 
     def __eq__(self, other):
-        if not isinstance(other, BivariateField):
+        if not isinstance(other, CoefficientField):
             return NotImplemented
-        return self._terms == other._terms
+        if type(self) is not type(other) or self.r_in != other.r_in:
+            return False
+        a, b = _aligned(self, other)
+        return bool(np.array_equal(a, b))
 
     def __hash__(self):
         return hash(tuple(self.items()))
 
     def __repr__(self):
-        inner = ", ".join(f"({m},{n}): {c:.6g}" for (m, n), c in self.items()[:6])
-        more = "" if len(self._terms) <= 6 else ", ..."
-        return f"BivariateField({{{inner}{more}}}, max_degree={self.max_degree})"
+        return f"{type(self).__name__}({self.terms()!r})"
 
     # -- arithmetic sugar (delegates to the module-level operations) --------
 
@@ -135,18 +147,62 @@ class BivariateField:
             return scale(self, other)
         return multiply(as_field(other), self)
 
-    def conjugate(self):
-        return conjugate(self)
+    def __call__(self, point):
+        return evaluate(self, point)
+
+    def real_part(self):
+        return real_part(self)
+
+    def coefficient_norm(self):
+        return coefficient_norm(self)
 
     def is_real(self, tol=0.0):
         """True when c_{nm} == conj(c_{mn}) within tol (pointwise real values)."""
-        for (m, n), c in self._terms.items():
-            if abs(c - self._terms.get((n, m), 0j).conjugate()) > tol:
-                return False
-        return True
+        a, b = _aligned(self, conjugate(self))
+        return not np.any(np.abs(a - b) > tol)
 
-    def __call__(self, point):
-        return evaluate(self, point)
+    def holomorphic_part(self):
+        """The terms with n = 0 (no zbar content)."""
+        col = -self.offset
+        t = np.zeros_like(self.table)
+        t[:, col : col + 1] = self.table[:, col : col + 1]
+        return self._like(t, self._bound)
+
+    def antiholomorphic_norm(self):
+        """Coefficient norm of the terms with n != 0."""
+        return coefficient_norm(subtract(self, self.holomorphic_part()))
+
+
+class BivariateField(CoefficientField):
+    """Polynomial in z and zbar on the unit disk, total degree <= max_degree.
+
+    ``table[m, n]`` is the coefficient of z^m zbar^n; entries with
+    m + n > max_degree are zero (the triangular layout).  ``terms`` is a
+    {(m, n): c} mapping or a 2-D complex array used as the table itself.
+    """
+
+    __slots__ = ("max_degree",)
+
+    def __init__(self, terms=None, max_degree=None, drop_tolerance=DROP_TOLERANCE):
+        super().__init__(terms, 0, drop_tolerance)
+        t = self.table
+        if max_degree is None:
+            max_degree = self.degree()
+        elif sum(t.shape) - 2 > max_degree and np.triu(t[::-1], max_degree - t.shape[0] + 2).any():
+            raise ValueError(f"term of degree {self.degree()} exceeds max_degree {max_degree}")
+        self.max_degree = int(max_degree)
+
+    @property
+    def _bound(self):
+        return self.max_degree
+
+    def _like(self, table, bound):
+        return BivariateField(table, bound)
+
+    def degree(self):
+        """Largest total degree actually present (0 for the zero field)."""
+        i, j = np.nonzero(self.table)
+        return int((i + j).max()) if i.size else 0
 
 
 @dataclass(frozen=True)
@@ -167,135 +223,113 @@ class InnerProductValue:
 
 
 class HolomorphicSeries:
-    """Truncated Taylor series sum a_k z^k; the conformal (Cauchy-Riemann) fields."""
+    """Truncated Taylor series sum a_k z^k; the conformal (Cauchy-Riemann) fields.
+
+    ``coeffs`` is a read-only 1-D complex array without trailing zeros.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = tuple(complex(c) for c in coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
+        cs = np.array(coeffs, dtype=complex).reshape(-1)
+        nz = np.flatnonzero(cs)
+        cs = cs[: nz[-1] + 1] if nz.size else cs[:0]
+        cs.flags.writeable = False
         self.coeffs = cs
-
-    @classmethod
-    def _raw(cls, cs):
-        # trusted constructor: cs is a list of complex, possibly untrimmed
-        while cs and cs[-1] == 0:
-            cs.pop()
-        obj = object.__new__(cls)
-        obj.coeffs = tuple(cs)
-        return obj
 
     @property
     def degree(self):
         return max(len(self.coeffs) - 1, 0)
 
     def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0j
+        return complex(self.coeffs[k]) if 0 <= k < len(self.coeffs) else 0j
+
+    def to_array(self, length):
+        """Coefficient vector of exactly `length` entries, zero-padded or cut."""
+        out = np.zeros(length, dtype=complex)
+        out[: min(length, len(self.coeffs))] = self.coeffs[:length]
+        return out
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.coeffs.size)
 
     def __eq__(self, other):
         if not isinstance(other, HolomorphicSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return bool(np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(tuple(self.coeffs.tolist()))
 
     def __repr__(self):
-        return f"HolomorphicSeries({list(self.coeffs)!r})"
+        return f"HolomorphicSeries({self.coeffs.tolist()!r})"
 
     def __add__(self, other):
         other = as_series(other)
-        k = max(len(self.coeffs), len(other.coeffs))
-        return HolomorphicSeries._raw(
-            [self.coefficient(i) + other.coefficient(i) for i in range(k)]
-        )
+        n = max(len(self.coeffs), len(other.coeffs))
+        return HolomorphicSeries(self.to_array(n) + other.to_array(n))
 
     def __sub__(self, other):
-        other = as_series(other)
-        k = max(len(self.coeffs), len(other.coeffs))
-        return HolomorphicSeries._raw(
-            [self.coefficient(i) - other.coefficient(i) for i in range(k)]
-        )
+        return self + (-as_series(other))
 
     def __neg__(self):
-        return HolomorphicSeries._raw([-c for c in self.coeffs])
+        return HolomorphicSeries(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return HolomorphicSeries._raw([c * complex(other) for c in self.coeffs])
+            return HolomorphicSeries(self.coeffs * complex(other))
         other = as_series(other)
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return HolomorphicSeries._raw(out)
+        if not (self.coeffs.size and other.coeffs.size):
+            return HolomorphicSeries()
+        return HolomorphicSeries(np.convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __call__(self, point):
-        # Horner; stable for |point| <= 1-ish arguments used here.
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        return np.polyval(self.coeffs[::-1], point)
 
     def derivative(self):
-        return HolomorphicSeries._raw(
-            [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
+        return HolomorphicSeries(np.arange(1, len(self.coeffs)) * self.coeffs[1:])
 
     def antiderivative(self):
         """Primitive with zero constant term."""
-        return HolomorphicSeries._raw(
-            [0j] + [c / (k + 1) for k, c in enumerate(self.coeffs)]
+        return HolomorphicSeries(
+            np.concatenate([[0j], self.coeffs / np.arange(1, len(self.coeffs) + 1)])
         )
 
     def to_field(self, max_degree=None):
-        terms = {(k, 0): c for k, c in enumerate(self.coeffs) if c != 0}
-        if max_degree is None:
-            max_degree = max(self.degree, 0)
-        return BivariateField._raw(terms, max_degree)
+        return BivariateField(self.coeffs[:, None], max_degree)
 
     def truncated(self, max_degree, warn=True):
         if len(self.coeffs) - 1 <= max_degree:
             return self
-        dropped = math.sqrt(sum(abs(c) ** 2 for c in self.coeffs[max_degree + 1 :]))
-        total = math.sqrt(sum(abs(c) ** 2 for c in self.coeffs))
         if warn:
+            dropped = float(np.linalg.norm(self.coeffs[max_degree + 1 :]))
+            total = float(np.linalg.norm(self.coeffs))
             _warn_truncation("HolomorphicSeries.truncated", dropped, total, 0.0)
-        return HolomorphicSeries._raw(list(self.coeffs[: max_degree + 1]))
+        return HolomorphicSeries(self.coeffs[: max_degree + 1])
 
     @staticmethod
     def from_field(field, tol=0.0):
         """Extract the pure z-power part; reject fields with zbar content above tol."""
         field = as_field(field)
-        coeffs = [0j] * (field.max_degree + 1)
-        for (m, n), c in field.items():
-            if n == 0:
-                coeffs[m] = c
-            elif abs(c) > tol:
-                raise ValueError(
-                    f"field has non-holomorphic term ({m},{n}) with |c|={abs(c):.3e}"
-                )
-        return HolomorphicSeries(coeffs)
+        bad = field.antiholomorphic_norm()
+        if bad > tol:
+            raise ValueError(f"field has non-holomorphic terms of coefficient norm {bad:.3e}")
+        return HolomorphicSeries(field.table[:, :1])
 
     def compose(self, inner, max_degree=DEFAULT_MAX_DEGREE):
-        """Series composition self(inner(z)), truncated at max_degree."""
-        inner = as_series(inner)
-        acc = HolomorphicSeries([])
-        for c in reversed(self.coeffs):
-            acc = (acc * inner).truncated(max_degree, warn=False) + HolomorphicSeries([c])
-        return acc
+        """Series composition self(inner(z)), truncated at max_degree (Horner)."""
+        inner = as_series(inner).coeffs[: max_degree + 1]
+        acc = np.zeros(1, dtype=complex)
+        for c in self.coeffs[::-1]:
+            acc = np.convolve(acc, inner)[: max_degree + 1] if inner.size else acc * 0
+            acc[0] += c
+        return HolomorphicSeries(acc)
 
 
-def as_field(x) -> BivariateField:
-    if isinstance(x, BivariateField):
+def as_field(x) -> CoefficientField:
+    if isinstance(x, CoefficientField):
         return x
     if isinstance(x, HolomorphicSeries):
         return x.to_field()
@@ -325,16 +359,29 @@ def zero_field():
 # -- elementary operations ---------------------------------------------------
 
 
+def _check_domain(f, g):
+    if type(f) is not type(g):
+        raise TypeError(f"cannot combine {type(f).__name__} with {type(g).__name__}")
+    if f.r_in != g.r_in:
+        raise ValueError("operands live on annuli with different r_in")
+
+
+def _aligned(f, g):
+    """Both tables padded to one shape at the common (lower) offset."""
+    o = min(f.offset, g.offset)
+    shape = [max(f.table.shape[ax] + f.offset, g.table.shape[ax] + g.offset) - o for ax in (0, 1)]
+    out = [np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)]
+    for t, h in zip(out, (f, g)):
+        s = h.offset - o
+        t[s : s + h.table.shape[0], s : s + h.table.shape[1]] = h.table
+    return out
+
+
 def add(f, g):
     f, g = as_field(f), as_field(g)
-    terms = dict(f._terms)
-    for idx, c in g._terms.items():
-        s = terms.get(idx, 0j) + c
-        if s == 0:
-            terms.pop(idx, None)
-        else:
-            terms[idx] = s
-    return BivariateField._raw(terms, max(f.max_degree, g.max_degree))
+    _check_domain(f, g)
+    a, b = _aligned(f, g)
+    return f._like(a + b, max(f._bound, g._bound))
 
 
 def subtract(f, g):
@@ -343,40 +390,41 @@ def subtract(f, g):
 
 def scale(f, a):
     f = as_field(f)
-    a = complex(a)
-    if a == 0:
-        return BivariateField._raw({}, f.max_degree)
-    return BivariateField._raw(
-        {idx: a * c for idx, c in f._terms.items()}, f.max_degree
-    )
+    return f._like(f.table * complex(a), f._bound)
 
 
 def conjugate(f):
     """Pointwise complex conjugate: swaps (m, n) -> (n, m) and conjugates."""
     f = as_field(f)
-    return BivariateField._raw(
-        {(n, m): c.conjugate() for (m, n), c in f._terms.items()}, f.max_degree
-    )
+    return f._like(f.table.T.conj(), f._bound)
 
 
 def convolve(f, g, max_degree=None):
-    """Full product with truncation; returns (field, dropped_mass_norm)."""
+    """Full product of disk fields with truncation; returns (field, dropped_mass_norm).
+
+    Direct shift-add summation: each nonzero term of the sparser factor adds
+    a shifted copy of the other factor's table.
+    """
     f, g = as_field(f), as_field(g)
+    if not (isinstance(f, BivariateField) and isinstance(g, BivariateField)):
+        raise TypeError("products are defined for disk fields only")
     if max_degree is None:
         max_degree = min(f.max_degree + g.max_degree, DEFAULT_MAX_DEGREE)
-    terms = defaultdict(complex)
-    for (m, n), c in f._terms.items():
-        for (p, q), d in g._terms.items():
-            terms[(m + p, n + q)] += c * d
-    kept, dropped_sq = {}, 0.0
-    for (m, n), c in terms.items():
-        if c == 0:
-            continue
-        if m + n <= max_degree:
-            kept[(m, n)] = c
-        else:
-            dropped_sq += abs(c) ** 2
-    return BivariateField._raw(kept, max_degree), math.sqrt(dropped_sq)
+    a, b = f.table, g.table
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    out = np.zeros(np.maximum(np.add(a.shape, b.shape) - 1, 0), dtype=complex)
+    rows, cols = b.shape
+    i, j = np.nonzero(a)
+    for m, n, c in zip(i.tolist(), j.tolist(), a[i, j].tolist()):
+        out[m : m + rows, n : n + cols] += c * b
+    dropped = 0.0
+    if sum(out.shape) - 2 > max_degree:
+        # entries with m + n > max_degree sit above a diagonal of the row-flipped table
+        k = max_degree - out.shape[0] + 2
+        dropped = float(np.linalg.norm(np.triu(out[::-1], k)))
+        out = np.tril(out[::-1], k - 1)[::-1]
+    return BivariateField(out, max_degree), dropped
 
 
 def multiply(f, g, max_degree=None, warn_tol=TRUNCATION_WARN_TOL):
@@ -386,36 +434,22 @@ def multiply(f, g, max_degree=None, warn_tol=TRUNCATION_WARN_TOL):
     return result
 
 
-def combine(kind, f, g=None, max_degree=None):
-    """Dispatch arithmetic by name: add | subtract | scale | multiply | conjugate."""
-    if kind == "add":
-        return add(f, g)
-    if kind == "subtract":
-        return subtract(f, g)
-    if kind == "scale":
-        return scale(f, g)
-    if kind == "multiply":
-        return multiply(f, g, max_degree=max_degree)
-    if kind == "conjugate":
-        return conjugate(f)
-    raise ValueError(f"unknown combine kind {kind!r}")
-
-
 def wirtinger(f, which):
     """Wirtinger derivative: d_z maps z^m zbar^n -> m z^(m-1) zbar^n, d_zbar likewise in n."""
     f = as_field(f)
-    terms = {}
-    if which == "d_z":
-        for (m, n), c in f._terms.items():
-            if m > 0:
-                terms[(m - 1, n)] = m * c
-    elif which == "d_zbar":
-        for (m, n), c in f._terms.items():
-            if n > 0:
-                terms[(m, n - 1)] = n * c
-    else:
+    if which not in ("d_z", "d_zbar"):
         raise ValueError(f"unknown derivative {which!r} (want 'd_z' or 'd_zbar')")
-    return BivariateField._raw(terms, max(f.max_degree - 1, 0))
+    t = f.table if which == "d_z" else f.table.T
+    t = (np.arange(t.shape[0]) + f.offset)[:, None] * t
+    if f.offset:
+        # negative powers step below the band: widen it by one, which shifts
+        # the other axis of the table by one place
+        t = np.pad(t, ((0, 0), (1, 0)))
+        bound = f._bound + 1
+    else:
+        t = t[1:]
+        bound = max(f._bound - 1, 0)
+    return f._like(t if which == "d_z" else t.T, bound)
 
 
 def cr_residual(f):
@@ -458,88 +492,117 @@ def inner_product_fault(eps):
         _INNER_PRODUCT_FAULT = old
 
 
-def _pair_constant(m, q):
-    # disk moment of the matched monomial pair, pi/(m+q+1)
-    return math.pi / (m + q + 1) + _INNER_PRODUCT_FAULT
+def pair_constants(count, r_in=0.0, start=0):
+    """Moments of |z|^(2a) over r_in <= |z| <= 1 for a = start .. start+count-1.
+
+    pi (1 - r_in^(2a+2)) / (a+1), and 2 pi ln(1/r_in) at a = -1; at r_in = 0
+    this is exactly the disk moment pi/(a+1).  Fault included.
+    """
+    d = np.arange(start + 1, start + count + 1, dtype=float)  # a + 1
+    w = math.pi * (1.0 - r_in ** (2.0 * d)) / np.where(d == 0, 1.0, d)
+    return np.where(d == 0, -2 * math.pi * math.log(r_in or 1.0), w) + _INNER_PRODUCT_FAULT
 
 
-def pair_constants(count):
-    """Vector of the matched-monomial disk moments pi/(i+1), fault included."""
-    return math.pi / (np.arange(count) + 1.0) + _INNER_PRODUCT_FAULT
+def _diagonals(table, ks):
+    """Row k - ks[0] lists the entries of `table` with i - j = k, in increasing i."""
+    rows, cols = table.shape
+    width = min(rows, cols)
+    pad = np.zeros((rows + width, cols + width), dtype=complex)
+    pad[:rows, :cols] = table
+    r = np.arange(width)
+    return pad[r + np.maximum(ks, 0)[:, None], r + np.maximum(-ks, 0)[:, None]]
+
+
+def angular_sums(table):
+    """Sums of a coefficient table along its diagonals m - n = k, for k = 0..rows-1."""
+    return _diagonals(table, np.arange(table.shape[0])).sum(axis=1)
+
+
+def pair_sums(f, g):
+    """(a0, s): s[a - a0] sums f_mn conj(g_pq) over the pairs with m - n = p - q, m + q = a.
+
+    These are the diagonal entries of the product f * conj(g), so the
+    pairing of f and g is s weighted by the moments of |z|^(2a).  Terms
+    are grouped by angular index into rows, and the rows are convolved
+    by direct shift-add summation.
+    """
+    a, b = f.table, g.table
+    start = f.offset + g.offset
+    kmin = 1 - min(a.shape[1], b.shape[1])
+    kmax = min(a.shape[0], b.shape[0]) - 1
+    if kmax < kmin:
+        return start, np.zeros(0, dtype=complex)
+    ks = np.arange(kmin, kmax + 1)
+    A, B = _diagonals(a, ks), np.conj(_diagonals(b, ks))
+    if A.shape[1] > B.shape[1]:
+        A, B = B, A
+    width = B.shape[1]
+    C = np.zeros((len(ks), A.shape[1] + width - 1), dtype=complex)
+    for r in range(A.shape[1]):
+        C[:, r : r + width] += A[:, r : r + 1] * B
+    idx = (np.abs(ks)[:, None] + np.arange(C.shape[1])).ravel()
+    sums = np.bincount(idx, C.real.ravel()) + 1j * np.bincount(idx, C.imag.ravel())
+    return start, sums
 
 
 def inner_product(f, g) -> InnerProductValue:
-    """Complex L2 pairing on the unit disk, conjugate-linear in the second slot.
+    """Complex L2 pairing over the field's domain, conjugate-linear in the second slot.
 
-    Closed form: <<z^m zbar^n, z^p zbar^q>> = pi/(m+q+1) when m+q == n+p,
-    else 0; extended bilinearly.  Terms are bucketed by the angular index
-    m-n so only matching buckets pair; sums run in sorted index order for
-    bit-reproducibility.
+    Closed form: <<z^m zbar^n, z^p zbar^q>> is the moment of |z|^(2(m+q))
+    when m - n == p - q, else 0; extended bilinearly.  On the disk this is
+    pi/(m+q+1); on the annulus the moment over r_in <= |z| <= 1.
     """
     f, g = as_field(f), as_field(g)
-    ft, gt = f._terms, g._terms
-    if all(n == 0 for _, n in ft) and all(n == 0 for _, n in gt):
-        total = 0j
-        for (m, _), c in sorted(ft.items()):
-            d = gt.get((m, 0))
-            if d is not None:
-                total += c * d.conjugate() * _pair_constant(m, 0)
-        return InnerProductValue(total)
-    buckets = defaultdict(list)
-    for (p, q), d in sorted(gt.items()):
-        buckets[p - q].append((p, q, d))
-    total = 0j
-    for (m, n), c in sorted(ft.items()):
-        for p, q, d in buckets.get(m - n, ()):
-            total += c * d.conjugate() * _pair_constant(m, q)
-    return InnerProductValue(total)
+    _check_domain(f, g)
+    start, sums = pair_sums(f, g)
+    return InnerProductValue(complex(sums @ pair_constants(len(sums), f.r_in, start)))
 
 
 def norm(f) -> float:
-    """L2 norm sqrt(<f, f>) on the unit disk."""
+    """L2 norm sqrt(<f, f>) over the field's domain."""
     v = inner_product(f, f).real_value
     return math.sqrt(max(v, 0.0))
 
 
 def coefficient_norm(f) -> float:
-    f = as_field(f)
-    return math.sqrt(sum(abs(c) ** 2 for c in f._terms.values()))
+    return float(np.linalg.norm(as_field(f).table))
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
 def evaluate(f, point):
-    """Horner-style evaluation of sum c_{mn} z^m zbar^n at a complex point.
+    """Horner evaluation of sum c_{mn} z^m zbar^n at one complex point.
 
     Disk semantics expect |point| <= 1; evaluation outside is permitted but
-    the inner-product and projection contracts only hold on the disk.
+    the inner-product and projection contracts only hold on the domain.
     """
     f = as_field(f)
     z = complex(point)
     zb = z.conjugate()
-    rows = defaultdict(dict)
-    for (m, n), c in f._terms.items():
-        rows[m][n] = c
     acc = 0j
-    for m in range(max(rows, default=0), -1, -1):
-        row = rows.get(m, {})
+    for row in reversed(f.table.tolist()):
         inner = 0j
-        for n in range(max(row, default=0), -1, -1):
-            inner = inner * zb + row.get(n, 0j)
+        for c in reversed(row):
+            inner = inner * zb + c
         acc = acc * z + inner
-    return acc
+    return acc * abs(z) ** (2 * f.offset) if f.offset else acc
 
 
 def evaluate_grid(f, points):
-    """Vectorised evaluation on a numpy array of complex points."""
+    """Vectorised evaluation on a numpy array of complex points (Horner in z)."""
     f = as_field(f)
     points = np.asarray(points, dtype=complex)
-    out = np.zeros_like(points)
-    conj = np.conj(points)
-    for (m, n), c in f.items():
-        out += c * points**m * conj**n
-    return out
+    z = points.ravel()
+    t = f.table
+    acc = np.zeros_like(z)
+    if t.size:
+        # per row m: sum_n c_mn zbar^n (scalars when the field is holomorphic)
+        rows = t[:, 0] if t.shape[1] == 1 else np.vander(np.conj(z), t.shape[1], True) @ t.T
+        for m in range(t.shape[0] - 1, -1, -1):
+            acc = acc * z + rows[..., m]
+        acc = acc * (z * np.conj(z)).real ** f.offset
+    return acc.reshape(points.shape)
 
 
 def boundary_max(f, samples=256):

@@ -3,8 +3,12 @@
 These deliberately avoid the library's closed-form paths: fields are
 evaluated by direct power sums, integrals are taken by quadrature, and the
 Dirichlet-Poisson problems are solved by second-order finite differences
-per angular mode on a fine radial grid.
+per angular mode on a fine radial grid.  The dict-loop kernels at the end
+are the term-by-term reference for the library's array kernels.
 """
+
+import math
+from collections import defaultdict
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -109,3 +113,57 @@ def fd_poisson_annulus_values(rhs_terms, r_in, n=4096):
         vals += u[:, None] * np.exp(1j * k * thetas)[None, :]
     pts = r[:, None] * np.exp(1j * thetas)[None, :]
     return pts, vals
+
+
+# -- term-by-term reference kernels ------------------------------------------
+# Fields are {(m, n): c} dicts and series are coefficient lists; every sum
+# runs over the stored terms one pair at a time.
+
+
+def dict_convolve(ft, gt, max_degree):
+    """Product truncated at total degree max_degree: (kept terms, dropped mass norm)."""
+    terms = defaultdict(complex)
+    for (m, n), c in ft.items():
+        for (p, q), d in gt.items():
+            terms[(m + p, n + q)] += c * d
+    kept, dropped_sq = {}, 0.0
+    for (m, n), c in terms.items():
+        if c == 0:
+            continue
+        if m + n <= max_degree:
+            kept[(m, n)] = c
+        else:
+            dropped_sq += abs(c) ** 2
+    return kept, math.sqrt(dropped_sq)
+
+
+def annulus_moment(a, r_in):
+    """Integral of |z|^(2a) over r_in <= |z| <= 1 (the unit disk for r_in = 0)."""
+    if a == -1:
+        return 2 * math.pi * math.log(1.0 / r_in)
+    return math.pi * (1.0 - r_in ** (2 * a + 2)) / (a + 1)
+
+
+def dict_inner_product(ft, gt, r_in=0.0):
+    """Pairing <<f, g>>: matched angular buckets weighted by the radial moments."""
+    buckets = defaultdict(list)
+    for (p, q), d in sorted(gt.items()):
+        buckets[p - q].append((p, q, d))
+    total = 0j
+    for (m, n), c in sorted(ft.items()):
+        for p, q, d in buckets.get(m - n, ()):
+            total += c * d.conjugate() * annulus_moment(m + q, r_in)
+    return total
+
+
+def horner_compose(outer, inner, max_degree):
+    """outer(inner(z)) on coefficient lists by Horner's rule, truncated at max_degree."""
+    acc = []
+    for c in reversed(outer):
+        prod = [0j] * max(len(acc) + len(inner) - 1, 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(inner):
+                prod[i + j] += a * b
+        acc = prod[: max_degree + 1]
+        acc[0] += c
+    return acc

@@ -288,16 +288,6 @@ class TestConfigAndFlags:
                   "--out", str(out), "--summary", str(tmp_path / "s.json")])
         assert o1.read_bytes() == o2.read_bytes()
 
-    def test_threads_env(self, monkeypatch, capsys, tmp_path):
-        import conformal_hodge.cli as cli
-
-        monkeypatch.setenv("CONFORMAL_HODGE_THREADS", "4")
-        main(["catalog", "--domain", "disk", "--out", str(tmp_path / "c.json")])
-        assert cli.MAX_THREADS == 4
-        monkeypatch.setenv("CONFORMAL_HODGE_THREADS", "zero")
-        main(["catalog", "--domain", "disk", "--out", str(tmp_path / "c.json")])
-        assert "ignoring invalid" in capsys.readouterr().err
-
 
 class TestSelfTest:
     def test_check_passes(self, capsys):
@@ -324,6 +314,27 @@ class TestErrorPaths:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["project", "--in", str(p)]) == 2
+        listing = tmp_path / "list.json"
+        listing.write_text("[1, 2, 3]")
+        assert main(["classify", "--r-in", "0.5", "--in", str(listing)]) == 2
+
+    def test_non_finite_coefficients_rejected(self, tmp_path):
+        # each of these used to exit 0 with a meaningless result or 1 with a traceback
+        assert main(["wave", "--xi0", "nan*z", "--dt", "0.01", "--steps", "5",
+                     "--out", str(tmp_path / "w.csv"),
+                     "--summary", str(tmp_path / "w.json")]) == 2
+        fin = tmp_path / "f.json"
+        ser.write_json(fin, {"max_degree": 2,
+                             "terms": [{"m": 1, "n": 1, "re": "nan", "im": 0}]})
+        assert main(["decompose", "--in", str(fin), "--out", str(tmp_path / "d.json")]) == 2
+        mp = tmp_path / "map.json"
+        ser.write_json(mp, {"coeffs": [[0.0, 0.0], [1.0, 0.0]]})
+        assert main(["geodesic", "--map", str(mp), "--xi0", "nan", "--dt", "0.01",
+                     "--steps", "2", "--out", str(tmp_path / "g.csv"),
+                     "--summary", str(tmp_path / "g.json")]) == 2
+        ser.write_json(mp, {"coeffs": [[0.0, 0.0], [1.0, math.inf]]})
+        one = write_field(tmp_path / "one.json", monomial(0, 0))
+        assert main(["adjoint", "--map", str(mp), "--in", one, "--degree", "3"]) == 2
 
     def test_bad_domain_string(self, tmp_path):
         fin = write_field(tmp_path / "f.json", monomial(0, 0))

@@ -120,6 +120,14 @@ class TestStationary:
         )
         assert s.norm(out.to_field()) < 1e-10  # constants stay stationary
 
+    def test_map_caches_hold_no_series_keys(self):
+        m = ConformalMap(HolomorphicSeries([0.0, 1.0, 0.1]))
+        res = stationary_solve(PotentialSpec.quadratic(-1.0), HolomorphicSeries([0.1, 0.2]),
+                               domain=m, max_iter=2)
+        assert res.iterations > 0
+        keys = [k if isinstance(k, tuple) else (k,) for k in m._caches]
+        assert all(isinstance(part, (str, int)) for key in keys for part in key)
+
     def test_multipliers_vanish_on_boundary(self):
         res = stationary_solve(
             PotentialSpec.quadratic(-2.0), HolomorphicSeries([0.1, 0.7]), degree=3

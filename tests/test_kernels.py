@@ -1,0 +1,96 @@
+"""Array kernels against the term-by-term dict-loop references in oracles.py.
+
+The tolerance is fixed in advance: 1e-12 times the product of the
+coefficient norms of the operands, which bounds every coefficient of a
+product and every pairing.  Inputs cover dense and sparse tables,
+holomorphic-only fields, and Laurent fields with negative indices.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conformal_hodge import series as s
+from conformal_hodge.annulus import LaurentField
+from conformal_hodge.series import BivariateField, HolomorphicSeries
+
+import oracles
+
+REL_TOL = 1e-12
+
+coefficient = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+def _norm(terms):
+    return math.hypot(*(abs(c) for c in terms.values()))  # no underflow for tiny terms
+
+
+@st.composite
+def disk_terms(draw, max_degree=8):
+    """{(m, n): c} that is dense, sparse, or holomorphic-only."""
+    kind = draw(st.sampled_from(["dense", "sparse", "holomorphic"]))
+    degree = draw(st.integers(0, max_degree))
+    if kind == "holomorphic":
+        slots = [(m, 0) for m in range(degree + 1)]
+    else:
+        slots = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
+    if kind == "sparse":
+        slots = draw(st.lists(st.sampled_from(slots), max_size=5, unique=True))
+    return {idx: draw(coefficient) for idx in slots}
+
+
+@st.composite
+def laurent_terms(draw, band=2):
+    dense = draw(st.booleans())
+    slots = [(m, n) for m in range(-band, band + 1) for n in range(-band, band + 1)]
+    if not dense:
+        slots = draw(st.lists(st.sampled_from(slots), max_size=6, unique=True))
+    return {idx: draw(coefficient) for idx in slots}
+
+
+@given(disk_terms(), disk_terms(), st.integers(0, 16))
+@settings(max_examples=100, deadline=None)
+def test_convolve_matches_dict_loop(ft, gt, max_degree):
+    f = BivariateField(ft, max_degree=8)
+    g = BivariateField(gt, max_degree=8)
+    got, dropped = s.convolve(f, g, max_degree=max_degree)
+    kept, dropped_ref = oracles.dict_convolve(f.terms(), g.terms(), max_degree)
+    tol = REL_TOL * _norm(ft) * _norm(gt)
+    keys = set(kept) | set(got.terms())
+    assert max((abs(got.coefficient(*k) - kept.get(k, 0j)) for k in keys), default=0.0) <= tol
+    assert abs(dropped - dropped_ref) <= tol
+    assert got.max_degree == max_degree
+
+
+@given(disk_terms(), disk_terms())
+@settings(max_examples=100, deadline=None)
+def test_inner_product_matches_dict_loop(ft, gt):
+    f, g = BivariateField(ft), BivariateField(gt)
+    got = s.inner_product(f, g).complex_value
+    ref = oracles.dict_inner_product(f.terms(), g.terms())
+    assert abs(got - ref) <= REL_TOL * _norm(ft) * _norm(gt)
+
+
+@given(laurent_terms(), laurent_terms(), st.floats(0.5, 0.9))
+@settings(max_examples=100, deadline=None)
+def test_annulus_inner_matches_dict_loop(ft, gt, r_in):
+    f, g = LaurentField(ft, r_in=r_in), LaurentField(gt, r_in=r_in, band_limit=3)
+    got = s.inner_product(f, g).complex_value
+    ref = oracles.dict_inner_product(f.terms(), g.terms(), r_in=r_in)
+    assert abs(got - ref) <= REL_TOL * _norm(ft) * _norm(gt)
+
+
+@given(st.lists(coefficient, max_size=6), st.lists(coefficient, max_size=4),
+       st.integers(0, 20))
+@settings(max_examples=100, deadline=None)
+def test_compose_matches_horner_loop(outer, inner, max_degree):
+    inner = [c / max(1.0, abs(c)) for c in inner]  # keep |inner| coefficients <= 1
+    got = HolomorphicSeries(outer).compose(HolomorphicSeries(inner), max_degree)
+    ref = oracles.horner_compose(outer, inner, max_degree)
+    # Horner multiplies by inner once per outer coefficient
+    tol = REL_TOL * np.linalg.norm(outer) * (1 + np.linalg.norm(inner)) ** len(outer)
+    width = max(len(ref), len(got.coeffs))
+    assert np.max(np.abs(got.to_array(width) - np.pad(ref, (0, width - len(ref)))),
+                  initial=0.0) <= tol
