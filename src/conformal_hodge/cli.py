@@ -169,6 +169,10 @@ def _apply_config(args):
 
 
 def _check_numeric(args):
+    for key in ("dt", "c", "tol"):
+        value = getattr(args, key, None)
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"{key} must be finite")
     if getattr(args, "dt", None) is not None and args.dt <= 0:
         raise InputError("dt must be positive")
     if getattr(args, "steps", None) is not None and args.steps < 1:
@@ -450,7 +454,7 @@ def cmd_check(args):
             quad = (int(nr), int(nt))
         except ValueError as exc:
             raise InputError("quadrature must look like 64x128") from exc
-    results = run_self_test(quadrature=quad, inner_fault=args.inject_inner_fault)
+    results = run_self_test(quadrature=quad)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
@@ -551,8 +555,6 @@ def build_parser():
 
     sp = sub.add_parser("check", help="run the built-in verification suites")
     sp.add_argument("--quadrature", help="kernel quadrature, e.g. 64x128 or 8x16")
-    sp.add_argument("--inject-inner-fault", type=float, default=0.0,
-                    help="test-only: perturb the inner-product constant")
     sp.set_defaults(func=cmd_check)
     return p
 

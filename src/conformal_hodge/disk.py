@@ -211,13 +211,12 @@ def _orthogonality_matrix(parts):
     return tuple(tuple(inner_product(p, q).real_value for q in parts) for p in parts)
 
 
-def conformal_decompose(f) -> DecompositionResult:
-    """Split f into conformal part + reflection gradients of Dirichlet potentials.
+def conformal_split(f):
+    """(h, F, G, grad_bar(F), sgrad_bar(G)) with f = h + grad_bar(F) + sgrad_bar(G).
 
     F and G solve Laplace problems with right-hand sides Re/Im of 2 d_zbar f,
     which makes f - grad_bar(F) - sgrad_bar(G) holomorphic in exact
-    arithmetic; correctness is enforced by the reconstruction residual rather
-    than by trusting the derivation.
+    arithmetic; h is its z-power part.
     """
     f = as_field(f)
     residue = cr_residual(f)
@@ -225,8 +224,18 @@ def conformal_decompose(f) -> DecompositionResult:
     G = poisson_disk(imag_part(residue))
     gF = grad_bar(F)
     sG = sgrad_bar(G)
-    h_field = subtract(subtract(f, gF), sG)
-    h = HolomorphicSeries(h_field.table[:, :1])
+    h = HolomorphicSeries(subtract(subtract(f, gF), sG).table[:, :1])
+    return h, F, G, gF, sG
+
+
+def conformal_decompose(f) -> DecompositionResult:
+    """Split f into conformal part + reflection gradients of Dirichlet potentials.
+
+    The split is `conformal_split`; correctness is enforced by the
+    reconstruction residual rather than by trusting the derivation.
+    """
+    f = as_field(f)
+    h, F, G, gF, sG = conformal_split(f)
     recon = add(add(h.to_field(), gF), sG)
     residual_norm = norm(subtract(f, recon))
     parts = [h.to_field(), gF, sG]

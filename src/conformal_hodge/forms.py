@@ -127,10 +127,6 @@ def form_inner(alpha: OneForm, beta: OneForm) -> float:
             + inner_product(alpha.v_dy, beta.v_dy).real_value)
 
 
-def form_norm(alpha: OneForm) -> float:
-    return math.sqrt(max(form_inner(alpha, alpha), 0.0))
-
-
 # -- reflected flat / sharp maps -------------------------------------------------
 
 
@@ -229,15 +225,14 @@ def hodge_membership(alpha: OneForm, domain: str, tol=1e-10) -> MembershipReport
 
 
 def _split_disk(f):
-    dec = disk_mod.conformal_decompose(f)
-    F, G = dec.multipliers.F, dec.multipliers.G
+    h, F, G, gF, sG = disk_mod.conformal_split(f)
     norms = {
-        "A1": norm(disk_mod.grad_bar(F)),
-        "A2": norm(disk_mod.sgrad_bar(G)),
+        "A1": norm(gF),
+        "A2": norm(sG),
         "A3": 0.0,
         "A4": 0.0,
         "A5": 0.0,
-        "A6": norm(dec.conformal.to_field()),
+        "A6": norm(h.to_field()),
     }
     return norms, 0.0, {}, {"A1": F, "A2": G}
 

@@ -133,29 +133,11 @@ class ConformalMap:
 
     # -- cached series helpers ------------------------------------------------
 
-    def power_table(self, degree, max_degree):
-        """Rows k = 0..degree: coefficients of phi^k truncated at max_degree (cached)."""
-        key = ("powers", max_degree)
-        table = self._caches.get(key)
-        if table is None or len(table) <= degree:
-            table = np.zeros((degree + 1, max_degree + 1), dtype=complex)
-            table[0, 0] = 1.0
-            phi = self.phi.coeffs[: max_degree + 1]
-            for k in range(1, degree + 1 if phi.size else 1):
-                table[k] = np.convolve(table[k - 1], phi)[: max_degree + 1]
-            table.flags.writeable = False
-            self._caches[key] = table
-        return table[: degree + 1]
-
-    def power(self, k, max_degree):
-        """phi^k truncated at max_degree."""
-        return HolomorphicSeries(self.power_table(k, max_degree)[k])
-
     def basis_matrix(self, degree, max_degree):
         """Rows are the coefficient vectors of phi' phi^k, the pulled-back monomial frame."""
         key = ("basis", degree, max_degree)
         if key not in self._caches:
-            powers = self.power_table(degree, max_degree)
+            powers = self.phi.power_table(degree, max_degree)
             B = np.zeros_like(powers)
             for j, d in enumerate(self.phi_prime.coeffs[: max_degree + 1].tolist()):
                 B[:, j:] += d * powers[:, : max_degree + 1 - j]
@@ -163,12 +145,16 @@ class ConformalMap:
         return self._caches[key]
 
     def gram(self, degree, max_degree):
-        """Hermitian Gram matrix G[j,k] = <<phi' phi^k, phi' phi^j>> on the disk."""
+        """Eigendecomposition (w, V) of the Hermitian Gram matrix (cached).
+
+        G[j,k] = <<phi' phi^k, phi' phi^j>> on the disk equals V diag(w) V^H,
+        with the eigenvalues w in ascending order.
+        """
         key = ("gram", degree, max_degree)
         if key not in self._caches:
             B = self.basis_matrix(degree, max_degree)
             d = series.pair_constants(B.shape[1])
-            self._caches[key] = ((B * d) @ B.conj().T).T
+            self._caches[key] = np.linalg.eigh(((B * d) @ B.conj().T).T)
         return self._caches[key]
 
     def natural_cap(self, degree):
@@ -210,8 +196,8 @@ def bergman_kernel_mapped(mapping: ConformalMap, z, zeta):
 
 
 def _solve_gram(mapping, rhs, degree, max_degree):
-    G = mapping.gram(degree, max_degree)
-    cond = np.linalg.cond(G)
+    w, V = mapping.gram(degree, max_degree)
+    cond = w[-1] / w[0] if w[0] > 0 else math.inf
     if cond > GRAM_CONDITION_LIMIT:
         warnings.warn(
             f"weighted Gram system condition estimate {cond:.3e} exceeds "
@@ -219,7 +205,7 @@ def _solve_gram(mapping, rhs, degree, max_degree):
             GramConditionWarning,
             stacklevel=3,
         )
-    return np.linalg.solve(G, rhs)
+    return V @ ((V.conj().T @ rhs) / w)
 
 
 def project_con_mapped(mapping: ConformalMap, f, degree, max_degree=None) -> HolomorphicSeries:
@@ -268,7 +254,7 @@ def adjoint_dz_mapped(mapping: ConformalMap, xi, degree, max_degree=None) -> Hol
     A = (HolomorphicSeries([0.0, 0.0, 1.0]) * mapping.phi_prime * xi_pull).truncated(
         max_degree + 1, warn=False
     )
-    P = mapping.power_table(degree, max_degree)
+    P = mapping.phi.power_table(degree, max_degree)
     a = A.derivative().to_array(P.shape[1])
     rhs = P.conj() @ (a * series.pair_constants(P.shape[1]))
     coeffs = _solve_gram(mapping, rhs, degree, max_degree)

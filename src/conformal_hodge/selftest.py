@@ -195,17 +195,14 @@ def suite_geodesic(steps=300, dt=1e-3):
     return [SuiteResult("geodesic energy drift", drift <= 1e-6, drift, 1e-6)]
 
 
-def run_self_test(quadrature=DEFAULT_QUADRATURE, inner_fault=0.0):
+def run_self_test(quadrature=DEFAULT_QUADRATURE):
     """Run every suite; returns the list of SuiteResult rows."""
-    results = []
-    with series.inner_product_fault(inner_fault):
-        results += suite_projection_three_way(quadrature=QuadratureSpec(*quadrature))
-        results += suite_adjoint_identities()
-        results += suite_decomposition()
-        results += suite_catalog()
-        results += suite_wave()
-        results += suite_geodesic()
-    return results
+    return (suite_projection_three_way(quadrature=QuadratureSpec(*quadrature))
+            + suite_adjoint_identities()
+            + suite_decomposition()
+            + suite_catalog()
+            + suite_wave()
+            + suite_geodesic())
 
 
 def format_report(results):

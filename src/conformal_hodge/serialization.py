@@ -140,10 +140,7 @@ def torus_from_json(d: dict) -> TorusField:
 
 
 def map_to_json(m: ConformalMap) -> dict:
-    return {
-        "coeffs": [[c.real, c.imag] for c in m.phi.coeffs],
-        "min_deriv": m.min_deriv,
-    }
+    return {"coeffs": [[c.real, c.imag] for c in m.phi.coeffs]}
 
 
 def map_from_json(d: dict) -> ConformalMap:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,6 @@ import numpy as np
 DEFAULT_MAX_DEGREE = 16
 DROP_TOLERANCE = 1e-300
 TRUNCATION_WARN_TOL = 1e-12
-
-# Additive perturbation of the closed-form inner-product constant.
-# Test-only fault-injection hook; leave at 0.0 in production.
-_INNER_PRODUCT_FAULT = 0.0
 
 
 class TruncationWarning(UserWarning):
@@ -226,9 +221,11 @@ class HolomorphicSeries:
     """Truncated Taylor series sum a_k z^k; the conformal (Cauchy-Riemann) fields.
 
     ``coeffs`` is a read-only 1-D complex array without trailing zeros.
+    The slot ``_powers`` holds the power tables of the series once one is
+    asked for, keyed by truncation degree.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_powers")
 
     def __init__(self, coeffs=()):
         cs = np.array(coeffs, dtype=complex).reshape(-1)
@@ -318,14 +315,35 @@ class HolomorphicSeries:
             raise ValueError(f"field has non-holomorphic terms of coefficient norm {bad:.3e}")
         return HolomorphicSeries(field.table[:, :1])
 
+    def power_table(self, degree, max_degree):
+        """Rows k = 0..degree: coefficients of self^k truncated at max_degree (read-only).
+
+        Cached on the series per max_degree.  Longer requests extend the
+        cached rows, so each row is the same whatever the order of requests.
+        """
+        tables = getattr(self, "_powers", None)
+        if tables is None:
+            tables = self._powers = {}
+        table = tables.get(max_degree)
+        have = 0 if table is None else len(table)
+        if have <= degree:
+            grown = np.zeros((degree + 1, max_degree + 1), dtype=complex)
+            if have:
+                grown[:have] = table
+            else:
+                grown[0, 0] = 1.0
+            base = self.coeffs[: max_degree + 1]
+            for k in range(max(have, 1), degree + 1 if base.size else 1):
+                grown[k] = np.convolve(grown[k - 1], base)[: max_degree + 1]
+            grown.flags.writeable = False
+            table = tables[max_degree] = grown
+        return table[: degree + 1]
+
     def compose(self, inner, max_degree=DEFAULT_MAX_DEGREE):
-        """Series composition self(inner(z)), truncated at max_degree (Horner)."""
-        inner = as_series(inner).coeffs[: max_degree + 1]
-        acc = np.zeros(1, dtype=complex)
-        for c in self.coeffs[::-1]:
-            acc = np.convolve(acc, inner)[: max_degree + 1] if inner.size else acc * 0
-            acc[0] += c
-        return HolomorphicSeries(acc)
+        """Series composition self(inner(z)) = sum a_k inner^k, truncated at max_degree."""
+        if not self:
+            return self
+        return HolomorphicSeries(self.coeffs @ as_series(inner).power_table(self.degree, max_degree))
 
 
 def as_field(x) -> CoefficientField:
@@ -480,27 +498,15 @@ def laplacian(f):
 # -- inner products ----------------------------------------------------------
 
 
-@contextmanager
-def inner_product_fault(eps):
-    """Test-only hook: additively perturb the closed-form pairing constant."""
-    global _INNER_PRODUCT_FAULT
-    old = _INNER_PRODUCT_FAULT
-    _INNER_PRODUCT_FAULT = float(eps)
-    try:
-        yield
-    finally:
-        _INNER_PRODUCT_FAULT = old
-
-
 def pair_constants(count, r_in=0.0, start=0):
     """Moments of |z|^(2a) over r_in <= |z| <= 1 for a = start .. start+count-1.
 
     pi (1 - r_in^(2a+2)) / (a+1), and 2 pi ln(1/r_in) at a = -1; at r_in = 0
-    this is exactly the disk moment pi/(a+1).  Fault included.
+    this is exactly the disk moment pi/(a+1).
     """
     d = np.arange(start + 1, start + count + 1, dtype=float)  # a + 1
     w = math.pi * (1.0 - r_in ** (2.0 * d)) / np.where(d == 0, 1.0, d)
-    return np.where(d == 0, -2 * math.pi * math.log(r_in or 1.0), w) + _INNER_PRODUCT_FAULT
+    return np.where(d == 0, -2 * math.pi * math.log(r_in or 1.0), w)
 
 
 def _diagonals(table, ks):

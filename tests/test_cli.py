@@ -4,6 +4,7 @@ import json
 import math
 
 from conformal_hodge import serialization as ser
+from conformal_hodge import series
 from conformal_hodge.cli import main, parse_series_spec
 from conformal_hodge.series import BivariateField, HolomorphicSeries, monomial
 
@@ -191,6 +192,10 @@ class TestDynamicsCommands:
 
     def test_wave_rejects_bad_dt(self):
         assert main(["wave", "--xi0", "z", "--dt", "-1", "--steps", "10"]) == 2
+        # non-finite flags used to exit 0 with an all-NaN trajectory
+        assert main(["wave", "--xi0", "z", "--dt", "nan", "--steps", "5"]) == 2
+        assert main(["wave", "--xi0", "z", "--dt", "inf", "--steps", "5"]) == 2
+        assert main(["wave", "--c", "nan", "--xi0", "z", "--dt", "0.01", "--steps", "5"]) == 2
 
     def test_stationary(self, tmp_path):
         out = tmp_path / "st.json"
@@ -295,10 +300,13 @@ class TestSelfTest:
         out = capsys.readouterr().out
         assert "suites passed" in out and "FAIL" not in out
 
-    def test_fault_injection_fails_adjoint_suite(self, capsys):
-        assert main(["check", "--inject-inner-fault", "1e-3"]) == 1
+    def test_fault_injection_fails_adjoint_suite(self, capsys, monkeypatch):
+        clean = series.pair_constants
+        monkeypatch.setattr(series, "pair_constants", lambda *a, **k: clean(*a, **k) + 1e-3)
+        assert main(["check"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out and "adjoint identity" in out
+        assert any(line.startswith("FAIL") and "adjoint identity" in line
+                   for line in out.splitlines())
 
     def test_degraded_quadrature_relaxed_threshold(self, capsys):
         assert main(["check", "--quadrature", "8x16"]) == 0
@@ -335,6 +343,11 @@ class TestErrorPaths:
         ser.write_json(mp, {"coeffs": [[0.0, 0.0], [1.0, math.inf]]})
         one = write_field(tmp_path / "one.json", monomial(0, 0))
         assert main(["adjoint", "--map", str(mp), "--in", one, "--degree", "3"]) == 2
+        # non-finite numeric flags: exit 3 with a NaN in the JSON, or a traceback
+        assert main(["stationary", "--c", "nan", "--init", "0.5*z"]) == 2
+        assert main(["stationary", "--c", "1", "--init", "0.5*z", "--tol", "nan"]) == 2
+        assert main(["geodesic", "--xi0", "0.1", "--dt", "nan", "--steps", "3",
+                     "--degree", "4"]) == 2
 
     def test_bad_domain_string(self, tmp_path):
         fin = write_field(tmp_path / "f.json", monomial(0, 0))

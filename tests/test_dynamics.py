@@ -236,6 +236,12 @@ class TestWaveIntegrate:
         with pytest.raises(IntegrationInstabilityError):
             wave_integrate(state0, PotentialSpec.quadratic(1e7), 1e-2, 2000)
 
+    def test_infinite_dt_detected(self):
+        # the first drift makes the state NaN, which a plain `norm > bound` test lets through
+        state0 = WaveState(HolomorphicSeries([0, 1.0]), HolomorphicSeries([]), 0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(IntegrationInstabilityError):
+            wave_integrate(state0, PotentialSpec.quadratic(1.0), math.inf, 5)
+
     def test_nonquadratic_potential_runs(self):
         V = PotentialSpec.polynomial(
             s.real_part(BivariateField({(2, 1): 0.3, (1, 1): 0.5}))

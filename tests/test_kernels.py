@@ -94,3 +94,19 @@ def test_compose_matches_horner_loop(outer, inner, max_degree):
     width = max(len(ref), len(got.coeffs))
     assert np.max(np.abs(got.to_array(width) - np.pad(ref, (0, width - len(ref)))),
                   initial=0.0) <= tol
+
+
+@given(st.lists(coefficient, max_size=6), st.lists(coefficient, max_size=6),
+       st.lists(coefficient, max_size=4), st.integers(0, 20))
+@settings(max_examples=100, deadline=None)
+def test_compose_with_cached_table_matches_horner_loop(first, second, inner, max_degree):
+    # the second composition reads, and may extend, the power table the first one cached
+    inner = [c / max(1.0, abs(c)) for c in inner]
+    shared = HolomorphicSeries(inner)
+    for outer in (first, second):
+        got = HolomorphicSeries(outer).compose(shared, max_degree)
+        ref = oracles.horner_compose(outer, inner, max_degree)
+        tol = REL_TOL * np.linalg.norm(outer) * (1 + np.linalg.norm(inner)) ** len(outer)
+        width = max(len(ref), len(got.coeffs))
+        assert np.max(np.abs(got.to_array(width) - np.pad(ref, (0, width - len(ref)))),
+                      initial=0.0) <= tol

@@ -12,6 +12,7 @@ from conformal_hodge.mapping import (
     EmbeddingError,
     GramConditionWarning,
     InversionError,
+    _solve_gram,
     adjoint_dz_mapped,
     bergman_kernel_mapped,
     map_inner_product,
@@ -163,7 +164,7 @@ class TestMappedProjection:
         recon = pullback(m, proj, max_degree=16).to_field()
         resid = s.subtract(f, recon)
         for j in range(degree + 1):
-            basis_pull = m.power(j, 16).to_field()
+            basis_pull = HolomorphicSeries(m.phi.power_table(j, 16)[j]).to_field()
             val = map_inner_product(m, resid, basis_pull).complex_value
             assert abs(val) < 1e-9 * max(s.norm(f), 1)
 
@@ -171,6 +172,42 @@ class TestMappedProjection:
         m = ConformalMap(HolomorphicSeries([0.0, 2.0]))
         with pytest.warns(GramConditionWarning):
             project_con_mapped(m, monomial(1, 1), degree=30, max_degree=34)
+
+    @pytest.mark.parametrize("degree", [4, 8, 17])
+    def test_gram_solve_matches_explicit_solve(self, degree):
+        # random gentle map: sum k |a_k| = 0.3 < 1 keeps Re phi' > 0 (univalent)
+        rng = np.random.default_rng(100 + degree)
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        m = ConformalMap(HolomorphicSeries([0.0, 1.0, *(0.1 * c / (np.arange(2, 5) * abs(c)))]))
+        cap = m.natural_cap(degree)
+        basis = [HolomorphicSeries(row).to_field() for row in m.basis_matrix(degree, cap)]
+        G = np.array([[s.inner_product(bk, bj).complex_value for bk in basis] for bj in basis])
+        rhs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        ref = np.linalg.solve(G, rhs)
+        got = _solve_gram(m, rhs, degree, cap)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.cond(G) * np.linalg.norm(ref)
+
+
+class TestSharedPowerTable:
+    def test_operators_share_one_table_per_cap(self):
+        m = gentle_map()
+        rng = np.random.default_rng(31)
+        xi, f = s.random_series(rng, 3), s.random_field(rng, 4)
+        degree, cap = 5, 16
+
+        def run_operators():
+            pullback(m, xi, cap)
+            adjoint_dz_mapped(m, xi, degree=degree, max_degree=cap)
+            project_con_mapped(m, f, degree=degree, max_degree=cap)
+
+        run_operators()
+        table = m.phi.power_table(degree, cap)
+        run_operators()
+        again = m.phi.power_table(degree, cap)
+        assert again.base is table.base  # not rebuilt by the second round
+        assert not again.flags.writeable
+        keys = [k if isinstance(k, tuple) else (k,) for k in m._caches]
+        assert not any("powers" in key for key in keys)
 
 
 class TestMappedAdjoint:

@@ -170,12 +170,6 @@ class TestInnerProduct:
                         worst = max(worst, abs(got - moments[(m + q, n + p)]))
         assert worst < 1e-10
 
-    def test_fault_hook_perturbs_constant(self):
-        clean = s.inner_product(monomial(1, 0), monomial(1, 0)).real_value
-        with s.inner_product_fault(1e-3):
-            dirty = s.inner_product(monomial(1, 0), monomial(1, 0)).real_value
-        assert abs(dirty - clean - 1e-3) < 1e-15
-
 
 class TestEvaluate:
     def test_examples(self):
