@@ -133,6 +133,7 @@ def parse_series_spec(spec):
 
 
 _CONFIG_KEYS = ("dt", "steps", "sample_stride", "degree", "tol")
+_INTEGER_CONFIG_KEYS = ("steps", "sample_stride", "degree")
 
 
 def _apply_config(args):
@@ -154,6 +155,15 @@ def _apply_config(args):
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         for key, val in cfg.items():
+            integral = key in _INTEGER_CONFIG_KEYS
+            if isinstance(val, bool) or not isinstance(val, int if integral else (int, float)):
+                raise InputError(f"config value {key!r} must be "
+                                 f"{'an integer' if integral else 'a number'}, got {val!r}")
+            if not integral:
+                try:
+                    val = float(val)
+                except OverflowError as exc:
+                    raise InputError(f"config value {key!r} is out of range") from exc
             if hasattr(args, key) and getattr(args, key) is None:
                 setattr(args, key, val)
     for key, default in (("degree", 16), ("tol", 1e-10)):
@@ -162,10 +172,6 @@ def _apply_config(args):
     for key in ("dt", "steps"):
         if hasattr(args, key) and getattr(args, key) is None:
             raise InputError(f"--{key} is required (flag or config JSON)")
-    if getattr(args, "dt", None) is not None:
-        args.dt = float(args.dt)
-    if getattr(args, "steps", None) is not None:
-        args.steps = int(args.steps)
 
 
 def _check_numeric(args):
@@ -338,6 +344,14 @@ def _relative_drifts(traj):
     return out
 
 
+def _observed_order(final_state):
+    """log2(e1/e2) from the final states at dt/k for k = 1, 2, 4, or None when e2 = 0."""
+    finals = [final_state(k) for k in (1, 2, 4)]
+    e1 = float(np.linalg.norm(finals[0] - finals[1]))
+    e2 = float(np.linalg.norm(finals[1] - finals[2]))
+    return math.log2(e1 / e2) if e2 > 0 else None
+
+
 def cmd_wave(args):
     kind, _ = parse_domain(args.domain)
     if kind != "disk":
@@ -370,14 +384,10 @@ def cmd_wave(args):
         "first_integral_max_rel_drift": max(drifts) if drifts else None,
     }
     if args.halve_dt:
-        finals = []
-        for k in (1, 2, 4):
-            tk = _wave_run(xi0, xidot0, args.c, args.dt / k, args.steps * k,
-                           args.steps * k, args.max_m)
-            finals.append(tk.xi[-1])
-        e1 = float(np.linalg.norm(finals[0] - finals[1]))
-        e2 = float(np.linalg.norm(finals[1] - finals[2]))
-        summary["order"] = math.log2(e1 / e2) if e2 > 0 else None
+        summary["order"] = _observed_order(
+            lambda k: _wave_run(xi0, xidot0, args.c, args.dt / k, args.steps * k,
+                                args.steps * k, args.max_m).xi[-1]
+        )
     if args.summary:
         ser.write_json(args.summary, summary)
     else:
@@ -432,13 +442,12 @@ def cmd_geodesic(args):
         "min_deriv_min": min(traj.min_deriv),
     }
     if args.halve_dt:
-        finals = []
-        for k in (1, 2, 4):
+
+        def final_state(k):
             tk = run(args.dt / k, args.steps * k, args.steps * k)
-            finals.append(np.concatenate([tk.phi[-1], tk.xi[-1]]))
-        e1 = float(np.linalg.norm(finals[0] - finals[1]))
-        e2 = float(np.linalg.norm(finals[1] - finals[2]))
-        summary["order"] = math.log2(e1 / e2) if e2 > 0 else None
+            return np.concatenate([tk.phi[-1], tk.xi[-1]])
+
+        summary["order"] = _observed_order(final_state)
     if args.summary:
         ser.write_json(args.summary, summary)
     else:

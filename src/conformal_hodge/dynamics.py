@@ -143,48 +143,39 @@ class StationaryResult:
     residual_norm: float
 
 
-def stationary_solve(V: PotentialSpec, init, tol=1e-10, max_iter=50, damping=0.5,
-                     domain="disk", degree=None) -> StationaryResult:
-    """Damped Newton (least-squares steps) on the truncated coefficient vector.
+def stationary_matrix(V: PotentialSpec, domain, n):
+    """Matrix L of the residual on coefficient vectors of length n (m = n + 2 rows).
 
-    Non-convergence is a reported outcome, not an exception: the best iterate
+    For V = c|z|^2/2 the residual is complex-linear in xi, so column k is the
+    residual of z^k.  Every column is projected at the same degree n, so L x
+    is the residual of x at proj_degree=n.
+    """
+    if V.kind != "quadratic":
+        raise ValueError("the stationary residual is linear only for the quadratic potential")
+    m = n + 2  # adjoint raises the degree by one; keep slack
+    return np.column_stack([
+        stationary_residual(HolomorphicSeries(e), V, domain=domain, proj_degree=n).to_array(m)
+        for e in np.eye(n)
+    ])
+
+
+def stationary_solve(V: PotentialSpec, init, tol=1e-10, max_iter=50,
+                     domain="disk", degree=None) -> StationaryResult:
+    """Least-squares steps x += lstsq(L, -L x) on the truncated coefficient vector.
+
+    Non-convergence is a reported outcome, not an exception: the last iterate
     comes back with converged=False.  Multipliers are recovered afterwards by
     decomposing the unprojected residual (disk domain only).
     """
     init = as_series(init)
     n = (degree if degree is not None else max(init.degree, 1)) + 1
-    m = n + 2  # adjoint raises the degree by one; keep slack
-
-    def residual_vec(x):
-        r = stationary_residual(HolomorphicSeries(x), V, domain=domain)
-        arr = r.to_array(m)
-        return np.concatenate([arr.real, arr.imag])
-
+    L = stationary_matrix(V, domain, n)
     x = init.to_array(n)
-    r = residual_vec(x)
-    rnorm = float(np.linalg.norm(r))
+    rnorm = float(np.linalg.norm(L @ x))
     iterations = 0
     while rnorm > tol and iterations < max_iter:
-        J = np.zeros((2 * m, 2 * n))
-        h = 1e-7
-        for k in range(n):
-            for part, delta in ((0, h), (1, h * 1j)):
-                xp = x.copy()
-                xp[k] += delta
-                J[:, 2 * k + part] = (residual_vec(xp) - r) / h
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        dx = step[0::2] + 1j * step[1::2]
-        lam = 1.0
-        for _ in range(30):
-            r_new = residual_vec(x + lam * dx)
-            if np.linalg.norm(r_new) < (1 - 1e-4 * lam) * rnorm:
-                break
-            lam *= damping
-        else:
-            break  # no descent; report best iterate
-        x = x + lam * dx
-        r = residual_vec(x)
-        rnorm = float(np.linalg.norm(r))
+        x = x + np.linalg.lstsq(L, -(L @ x), rcond=None)[0]
+        rnorm = float(np.linalg.norm(L @ x))
         iterations += 1
     xi = HolomorphicSeries(x)
     multipliers = None

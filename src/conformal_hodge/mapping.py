@@ -8,6 +8,7 @@ pointwise kernel evaluation inverts phi by Newton iteration.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -40,48 +41,42 @@ class GramConditionWarning(UserWarning):
 GRAM_CONDITION_LIMIT = 1e12
 
 
-_GRID_CACHE = {}
+MIN_DERIV_GRID = (64, 128)  # radial x angular samples of the closed disk
+BOUNDARY_SAMPLES = 256
+INJECTIVITY_TOL = 1e-12
 
 
-def _cached_disk_grid(grid):
-    if grid not in _GRID_CACHE:
-        _GRID_CACHE[grid] = disk_grid(*grid, closed=True)
-    return _GRID_CACHE[grid]
+@functools.cache
+def _min_deriv_points():
+    return disk_grid(*MIN_DERIV_GRID, closed=True)
 
 
-_NONADJACENT_CACHE = {}
-
-
-def _nonadjacent_mask(samples):
-    if samples not in _NONADJACENT_CACHE:
-        idx = np.arange(samples)
-        sep = np.minimum(np.abs(idx[:, None] - idx[None, :]),
-                         samples - np.abs(idx[:, None] - idx[None, :]))
-        _NONADJACENT_CACHE[samples] = sep > 1
-    return _NONADJACENT_CACHE[samples]
+@functools.cache
+def _nonadjacent_mask():
+    idx = np.arange(BOUNDARY_SAMPLES)
+    gap = np.abs(idx[:, None] - idx[None, :])
+    return np.minimum(gap, BOUNDARY_SAMPLES - gap) > 1
 
 
 class ConformalMap:
     """Holomorphic embedding of the unit disk given by a truncated series."""
 
-    def __init__(self, phi, validate=True, grid=(64, 128), boundary_samples=256,
-                 injectivity_tol=1e-12):
+    def __init__(self, phi, validate=True):
         self.phi = as_series(phi)
         self.phi_prime = self.phi.derivative()
-        self._grid = grid
         self._caches = {}
         if validate:
             if self.min_deriv <= 0.0:
                 raise EmbeddingError(
                     f"derivative vanishes on the sample grid (min |phi'| = {self.min_deriv})"
                 )
-            self.check_boundary_injectivity(boundary_samples, injectivity_tol)
+            self.check_boundary_injectivity()
 
     @property
     def min_deriv(self):
         """min |phi'| over a closed-disk sample grid (computed lazily, cached)."""
         if "min_deriv" not in self._caches:
-            pts = _cached_disk_grid(self._grid)
+            pts = _min_deriv_points()
             self._caches["min_deriv"] = float(
                 np.min(np.abs(series.evaluate_grid(self.phi_prime.to_field(), pts)))
             )
@@ -91,15 +86,15 @@ class ConformalMap:
     def identity():
         return ConformalMap(HolomorphicSeries([0.0, 1.0]), validate=False)
 
-    def check_boundary_injectivity(self, samples=256, tol=1e-12):
-        pts = boundary_points(samples)
+    def check_boundary_injectivity(self):
+        pts = boundary_points(BOUNDARY_SAMPLES)
         img = series.evaluate_grid(self.phi.to_field(), pts)
         dist = np.abs(img[:, None] - img[None, :])
-        close = (dist < tol) & _nonadjacent_mask(samples)
+        close = (dist < INJECTIVITY_TOL) & _nonadjacent_mask()
         if np.any(close):
             i, j = np.argwhere(close)[0]
             raise EmbeddingError(
-                f"boundary images {i} and {j} nearly coincide (|dz| < {tol:g})"
+                f"boundary images {i} and {j} nearly coincide (|dz| < {INJECTIVITY_TOL:g})"
             )
         return True
 

@@ -4,7 +4,8 @@ These deliberately avoid the library's closed-form paths: fields are
 evaluated by direct power sums, integrals are taken by quadrature, and the
 Dirichlet-Poisson problems are solved by second-order finite differences
 per angular mode on a fine radial grid.  The dict-loop kernels at the end
-are the term-by-term reference for the library's array kernels.
+are the term-by-term reference for the library's array kernels, and the
+forward-difference Jacobian is the reference for the stationary matrix.
 """
 
 import math
@@ -167,3 +168,20 @@ def horner_compose(outer, inner, max_degree):
         acc = prod[: max_degree + 1]
         acc[0] += c
     return acc
+
+
+def fd_jacobian(residual, x, h=1e-7):
+    """Forward-difference Jacobian of a complex residual in Re x and Im x.
+
+    Column 2k is the derivative along Re x_k and column 2k+1 along Im x_k;
+    for a complex-linear residual with matrix L they equal L[:, k] and
+    1j * L[:, k].
+    """
+    r = residual(x)
+    J = np.zeros((len(r), 2 * len(x)), dtype=complex)
+    for k in range(len(x)):
+        for part, delta in ((0, h), (1, h * 1j)):
+            xp = np.array(x, dtype=complex)
+            xp[k] += delta
+            J[:, 2 * k + part] = (residual(xp) - r) / h
+    return J

@@ -349,6 +349,20 @@ class TestErrorPaths:
         assert main(["geodesic", "--xi0", "0.1", "--dt", "nan", "--steps", "3",
                      "--degree", "4"]) == 2
 
+    def test_config_values_type_checked(self, tmp_path):
+        # the first two ended in a traceback with exit 1, the next two ran
+        # silently with 2 steps and with dt = 1, and the last overflowed
+        fin = write_field(tmp_path / "f.json", monomial(1, 1))
+        cfg = tmp_path / "cfg.json"
+        ser.write_json(cfg, {"tol": "abc"})
+        assert main(["classify", "--in", fin, "--config", str(cfg)]) == 2
+        for bad in ({"dt": "x", "steps": 2}, {"steps": 2.7, "dt": 0.01},
+                    {"dt": True, "steps": 2}, {"dt": 10**400, "steps": 2}):
+            ser.write_json(cfg, bad)
+            assert main(["wave", "--xi0", "z", "--config", str(cfg),
+                         "--out", str(tmp_path / "w.csv"),
+                         "--summary", str(tmp_path / "w.json")]) == 2, bad
+
     def test_bad_domain_string(self, tmp_path):
         fin = write_field(tmp_path / "f.json", monomial(0, 0))
         assert main(["project", "--domain", "sphere:1", "--in", fin]) == 2

@@ -18,6 +18,7 @@ from conformal_hodge.dynamics import (
     geodesic_integrate,
     geodesic_rhs,
     grad_V_compose,
+    stationary_matrix,
     stationary_residual,
     stationary_solve,
     variation_identity_defect,
@@ -27,6 +28,8 @@ from conformal_hodge.dynamics import (
 )
 from conformal_hodge.mapping import ConformalMap
 from conformal_hodge.series import BivariateField, HolomorphicSeries, monomial
+
+import oracles
 
 
 def x_field():
@@ -134,6 +137,53 @@ class TestStationary:
         )
         assert res.multipliers is not None
         assert res.multipliers.validate()
+
+
+def probe_map():
+    # at n = 17 the Jacobian column of z^16 has norm 270 at one projection
+    # degree, but 1.3e5 when differenced across two degrees
+    return ConformalMap(HolomorphicSeries([0.0, 1.0, 0.05 + 0.03j, 0.01j]))
+
+
+def random_gentle_map(seed):
+    # sum k |a_k| = 0.3 < 1 keeps Re phi' > 0 (univalent)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return ConformalMap(HolomorphicSeries([0.0, 1.0, *(0.1 * c / (np.arange(2, 5) * abs(c)))]))
+
+
+class TestStationaryMatrix:
+    @pytest.mark.parametrize("make_map", [probe_map, lambda: random_gentle_map(7)],
+                             ids=["probe", "random"])
+    def test_matches_fixed_degree_finite_differences(self, make_map):
+        m, V, n = make_map(), PotentialSpec.quadratic(-1.3), 17
+        L = stationary_matrix(V, m, n)
+        x = HolomorphicSeries([0.2, -0.3, 0.1]).to_array(n)
+
+        def residual(v):
+            return stationary_residual(HolomorphicSeries(v), V, domain=m,
+                                       proj_degree=n).to_array(n + 2)
+
+        J = oracles.fd_jacobian(residual, x)
+        assert np.linalg.norm(J[:, 0::2] - L) <= 1e-6 * np.linalg.norm(L)
+        assert np.linalg.norm(J[:, 1::2] - 1j * L) <= 1e-6 * np.linalg.norm(L)
+
+    @pytest.mark.parametrize("domain", ["disk", probe_map(), random_gentle_map(8)],
+                             ids=["disk", "probe", "random"])
+    def test_product_is_fixed_degree_residual(self, domain):
+        V, n = PotentialSpec.quadratic(0.7), 9
+        L = stationary_matrix(V, domain, n)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            ref = stationary_residual(HolomorphicSeries(x), V, domain=domain,
+                                      proj_degree=n).to_array(n + 2)
+            assert np.linalg.norm(L @ x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_polynomial_potential_rejected(self):
+        V = PotentialSpec.polynomial(s.real_part(BivariateField({(2, 1): 1.0})))
+        with pytest.raises(ValueError):
+            stationary_solve(V, HolomorphicSeries([0.1, 0.2]))
 
 
 class TestWaveRhs:
