@@ -15,49 +15,24 @@ SPACE_NAMES = ("A1", "A2", "A3", "A4", "A5", "A6")
 
 
 @dataclass(frozen=True)
-class SubspaceDimension:
-    kind: str  # 'zero' | 'finite' | 'infinite'
-    dim: int | None = None
-
-    @staticmethod
-    def zero():
-        return SubspaceDimension("zero", 0)
-
-    @staticmethod
-    def finite(k):
-        return SubspaceDimension("finite", int(k))
-
-    @staticmethod
-    def infinite():
-        return SubspaceDimension("infinite", None)
-
-    def __str__(self):
-        if self.kind == "finite":
-            return f"finite({self.dim})"
-        return self.kind
-
-
-@dataclass(frozen=True)
 class HodgeCatalogEntry:
     domain: str
-    dims: tuple  # six SubspaceDimension entries, A1..A6
+    dims: tuple  # six dimensions, A1..A6: "zero", "finite(k)" or "infinite"
 
     def as_dict(self):
-        return {name: str(d) for name, d in zip(SPACE_NAMES, self.dims)}
+        return dict(zip(SPACE_NAMES, self.dims))
 
     def __getitem__(self, name):
         return self.dims[SPACE_NAMES.index(name)]
 
 
-_Z = SubspaceDimension.zero
-_F = SubspaceDimension.finite
-_I = SubspaceDimension.infinite
+_Z, _I = "zero", "infinite"
 
 _CATALOG = {
-    "disk": (_I(), _I(), _Z(), _Z(), _Z(), _I()),
-    "annulus": (_I(), _I(), _Z(), _F(1), _F(1), _I()),
-    "torus": (_I(), _I(), _F(2), _Z(), _Z(), _Z()),
-    "sphere": (_I(), _I(), _Z(), _Z(), _Z(), _Z()),
+    "disk": (_I, _I, _Z, _Z, _Z, _I),
+    "annulus": (_I, _I, _Z, "finite(1)", "finite(1)", _I),
+    "torus": (_I, _I, "finite(2)", _Z, _Z, _Z),
+    "sphere": (_I, _I, _Z, _Z, _Z, _Z),
 }
 
 

@@ -186,6 +186,9 @@ def _check_numeric(args):
     stride = getattr(args, "sample_stride", None)
     if stride is not None and stride < 1:
         raise InputError("sample-stride must be at least 1")
+    for key in ("max_m", "max_iter"):
+        if getattr(args, key, 0) < 0:
+            raise InputError(f"{key.replace('_', '-')} must be non-negative")
     degree = getattr(args, "degree", None)
     if degree is not None and not 1 <= degree <= 64:
         raise InputError("degree must lie in [1, 64]")
@@ -463,6 +466,8 @@ def cmd_check(args):
             quad = (int(nr), int(nt))
         except ValueError as exc:
             raise InputError("quadrature must look like 64x128") from exc
+        if min(quad) < 1:
+            raise InputError("quadrature counts must be at least 1")
     results = run_self_test(quadrature=quad)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED

@@ -165,16 +165,14 @@ class MultiplierPair:
     F: BivariateField
     G: BivariateField
 
-    def boundary_trace_max(self, samples=256):
-        return max(boundary_max(self.F, samples), boundary_max(self.G, samples))
+    def boundary_trace_max(self):
+        return max(boundary_max(self.F), boundary_max(self.G))
 
-    def validate(self, samples=256, rel_tol=1e-10):
-        scale_ = max(coefficient_norm(self.F), coefficient_norm(self.G), 1e-30)
-        ok_real = self.F.is_real(tol=rel_tol * scale_) and self.G.is_real(
-            tol=rel_tol * scale_
-        )
-        ok_boundary = self.boundary_trace_max(samples) <= rel_tol * scale_
-        return ok_real and ok_boundary
+    def validate(self):
+        """Both potentials real and zero on the boundary, to 1e-10 of their size."""
+        tol = 1e-10 * max(coefficient_norm(self.F), coefficient_norm(self.G), 1e-30)
+        return (self.F.is_real(tol=tol) and self.G.is_real(tol=tol)
+                and self.boundary_trace_max() <= tol)
 
 
 @dataclass(frozen=True)
@@ -267,12 +265,13 @@ def helmholtz_decompose(f) -> DecompositionResult:
     )
 
 
-def symplectic_decompose(f, closedness_tol=1e-12) -> DecompositionResult:
+def symplectic_decompose(f) -> DecompositionResult:
     """Area-form variant of the Helmholtz split.
 
     On a flat 2-D domain the symplectic form is the area form, so the parts
     coincide with the Helmholtz ones; additionally the contraction of the
-    symplectic part with the area form is checked to be a closed 1-form.
+    symplectic part with the area form is checked to be a closed 1-form,
+    to 1e-12 of the size of that part.
     """
     result = helmholtz_decompose(f)
     from . import forms  # local import; forms also uses this module
@@ -284,7 +283,7 @@ def symplectic_decompose(f, closedness_tol=1e-12) -> DecompositionResult:
     d_contraction = forms.exterior_derivative(contraction)
     defect = coefficient_norm(d_contraction.density)
     scale_ = max(coefficient_norm(vol), 1.0)
-    if defect > closedness_tol * scale_:
+    if defect > 1e-12 * scale_:
         raise AssertionError(
             f"contraction with the area form is not closed: |d| = {defect:.3e}"
         )
@@ -312,15 +311,15 @@ class ProjectionPropertyReport:
         return (self.norm_plain <= self.tol) == (self.norm_weighted <= self.tol)
 
 
-def projection_property_check(f, psi, tol, grid=(64, 128)) -> ProjectionPropertyReport:
+def projection_property_check(f, psi, tol) -> ProjectionPropertyReport:
     """Check that Pr(f) and Pr(conj(psi) f) vanish together, for nonvanishing psi.
 
-    psi is verified nonvanishing on a closed-disk sample grid first; a zero
+    psi is verified nonvanishing on a 64 x 128 closed-disk sample grid first; a zero
     (or near-zero with no margin) sample violates the hypothesis and raises.
     """
     f = as_field(f)
     psi = series.as_series(psi)
-    pts = disk_grid(*grid, closed=True)
+    pts = disk_grid(64, 128)
     psi_vals = np.abs(evaluate_grid(psi.to_field(), pts))
     psi_min = float(psi_vals.min())
     if psi_min <= 1e-12:

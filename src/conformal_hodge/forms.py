@@ -16,6 +16,7 @@ import numpy as np
 
 from . import disk as disk_mod
 from .annulus import LogLaurentField, laurent_monomial, poisson_annulus
+from .quadrature import boundary_points
 from .series import (
     add,
     as_field,
@@ -148,10 +149,9 @@ def sharp_map(alpha: OneForm):
 # -- boundary traces --------------------------------------------------------------
 
 
-def boundary_traces(alpha: OneForm, radius=1.0, samples=256):
-    """(max tangential, max normal) component over a sample circle |z| = radius."""
-    theta = 2 * math.pi * np.arange(samples) / samples
-    pts = radius * np.exp(1j * theta)
+def boundary_traces(alpha: OneForm, radius=1.0):
+    """(max tangential, max normal) component over 256 samples of the circle |z| = radius."""
+    pts = radius * boundary_points(256)
     u = evaluate_grid(alpha.u_dx, pts)
     v = evaluate_grid(alpha.v_dy, pts)
     tangent = pts * 1j / radius

@@ -41,21 +41,17 @@ class GramConditionWarning(UserWarning):
 GRAM_CONDITION_LIMIT = 1e12
 
 
-MIN_DERIV_GRID = (64, 128)  # radial x angular samples of the closed disk
-BOUNDARY_SAMPLES = 256
-INJECTIVITY_TOL = 1e-12
+# |phi'| at or below this share of its maximum on the circle counts as a zero
+VANISHING_TOL = 1e-12
 
 
 @functools.cache
-def _min_deriv_points():
-    return disk_grid(*MIN_DERIV_GRID, closed=True)
-
-
-@functools.cache
-def _nonadjacent_mask():
-    idx = np.arange(BOUNDARY_SAMPLES)
+def _boundary_samples(n):
+    """n equispaced points of the unit circle and the mask of the pairs of
+    edges of the closed polygon through them that share no vertex."""
+    idx = np.arange(n)
     gap = np.abs(idx[:, None] - idx[None, :])
-    return np.minimum(gap, BOUNDARY_SAMPLES - gap) > 1
+    return boundary_points(n), np.minimum(gap, n - gap) > 1
 
 
 class ConformalMap:
@@ -67,19 +63,35 @@ class ConformalMap:
         self._caches = {}
         if validate:
             if self.min_deriv <= 0.0:
-                raise EmbeddingError(
-                    f"derivative vanishes on the sample grid (min |phi'| = {self.min_deriv})"
-                )
+                raise EmbeddingError(self._caches["deriv_zeros"])
             self.check_boundary_injectivity()
+
+    def _samples(self):
+        # 8 samples per degree resolve the boundary curve and the phase of phi'
+        return _boundary_samples(8 * max(self.phi.degree, 16))
 
     @property
     def min_deriv(self):
-        """min |phi'| over a closed-disk sample grid (computed lazily, cached)."""
+        """min |phi'| over the closed disk, or 0.0 when phi' vanishes there (cached).
+
+        Reads phi' on the unit circle only.  By the argument principle the
+        winding number of phi' around 0 counts its zeros in the disk; when
+        there are none, the minimum modulus principle puts the minimum over
+        the closed disk on the circle.
+        """
         if "min_deriv" not in self._caches:
-            pts = _min_deriv_points()
-            self._caches["min_deriv"] = float(
-                np.min(np.abs(series.evaluate_grid(self.phi_prime.to_field(), pts)))
-            )
+            pts, _ = self._samples()
+            d = series.evaluate_grid(self.phi_prime.to_field(), pts)
+            mod = np.abs(d)
+            zeros = None
+            if not mod.min() > VANISHING_TOL * mod.max():  # NaN lands here too
+                zeros = f"phi' vanishes or is not finite on the circle (min |phi'| = {mod.min():.3e})"
+            else:
+                winding = round(np.angle(np.roll(d, -1) / d).sum() / (2 * math.pi))
+                if winding:
+                    zeros = f"phi' has {winding} zero(s) in the unit disk (argument principle)"
+            self._caches["deriv_zeros"] = zeros
+            self._caches["min_deriv"] = 0.0 if zeros else float(mod.min())
         return self._caches["min_deriv"]
 
     @staticmethod
@@ -87,31 +99,40 @@ class ConformalMap:
         return ConformalMap(HolomorphicSeries([0.0, 1.0]), validate=False)
 
     def check_boundary_injectivity(self):
-        pts = boundary_points(BOUNDARY_SAMPLES)
+        """Raise EmbeddingError when two edges of the sampled boundary polygon
+        that share no vertex cross or touch.
+
+        Edges i and j meet when the endpoints of each lie on opposite sides
+        of (or on) the line through the other.  A map holomorphic on the
+        closed disk and injective on the circle is univalent (Darboux-Picard).
+        """
+        pts, nonadjacent = self._samples()
         img = series.evaluate_grid(self.phi.to_field(), pts)
-        dist = np.abs(img[:, None] - img[None, :])
-        close = (dist < INJECTIVITY_TOL) & _nonadjacent_mask()
-        if np.any(close):
-            i, j = np.argwhere(close)[0]
-            raise EmbeddingError(
-                f"boundary images {i} and {j} nearly coincide (|dz| < {INJECTIVITY_TOL:g})"
-            )
+        x, y = img.real, img.imag
+        dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
+        # side[i, k]: orientation of vertex k against edge i, a cross product
+        side = np.outer(dx, y) - np.outer(dy, x) - (dx * y - dy * x)[:, None]
+        straddle = side * np.roll(side, -1, axis=1) <= 0.0
+        meet = straddle & straddle.T & nonadjacent
+        if np.any(meet):
+            i, j = np.argwhere(meet)[0]
+            raise EmbeddingError(f"boundary polygon edges {i} and {j} cross or touch")
         return True
 
     def __call__(self, z):
         return self.phi(z)
 
-    def invert(self, w, tol=1e-13, max_iter=50):
-        """Solve phi(zeta) = w by Newton iteration seeded from a coarse grid."""
+    def invert(self, w):
+        """Solve phi(zeta) = w by at most 50 Newton steps seeded from a coarse grid."""
         seeds = self._caches.get("seeds")
         if seeds is None:
-            seeds = disk_grid(9, 32, closed=True)
+            seeds = disk_grid(9, 32)
             self._caches["seeds"] = (seeds, series.evaluate_grid(self.phi.to_field(), seeds))
         seed_pts, seed_vals = self._caches["seeds"]
         z = complex(seed_pts[int(np.argmin(np.abs(seed_vals - w)))])
-        for _ in range(max_iter):
+        for _ in range(50):
             fz = self.phi(z) - w
-            if abs(fz) <= tol * (1.0 + abs(w)):
+            if abs(fz) <= 1e-13 * (1.0 + abs(w)):
                 if abs(z) > 1.0 + 1e-9:
                     raise InversionError(
                         f"preimage {z:.6g} lies outside the closed disk"

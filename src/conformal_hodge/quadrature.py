@@ -20,11 +20,11 @@ class QuadratureResolutionWarning(UserWarning):
     """Requested recovery degree exceeds what the quadrature resolves."""
 
 
-def polar_nodes(spec: QuadratureSpec, r_inner: float = 0.0):
+def polar_nodes(spec: QuadratureSpec):
     """Nodes z and area weights w with sum w_i f(z_i) ~ integral of f dA."""
     x, wx = np.polynomial.legendre.leggauss(spec.n_radial)
-    r = r_inner + (x + 1) * (1.0 - r_inner) / 2
-    wr = wx * (1.0 - r_inner) / 2
+    r = (x + 1) / 2
+    wr = wx / 2
     theta = 2 * math.pi * np.arange(spec.n_angular) / spec.n_angular
     wt = 2 * math.pi / spec.n_angular
     z = r[:, None] * np.exp(1j * theta)[None, :]
@@ -32,19 +32,16 @@ def polar_nodes(spec: QuadratureSpec, r_inner: float = 0.0):
     return z.ravel(), w.ravel()
 
 
-def disk_grid(n_radial=64, n_angular=128, closed=True):
-    """Sample grid of the (closed) unit disk, radii equispaced including r=1."""
-    if closed:
-        r = np.linspace(0.0, 1.0, n_radial)
-    else:
-        r = (np.arange(n_radial) + 0.5) / n_radial
+def disk_grid(n_radial=64, n_angular=128):
+    """Sample grid of the closed unit disk, radii equispaced including r=1."""
+    r = np.linspace(0.0, 1.0, n_radial)
     theta = 2 * math.pi * np.arange(n_angular) / n_angular
     return (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
 
 
-def boundary_points(samples=256, radius=1.0):
+def boundary_points(samples=256):
     theta = 2 * math.pi * np.arange(samples) / samples
-    return radius * np.exp(1j * theta)
+    return np.exp(1j * theta)
 
 
 def check_resolution(spec: QuadratureSpec, field_degree: int, out_degree: int):

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import boundary_points
+
 DEFAULT_MAX_DEGREE = 16
 DROP_TOLERANCE = 1e-300
 TRUNCATION_WARN_TOL = 1e-12
@@ -60,13 +62,14 @@ class CoefficientField:
     __slots__ = ("table",)
     offset = 0
     r_in = 0.0
+    drop_tolerance = 0.0  # dict terms of smaller modulus are left out
 
-    def __init__(self, terms, offset, drop_tolerance=0.0):
+    def __init__(self, terms, offset):
         if isinstance(terms, np.ndarray):
             table = np.asarray(terms, dtype=complex)
         else:
             entries = [(int(m) - offset, int(n) - offset, complex(c))
-                       for (m, n), c in (terms or {}).items() if c and abs(c) >= drop_tolerance]
+                       for (m, n), c in (terms or {}).items() if c and abs(c) >= self.drop_tolerance]
             if any(i < 0 or j < 0 for i, j, _ in entries):
                 raise ValueError(f"index below the lowest power {offset}")
             table = np.zeros((max((e[0] for e in entries), default=-1) + 1,
@@ -177,9 +180,10 @@ class BivariateField(CoefficientField):
     """
 
     __slots__ = ("max_degree",)
+    drop_tolerance = DROP_TOLERANCE
 
-    def __init__(self, terms=None, max_degree=None, drop_tolerance=DROP_TOLERANCE):
-        super().__init__(terms, 0, drop_tolerance)
+    def __init__(self, terms=None, max_degree=None):
+        super().__init__(terms, 0)
         t = self.table
         if max_degree is None:
             max_degree = self.degree()
@@ -440,15 +444,15 @@ def convolve(f, g, max_degree=None):
     if sum(out.shape) - 2 > max_degree:
         # entries with m + n > max_degree sit above a diagonal of the row-flipped table
         k = max_degree - out.shape[0] + 2
-        dropped = float(np.linalg.norm(np.triu(out[::-1], k)))
+        dropped = float(np.hypot.reduce(np.abs(np.triu(out[::-1], k)), axis=None))  # no underflow
         out = np.tril(out[::-1], k - 1)[::-1]
     return BivariateField(out, max_degree), dropped
 
 
-def multiply(f, g, max_degree=None, warn_tol=TRUNCATION_WARN_TOL):
+def multiply(f, g, max_degree=None):
     result, dropped = convolve(f, g, max_degree=max_degree)
     total = coefficient_norm(result) + dropped
-    _warn_truncation("multiply", dropped, total, warn_tol)
+    _warn_truncation("multiply", dropped, total, TRUNCATION_WARN_TOL)
     return result
 
 
@@ -613,9 +617,7 @@ def evaluate_grid(f, points):
 
 def boundary_max(f, samples=256):
     """max |f| over equispaced samples of the unit circle."""
-    theta = 2 * math.pi * np.arange(samples) / samples
-    pts = np.exp(1j * theta)
-    return float(np.max(np.abs(evaluate_grid(f, pts))))
+    return float(np.max(np.abs(evaluate_grid(f, boundary_points(samples)))))
 
 
 def random_field(rng, degree, real=False, max_degree=None):

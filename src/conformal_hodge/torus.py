@@ -22,7 +22,7 @@ class TorusField:
 
     __slots__ = ("theta_coeffs", "phi_coeffs", "band_limit")
 
-    def __init__(self, theta_coeffs, phi_coeffs, check_real=True, tol=1e-12):
+    def __init__(self, theta_coeffs, phi_coeffs, check_real=True):
         theta_coeffs = np.asarray(theta_coeffs, dtype=complex)
         phi_coeffs = np.asarray(phi_coeffs, dtype=complex)
         if theta_coeffs.shape != phi_coeffs.shape or theta_coeffs.ndim != 2:
@@ -34,7 +34,7 @@ class TorusField:
         if check_real:
             for name, arr in (("theta", theta_coeffs), ("phi", phi_coeffs)):
                 defect = np.max(np.abs(arr - np.conj(arr[::-1, ::-1])))
-                if defect > tol:
+                if defect > 1e-12:
                     raise ValueError(
                         f"{name} component is not real-valued "
                         f"(Hermitian defect {defect:.3e})"

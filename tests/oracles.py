@@ -127,15 +127,15 @@ def dict_convolve(ft, gt, max_degree):
     for (m, n), c in ft.items():
         for (p, q), d in gt.items():
             terms[(m + p, n + q)] += c * d
-    kept, dropped_sq = {}, 0.0
+    kept, dropped = {}, []
     for (m, n), c in terms.items():
         if c == 0:
             continue
         if m + n <= max_degree:
             kept[(m, n)] = c
         else:
-            dropped_sq += abs(c) ** 2
-    return kept, math.sqrt(dropped_sq)
+            dropped.append(abs(c))
+    return kept, math.hypot(*dropped)  # squares of tiny terms would underflow
 
 
 def annulus_moment(a, r_in):

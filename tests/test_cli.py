@@ -223,6 +223,25 @@ class TestDynamicsCommands:
         header = out.read_text().splitlines()[0].split(",")
         assert "energy" in header and "min_deriv" in header
 
+    def test_stationary_on_map_keeps_constant(self, tmp_path):
+        mp, out = tmp_path / "map.json", tmp_path / "st.json"
+        ser.write_json(mp, {"coeffs": [[0.0, 0.0], [1.0, 0.0], [0.1, 0.0]]})
+        assert main(["stationary", "--map", str(mp), "--c", "0", "--init", "1.5+0.3*z",
+                     "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["converged"] is True
+        xi = ser.series_from_json(data["xi"])
+        assert abs(xi.coefficient(0) - 1.5) <= 1e-12
+        assert max((abs(c) for c in xi.coeffs[1:]), default=0.0) <= 1e-12
+
+    def test_geodesic_rejects_self_intersecting_map(self, tmp_path):
+        # exp(4z) - 1 at degree 24 has min |phi'| = 0.073 but a crossing boundary
+        mp = tmp_path / "map.json"
+        coeffs = [0.0] + [4.0**k / math.factorial(k) for k in range(1, 25)]
+        ser.write_json(mp, {"coeffs": [[c, 0.0] for c in coeffs]})
+        assert main(["geodesic", "--map", str(mp), "--xi0", "0.01", "--dt", "1e-3",
+                     "--steps", "2", "--degree", "24"]) == 3
+
     def test_geodesic_halve_dt_order(self, tmp_path):
         summary = tmp_path / "g.json"
         code = main([
@@ -362,6 +381,12 @@ class TestErrorPaths:
             assert main(["wave", "--xi0", "z", "--config", str(cfg),
                          "--out", str(tmp_path / "w.csv"),
                          "--summary", str(tmp_path / "w.json")]) == 2, bad
+
+    def test_count_flags_range_checked(self):
+        # these exited 1 with a traceback (the "failed check" code) or 3
+        assert main(["wave", "--xi0", "z", "--dt", "1e-3", "--steps", "2", "--max-m", "-5"]) == 2
+        assert main(["check", "--quadrature", "0x0"]) == 2
+        assert main(["stationary", "--c", "3", "--init", "z", "--max-iter", "-1"]) == 2
 
     def test_bad_domain_string(self, tmp_path):
         fin = write_field(tmp_path / "f.json", monomial(0, 0))

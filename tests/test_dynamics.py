@@ -116,6 +116,15 @@ class TestStationary:
                        PotentialSpec.quadratic(-2.0))
         assert s.norm(acc.to_field()) <= 1e-10
 
+    def test_mapped_solution_is_nontrivial(self):
+        # c = 0: the constants are the stationary fields, so the step must
+        # remove the z and z^2 modes of the init and keep its constant
+        res = stationary_solve(PotentialSpec.quadratic(0.0), HolomorphicSeries([1.5, 0.3, -0.2]),
+                               domain=probe_map())
+        assert res.converged
+        assert res.xi.coefficient(0) == pytest.approx(1.5, abs=1e-12)
+        assert np.max(np.abs(res.xi.coeffs[1:]), initial=0.0) <= 1e-12
+
     def test_mapped_domain_residual(self):
         m = ConformalMap(HolomorphicSeries([0.0, 1.0, 0.1]))
         out = stationary_residual(
@@ -370,6 +379,14 @@ class TestGeodesic:
         with pytest.raises(GeodesicDegeneracyError):
             geodesic_integrate(st, 1e-2, 5, degree=6, proj_degree=3,
                                min_deriv_floor=0.9)
+
+    def test_self_intersection_abort(self):
+        # min |phi'| = 0.037 stays above the floor; only the boundary crosses itself
+        coeffs = [0.0] + [3.3**k / math.factorial(k) / 3.3 for k in range(1, 25)]
+        st = GeodesicState(ConformalMap(HolomorphicSeries(coeffs), validate=False),
+                           HolomorphicSeries([]), 0.0)
+        with pytest.raises(GeodesicDegeneracyError, match="self-intersection at step 1"):
+            geodesic_integrate(st, 1e-3, 2, degree=24)
 
     def test_multiplier_recovery_from_unprojected_rhs(self):
         # the defect between the unprojected quadratic-velocity field and its

@@ -30,6 +30,11 @@ def gentle_map():
     return ConformalMap(HolomorphicSeries([0.0, 1.0, 0.1]))
 
 
+def exp_series(a, scale=1.0, degree=24):
+    """scale * (e^{az} - 1) truncated at degree."""
+    return HolomorphicSeries([0.0] + [scale * a**k / math.factorial(k) for k in range(1, degree + 1)])
+
+
 class TestConformalMapValidation:
     def test_identity_passes(self):
         m = ConformalMap.identity()
@@ -49,9 +54,39 @@ class TestConformalMapValidation:
         with pytest.raises(EmbeddingError):
             ConformalMap(HolomorphicSeries([0.0, 1.0, 0.0, -1.0]))
 
+    @pytest.mark.parametrize("phi, reason", [
+        # min |phi'| = 0.073; the boundary crosses itself near phi(+-i pi/4)
+        (exp_series(4.0), "cross or touch"),
+        # min |phi'| = 0.037; the boundary crosses itself
+        (exp_series(3.3, 1 / 3.3), "cross or touch"),
+        # phi' = 1 + z vanishes at the boundary point -1
+        (HolomorphicSeries([0.0, 1.0, 0.5]), "vanishes"),
+        # phi' = 1 + 1.02 z^2 vanishes at +-i / sqrt(1.02), |z| = 0.99
+        (HolomorphicSeries([0.0, 1.0, 0.0, 0.34]), "2 zero"),
+        (HolomorphicSeries([0.0, 1.0, math.nan]), "not finite"),
+    ], ids=["exp4z", "exp3.3z", "cusp", "two-critical-points", "nan"])
+    def test_non_embeddings_rejected(self, phi, reason):
+        with pytest.raises(EmbeddingError, match=reason):
+            ConformalMap(phi)
+
+    @pytest.mark.parametrize("coeffs, min_deriv", [
+        ([0.0, 1.0, 0.499], 0.002),  # univalent, with a near-cusp at -1
+        ([0.0, 2.0], 2.0),
+        ([0.0, 1.0], 1.0),
+    ])
+    def test_embeddings_accepted(self, coeffs, min_deriv):
+        m = ConformalMap(HolomorphicSeries(coeffs))
+        assert m.min_deriv == pytest.approx(min_deriv, abs=1e-12)
+        assert m.check_boundary_injectivity()
+
+    def test_min_deriv_is_zero_with_interior_zeros(self):
+        # the boundary minimum 0.02 is not the minimum over the disk
+        m = ConformalMap(HolomorphicSeries([0.0, 1.0, 0.0, 0.34]), validate=False)
+        assert m.min_deriv == 0.0
+
     def test_boundary_injectivity_check(self):
-        # the doubling map sends antipodal boundary samples to identical
-        # images; bypass construction-time validation to exercise the check
+        # the doubling map traces the circle twice, so its boundary polygon
+        # overlaps itself; bypass construction-time validation to exercise the check
         m = ConformalMap(HolomorphicSeries([0.0, 0.0, 1.0]), validate=False)
         with pytest.raises(EmbeddingError):
             m.check_boundary_injectivity()
