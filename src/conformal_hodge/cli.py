@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import os
 import re
@@ -151,9 +152,9 @@ def _apply_config(args):
         cfg = ser.read_json(path)
         if not isinstance(cfg, dict):
             raise InputError("config JSON must be an object")
-        unknown = set(cfg) - set(_CONFIG_KEYS)
+        unknown = set(cfg) - {key for key in _CONFIG_KEYS if hasattr(args, key)}
         if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
+            raise InputError(f"config keys unknown to {args.command}: {sorted(unknown)}")
         for key, val in cfg.items():
             integral = key in _INTEGER_CONFIG_KEYS
             if isinstance(val, bool) or not isinstance(val, int if integral else (int, float)):
@@ -164,7 +165,7 @@ def _apply_config(args):
                     val = float(val)
                 except OverflowError as exc:
                     raise InputError(f"config value {key!r} is out of range") from exc
-            if hasattr(args, key) and getattr(args, key) is None:
+            if getattr(args, key) is None:
                 setattr(args, key, val)
     for key, default in (("degree", 16), ("tol", 1e-10)):
         if hasattr(args, key) and getattr(args, key) is None:
@@ -209,34 +210,21 @@ def _emit(args, obj):
 
 
 def cmd_project(args):
-    kind, payload = parse_domain(args.domain)
+    kind, payload = args.domain
+    if kind == "torus":
+        result = torus_project_con(ser.torus_from_json(ser.read_json(args.input)))
+        _emit(args, {"c_theta": result.c_theta, "c_phi": result.c_phi,
+                     "residual": ser.torus_to_json(result.residual)})
+        return EXIT_OK
+    f = ser.field_from_json(ser.read_json(args.input))
     if kind == "disk":
-        f = ser.field_from_json(ser.read_json(args.input))
         _emit(args, ser.series_to_json(project_con_rule(f)))
-    elif kind == "map":
-        f = ser.field_from_json(ser.read_json(args.input))
-        proj = project_con_mapped(payload, f, degree=args.degree)
-        _emit(args, ser.series_to_json(proj))
-    elif kind == "torus":
-        f = ser.torus_from_json(ser.read_json(args.input))
-        result = torus_project_con(f)
-        _emit(
-            args,
-            {
-                "c_theta": result.c_theta,
-                "c_phi": result.c_phi,
-                "residual": ser.torus_to_json(result.residual),
-            },
-        )
     else:
-        raise IncompatibleError("project supports disk, map:<path>, torus domains")
+        _emit(args, ser.series_to_json(project_con_mapped(payload, f, degree=args.degree)))
     return EXIT_OK
 
 
 def cmd_decompose(args):
-    kind, _ = parse_domain(args.domain)
-    if kind != "disk":
-        raise IncompatibleError("decompose runs on the disk domain")
     f = ser.field_from_json(ser.read_json(args.input))
     dec = {
         "conformal": conformal_decompose,
@@ -248,25 +236,23 @@ def cmd_decompose(args):
 
 
 def cmd_adjoint(args):
-    kind, payload = parse_domain(args.domain)
+    kind, payload = args.domain
     h = ser.series_from_json(ser.read_json(args.input))
     if kind == "disk":
         out = adjoint_dz_disk(h, max_degree=args.degree)
-    elif kind == "map":
-        out = adjoint_dz_mapped(payload, h, degree=args.degree)
     else:
-        raise IncompatibleError("adjoint supports disk and map:<path> domains")
+        out = adjoint_dz_mapped(payload, h, degree=args.degree)
     _emit(args, ser.series_to_json(out))
     return EXIT_OK
 
 
 def cmd_classify(args):
-    kind, payload = parse_domain(args.domain)
+    kind, payload = args.domain
+    extra = {}
     if kind == "disk":
         f = ser.field_from_json(ser.read_json(args.input))
         report = forms.hodge_membership(forms.flat_map(f), "disk", tol=args.tol)
-        extra = {}
-    elif kind == "annulus":
+    else:
         data = ser.read_json(args.input)
         if not isinstance(data, dict):
             raise ser.FormatError("laurent JSON must be an object")
@@ -275,14 +261,10 @@ def cmd_classify(args):
         if f.r_in != payload:
             raise InputError("r_in in the field JSON disagrees with the domain selector")
         report = forms.hodge_membership(forms.flat_map(f), "annulus", tol=args.tol)
-        extra = {}
         if f.antiholomorphic_norm() == 0.0:
             cls = annulus_classify(f)
-            extra["a4_coeff"] = cls.a4_coeff
-            extra["a5_coeff"] = cls.a5_coeff
-    else:
-        raise IncompatibleError("classify supports disk and annulus:<r_in> domains")
-    out = {
+            extra = {"a4_coeff": cls.a4_coeff, "a5_coeff": cls.a5_coeff}
+    _emit(args, {
         "labels": list(report.labels),
         "inconclusive": list(report.inconclusive),
         "norms": report.norms,
@@ -291,9 +273,8 @@ def cmd_classify(args):
         "boundary_normal_max": report.boundary_normal_max,
         "closedness_defect": report.closedness_defect,
         "coclosedness_defect": report.coclosedness_defect,
-    }
-    out.update(extra)
-    _emit(args, out)
+        **extra,
+    })
     return EXIT_OK
 
 
@@ -305,15 +286,11 @@ def cmd_catalog(args):
 
 
 def cmd_stationary(args):
-    kind, payload = parse_domain(args.domain)
-    if kind not in ("disk", "map"):
-        raise IncompatibleError("stationary supports disk and map:<path> domains")
+    kind, payload = args.domain
     V = PotentialSpec.quadratic(args.c)
-    init = parse_series_spec(args.init)
-    domain = "disk" if kind == "disk" else payload
-    result = dynamics.stationary_solve(
-        V, init, tol=args.tol, max_iter=args.max_iter, domain=domain, degree=args.degree
-    )
+    result = dynamics.stationary_solve(V, parse_series_spec(args.init), tol=args.tol,
+                                       max_iter=args.max_iter, degree=args.degree,
+                                       domain=payload if kind == "map" else "disk")
     summary = {
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
@@ -325,13 +302,6 @@ def cmd_stationary(args):
         summary["G"] = ser.field_to_json(result.multipliers.G)
     _emit(args, summary)
     return EXIT_OK if result.converged else EXIT_NUMERICAL
-
-
-def _wave_run(xi0, xidot0, c, dt, steps, stride, max_m):
-    state0 = WaveState(xi0, xidot0, 0.0)
-    return dynamics.wave_integrate(
-        state0, PotentialSpec.quadratic(c), dt, steps, sample_stride=stride, max_m=max_m
-    )
 
 
 def _relative_drifts(traj):
@@ -355,107 +325,85 @@ def _observed_order(final_state):
     return math.log2(e1 / e2) if e2 > 0 else None
 
 
-def cmd_wave(args):
-    kind, _ = parse_domain(args.domain)
-    if kind != "disk":
-        raise IncompatibleError("the wave equation runs on the disk domain")
-    xi0 = parse_series_spec(args.xi0)
-    xidot0 = parse_series_spec(args.xidot0) if args.xidot0 else HolomorphicSeries([])
-    stride = args.sample_stride or max(args.steps // 1000, 1)
-    traj = _wave_run(xi0, xidot0, args.c, args.dt, args.steps, stride, args.max_m)
-    n = len(traj.xi[0])
-    header = ["t"]
-    for k in range(n):
-        header += [f"xi{k}_re", f"xi{k}_im"]
-    header += [f"I_{m}" for m in range(args.max_m + 1)]
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [t]
-        for k in range(n):
-            row += [traj.xi[i][k].real, traj.xi[i][k].imag]
-        row += list(traj.integrals[i].values)
-        rows.append(row)
+def _write_trajectory(args, run, table, final_state):
+    """Run, write the CSV to --out and the summary to --summary (default: stdout).
+
+    run(dt, steps, stride) integrates; table(traj) gives the CSV header, its
+    rows and the command's own summary entries.  --halve-dt reruns at dt/2
+    and dt/4 and adds the observed order of final_state(traj).
+    """
+    traj = run(args.dt, args.steps, args.sample_stride or max(args.steps // 1000, 1))
+    header, rows, summary = table(traj)
     if args.out:
         ser.write_csv(args.out, header, rows)
     else:
         sys.stdout.write(ser.format_csv(header, rows))
-    drifts = _relative_drifts(traj)
-    summary = {
-        "dt": args.dt,
-        "steps": args.steps,
-        "final_time": traj.times[-1],
-        "first_integral_max_rel_drift": max(drifts) if drifts else None,
-    }
+    summary.update(dt=args.dt, steps=args.steps, final_time=traj.times[-1])
     if args.halve_dt:
         summary["order"] = _observed_order(
-            lambda k: _wave_run(xi0, xidot0, args.c, args.dt / k, args.steps * k,
-                                args.steps * k, args.max_m).xi[-1]
+            lambda k: final_state(run(args.dt / k, args.steps * k, args.steps * k))
         )
     if args.summary:
         ser.write_json(args.summary, summary)
     else:
         sys.stdout.write(ser.dumps(summary))
     return EXIT_OK
+
+
+def _complex_columns(name, n):
+    return [x for k in range(n) for x in (f"{name}{k}_re", f"{name}{k}_im")]
+
+
+def _complex_values(coeffs):
+    return [v for c in coeffs for v in (c.real, c.imag)]
+
+
+def cmd_wave(args):
+    xi0 = parse_series_spec(args.xi0)
+    xidot0 = parse_series_spec(args.xidot0) if args.xidot0 else HolomorphicSeries([])
+    V = PotentialSpec.quadratic(args.c)
+
+    def run(dt, steps, stride):
+        return dynamics.wave_integrate(
+            WaveState(xi0, xidot0, 0.0), V, dt, steps, sample_stride=stride, max_m=args.max_m
+        )
+
+    def table(traj):
+        header = ["t"] + _complex_columns("xi", len(traj.xi[0]))
+        header += [f"I_{m}" for m in range(args.max_m + 1)]
+        rows = [[t] + _complex_values(xi) + list(rep.values)
+                for t, xi, rep in zip(traj.times, traj.xi, traj.integrals)]
+        drifts = _relative_drifts(traj)
+        return header, rows, {"first_integral_max_rel_drift": max(drifts) if drifts else None}
+
+    return _write_trajectory(args, run, table, lambda traj: traj.xi[-1])
 
 
 def cmd_geodesic(args):
-    kind, payload = parse_domain(args.domain)
-    if kind == "disk":
-        mapping = ConformalMap.identity()
-    elif kind == "map":
-        mapping = payload
-    else:
-        raise IncompatibleError("geodesic supports disk and map:<path> domains")
+    kind, payload = args.domain
+    mapping = ConformalMap.identity() if kind == "disk" else payload
     xi0 = parse_series_spec(args.xi0)
-    stride = args.sample_stride or max(args.steps // 1000, 1)
 
-    def run(dt, steps, stride_):
+    def run(dt, steps, stride):
         return dynamics.geodesic_integrate(
-            GeodesicState(mapping, xi0, 0.0),
-            dt,
-            steps,
-            sample_stride=stride_,
-            degree=args.degree,
+            GeodesicState(mapping, xi0, 0.0), dt, steps, sample_stride=stride, degree=args.degree
         )
 
-    traj = run(args.dt, args.steps, stride)
-    n_phi = len(traj.phi[0])
-    n_xi = len(traj.xi[0])
-    header = ["t"]
-    header += [x for k in range(n_phi) for x in (f"phi{k}_re", f"phi{k}_im")]
-    header += [x for k in range(n_xi) for x in (f"xi{k}_re", f"xi{k}_im")]
-    header += ["energy", "min_deriv"]
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [t]
-        row += [v for k in range(n_phi) for v in (traj.phi[i][k].real, traj.phi[i][k].imag)]
-        row += [v for k in range(n_xi) for v in (traj.xi[i][k].real, traj.xi[i][k].imag)]
-        row += [traj.energy[i], traj.min_deriv[i]]
-        rows.append(row)
-    if args.out:
-        ser.write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(ser.format_csv(header, rows))
-    e0 = traj.energy[0]
-    summary = {
-        "dt": args.dt,
-        "steps": args.steps,
-        "final_time": traj.times[-1],
-        "energy_rel_drift": max(abs(e - e0) for e in traj.energy) / max(e0, 1e-300),
-        "min_deriv_min": min(traj.min_deriv),
-    }
-    if args.halve_dt:
+    def table(traj):
+        header = ["t"] + _complex_columns("phi", len(traj.phi[0]))
+        header += _complex_columns("xi", len(traj.xi[0])) + ["energy", "min_deriv"]
+        rows = [[t] + _complex_values(phi) + _complex_values(xi) + [e, d]
+                for t, phi, xi, e, d in zip(traj.times, traj.phi, traj.xi,
+                                            traj.energy, traj.min_deriv)]
+        e0 = traj.energy[0]
+        return header, rows, {
+            "energy_rel_drift": max(abs(e - e0) for e in traj.energy) / max(e0, 1e-300),
+            "min_deriv_min": min(traj.min_deriv),
+        }
 
-        def final_state(k):
-            tk = run(args.dt / k, args.steps * k, args.steps * k)
-            return np.concatenate([tk.phi[-1], tk.xi[-1]])
-
-        summary["order"] = _observed_order(final_state)
-    if args.summary:
-        ser.write_json(args.summary, summary)
-    else:
-        sys.stdout.write(ser.dumps(summary))
-    return EXIT_OK
+    return _write_trajectory(
+        args, run, table, lambda traj: np.concatenate([traj.phi[-1], traj.xi[-1]])
+    )
 
 
 def cmd_check(args):
@@ -476,19 +424,21 @@ def cmd_check(args):
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="conformal-hodge",
         description="Spectral calculus for conformal vector fields on planar domains",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, domain=True, out=True):
-        if domain:
-            sp.add_argument("--domain", default="disk",
-                            help="disk | map:<json> | annulus:<r_in> | torus")
-        if out:
-            sp.add_argument("--out", help="output path (default: stdout)")
+    def common(sp, domains):
+        # main resolves --domain and rejects kinds outside `domains` (exit 4)
+        sp.add_argument("--domain", default="disk",
+                        help="disk | map:<json> | annulus:<r_in> | torus")
+        sp.add_argument("--out", help="output path (default: stdout)")
+        sp.set_defaults(domains=domains)
 
     def numeric(sp, dt=False):
         sp.add_argument("--config", help="JSON with {dt, steps, sample_stride, degree, tol}")
@@ -498,7 +448,7 @@ def build_parser():
             sp.add_argument("--sample-stride", type=int, default=None)
 
     sp = sub.add_parser("project", help="project a field onto the conformal subspace")
-    common(sp)
+    common(sp, ("disk", "map", "torus"))
     sp.add_argument("--in", dest="input", required=True, help="field JSON path")
     sp.add_argument("--degree", type=int, default=None)
     sp.add_argument("--map", help="shorthand for --domain map:<path>")
@@ -506,14 +456,14 @@ def build_parser():
     sp.set_defaults(func=cmd_project)
 
     sp = sub.add_parser("decompose", help="orthogonal decomposition with multipliers")
-    common(sp)
+    common(sp, ("disk",))
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--kind", choices=("conformal", "helmholtz", "symplectic"),
                     default="conformal")
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("adjoint", help="adjoint of d/dz applied to a conformal field")
-    common(sp)
+    common(sp, ("disk", "map"))
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--degree", type=int, default=None)
     sp.add_argument("--map", help="shorthand for --domain map:<path>")
@@ -521,7 +471,7 @@ def build_parser():
     sp.set_defaults(func=cmd_adjoint)
 
     sp = sub.add_parser("classify", help="six-space membership labels for a field")
-    common(sp)
+    common(sp, ("disk", "annulus"))
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--r-in", type=float, default=None,
@@ -535,7 +485,7 @@ def build_parser():
     sp.set_defaults(func=cmd_catalog)
 
     sp = sub.add_parser("stationary", help="solve the stationary conformal problem")
-    common(sp)
+    common(sp, ("disk", "map"))
     sp.add_argument("--c", type=float, default=0.0, help="quadratic potential constant")
     sp.add_argument("--init", default="0", help="initial series (expression or JSON)")
     sp.add_argument("--tol", type=float, default=None)
@@ -546,7 +496,7 @@ def build_parser():
     sp.set_defaults(func=cmd_stationary)
 
     sp = sub.add_parser("wave", help="integrate the conformal wave equation")
-    common(sp)
+    common(sp, ("disk",))
     sp.add_argument("--c", type=float, default=0.0)
     sp.add_argument("--xi0", required=True, help="initial series (expression or JSON)")
     sp.add_argument("--xidot0", default=None)
@@ -558,7 +508,7 @@ def build_parser():
     sp.set_defaults(func=cmd_wave)
 
     sp = sub.add_parser("geodesic", help="integrate the conformal embedding flow")
-    common(sp)
+    common(sp, ("disk", "map"))
     sp.add_argument("--xi0", required=True)
     sp.add_argument("--degree", type=int, default=None)
     sp.add_argument("--map", help="shorthand for --domain map:<path>")
@@ -574,14 +524,19 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_INPUT
     try:
         _apply_config(args)
         _check_numeric(args)
+        if hasattr(args, "domains"):
+            args.domain = parse_domain(args.domain)
+            if args.domain[0] not in args.domains:
+                raise IncompatibleError(
+                    f"{args.command} supports the domains {', '.join(args.domains)}"
+                )
         return args.func(args)
     except (InputError, ser.FormatError, NonConformalInputError, FileNotFoundError,
             OSError) as exc:
@@ -591,7 +546,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except (IntegrationInstabilityError, GeodesicDegeneracyError, EmbeddingError,
-            InversionError) as exc:
+            InversionError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -38,11 +38,11 @@ from .series import (
     subtract,
     wirtinger,
 )
-from .quadrature import QuadratureSpec, check_resolution, disk_grid, polar_nodes
+from .quadrature import QuadratureSpec, boundary_points, check_resolution, polar_nodes
 
 
 class NonvanishingCheckError(ValueError):
-    """The multiplier field psi vanishes somewhere on the sample grid."""
+    """The multiplier field psi vanishes somewhere in the closed disk."""
 
 
 # -- projections --------------------------------------------------------------
@@ -314,18 +314,15 @@ class ProjectionPropertyReport:
 def projection_property_check(f, psi, tol) -> ProjectionPropertyReport:
     """Check that Pr(f) and Pr(conj(psi) f) vanish together, for nonvanishing psi.
 
-    psi is verified nonvanishing on a 64 x 128 closed-disk sample grid first; a zero
-    (or near-zero with no margin) sample violates the hypothesis and raises.
+    psi is certified nonvanishing on the closed disk first, from
+    8 max(deg psi, 16) samples of the circle (series.disk_min_modulus); a
+    zero violates the hypothesis and raises.
     """
     f = as_field(f)
     psi = series.as_series(psi)
-    pts = disk_grid(64, 128)
-    psi_vals = np.abs(evaluate_grid(psi.to_field(), pts))
-    psi_min = float(psi_vals.min())
-    if psi_min <= 1e-12:
-        raise NonvanishingCheckError(
-            f"psi vanishes on the sample grid (min |psi| = {psi_min:.3e})"
-        )
+    psi_min, why = series.disk_min_modulus(psi, boundary_points(8 * max(psi.degree, 16)))
+    if why:
+        raise NonvanishingCheckError(f"psi {why}")
     weighted = multiply(
         conjugate(psi.to_field()), f, max_degree=f.max_degree + psi.degree
     )

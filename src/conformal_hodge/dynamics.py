@@ -389,7 +389,8 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
     The velocity stays a holomorphic series by construction (every stage
     output passes through the conformal projection).  Each accepted step the
     map is revalidated: min |phi'| under the floor or a boundary
-    self-intersection aborts the run.
+    self-intersection aborts the run, as does a stage whose Gram matrix
+    overflows (GeodesicDegeneracyError naming the step).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -418,10 +419,13 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
 
     record(0, ConformalMap(HolomorphicSeries(phi_arr), validate=False))
     for step in range(1, steps + 1):
-        k1p, k1x = rhs(phi_arr, xi_arr)
-        k2p, k2x = rhs(phi_arr + 0.5 * dt * k1p, xi_arr + 0.5 * dt * k1x)
-        k3p, k3x = rhs(phi_arr + 0.5 * dt * k2p, xi_arr + 0.5 * dt * k2x)
-        k4p, k4x = rhs(phi_arr + dt * k3p, xi_arr + dt * k3x)
+        try:
+            k1p, k1x = rhs(phi_arr, xi_arr)
+            k2p, k2x = rhs(phi_arr + 0.5 * dt * k1p, xi_arr + 0.5 * dt * k1x)
+            k3p, k3x = rhs(phi_arr + 0.5 * dt * k2p, xi_arr + 0.5 * dt * k2x)
+            k4p, k4x = rhs(phi_arr + dt * k3p, xi_arr + dt * k3x)
+        except FloatingPointError as exc:
+            raise GeodesicDegeneracyError(f"{exc} in a stage of step {step}") from exc
         phi_arr = phi_arr + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
         xi_arr = xi_arr + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
         mapping = ConformalMap(HolomorphicSeries(phi_arr), validate=False)

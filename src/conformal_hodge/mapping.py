@@ -41,10 +41,6 @@ class GramConditionWarning(UserWarning):
 GRAM_CONDITION_LIMIT = 1e12
 
 
-# |phi'| at or below this share of its maximum on the circle counts as a zero
-VANISHING_TOL = 1e-12
-
-
 @functools.cache
 def _boundary_samples(n):
     """n equispaced points of the unit circle and the mask of the pairs of
@@ -74,24 +70,12 @@ class ConformalMap:
     def min_deriv(self):
         """min |phi'| over the closed disk, or 0.0 when phi' vanishes there (cached).
 
-        Reads phi' on the unit circle only.  By the argument principle the
-        winding number of phi' around 0 counts its zeros in the disk; when
-        there are none, the minimum modulus principle puts the minimum over
-        the closed disk on the circle.
+        Certified from the boundary samples by series.disk_min_modulus.
         """
         if "min_deriv" not in self._caches:
-            pts, _ = self._samples()
-            d = series.evaluate_grid(self.phi_prime.to_field(), pts)
-            mod = np.abs(d)
-            zeros = None
-            if not mod.min() > VANISHING_TOL * mod.max():  # NaN lands here too
-                zeros = f"phi' vanishes or is not finite on the circle (min |phi'| = {mod.min():.3e})"
-            else:
-                winding = round(np.angle(np.roll(d, -1) / d).sum() / (2 * math.pi))
-                if winding:
-                    zeros = f"phi' has {winding} zero(s) in the unit disk (argument principle)"
-            self._caches["deriv_zeros"] = zeros
-            self._caches["min_deriv"] = 0.0 if zeros else float(mod.min())
+            low, why = series.disk_min_modulus(self.phi_prime, self._samples()[0])
+            self._caches["deriv_zeros"] = why and f"phi' {why}"
+            self._caches["min_deriv"] = low
         return self._caches["min_deriv"]
 
     @staticmethod
@@ -164,13 +148,17 @@ class ConformalMap:
         """Eigendecomposition (w, V) of the Hermitian Gram matrix (cached).
 
         G[j,k] = <<phi' phi^k, phi' phi^j>> on the disk equals V diag(w) V^H,
-        with the eigenvalues w in ascending order.
+        with the eigenvalues w in ascending order.  Raises FloatingPointError
+        when G overflows, which a finite but huge phi can cause.
         """
         key = ("gram", degree, max_degree)
         if key not in self._caches:
             B = self.basis_matrix(degree, max_degree)
-            d = series.pair_constants(B.shape[1])
-            self._caches[key] = np.linalg.eigh(((B * d) @ B.conj().T).T)
+            G = ((B * series.pair_constants(B.shape[1])) @ B.conj().T).T
+            if not np.isfinite(G).all():
+                raise FloatingPointError(f"the weighted Gram matrix of degree {degree} "
+                                         "is not finite")
+            self._caches[key] = np.linalg.eigh(G)
         return self._caches[key]
 
     def natural_cap(self, degree):

@@ -27,6 +27,11 @@ from .quadrature import QuadratureSpec
 from .series import HolomorphicSeries, inner_product, monomial, norm
 
 DEFAULT_QUADRATURE = QuadratureSpec(64, 128)
+# sizes of the suites' fixed problems
+PROJECTION_DEGREE = 6
+DECOMPOSITION_FIELDS, DECOMPOSITION_DEGREE, DECOMPOSITION_SEED = 20, 6, 7
+WAVE_STEPS, WAVE_DT = 2000, 1e-3
+GEODESIC_STEPS, GEODESIC_DT = 300, 1e-3
 
 
 @dataclass(frozen=True)
@@ -43,11 +48,11 @@ def _series_gap(a: HolomorphicSeries, b: HolomorphicSeries) -> float:
     return float(np.max(np.abs(a.to_array(n) - b.to_array(n)), initial=0.0))
 
 
-def suite_projection_three_way(quadrature=DEFAULT_QUADRATURE, degree=6):
+def suite_projection_three_way(quadrature=DEFAULT_QUADRATURE):
     worst_exact = 0.0
     worst_quad = 0.0
-    for m in range(degree + 1):
-        for n in range(degree + 1 - m):
+    for m in range(PROJECTION_DEGREE + 1):
+        for n in range(PROJECTION_DEGREE + 1 - m):
             f = monomial(m, n)
             rule = project_con_rule(f)
             gram = project_con_gram_oracle(f)
@@ -106,14 +111,14 @@ def suite_adjoint_identities():
     return out
 
 
-def suite_decomposition(n_fields=20, degree=6, seed=7):
-    rng = np.random.default_rng(seed)
+def suite_decomposition():
+    rng = np.random.default_rng(DECOMPOSITION_SEED)
     worst_recon = 0.0
     worst_orth = 0.0
     worst_boundary = 0.0
     worst_rule = 0.0
-    for _ in range(n_fields):
-        f = series.random_field(rng, degree)
+    for _ in range(DECOMPOSITION_FIELDS):
+        f = series.random_field(rng, DECOMPOSITION_DEGREE)
         dec = conformal_decompose(f)
         scale = max(norm(f), 1e-30)
         worst_recon = max(worst_recon, dec.residual_norm / scale)
@@ -164,12 +169,12 @@ def suite_catalog():
     return [SuiteResult("hodge catalog table", ok, 0.0 if ok else 1.0, 0.5)]
 
 
-def suite_wave(steps=2000, dt=1e-3):
+def suite_wave():
     state0 = dynamics.WaveState(
         HolomorphicSeries([0.0, 1.0]), HolomorphicSeries([]), 0.0
     )
     traj = dynamics.wave_integrate(
-        state0, dynamics.PotentialSpec.quadratic(0.0), dt, steps, sample_stride=10
+        state0, dynamics.PotentialSpec.quadratic(0.0), WAVE_DT, WAVE_STEPS, sample_stride=10
     )
     worst_mode = 0.0
     for t, x in zip(traj.times, traj.xi):
@@ -183,12 +188,12 @@ def suite_wave(steps=2000, dt=1e-3):
     ]
 
 
-def suite_geodesic(steps=300, dt=1e-3):
+def suite_geodesic():
     state0 = dynamics.GeodesicState(
         ConformalMap.identity(), HolomorphicSeries([0.1]), 0.0
     )
     traj = dynamics.geodesic_integrate(
-        state0, dt, steps, sample_stride=30, degree=8, proj_degree=4
+        state0, GEODESIC_DT, GEODESIC_STEPS, sample_stride=30, degree=8, proj_degree=4
     )
     e0 = traj.energy[0]
     drift = max(abs(e - e0) for e in traj.energy) / max(e0, 1e-30)

@@ -24,6 +24,7 @@ from .quadrature import boundary_points
 DEFAULT_MAX_DEGREE = 16
 DROP_TOLERANCE = 1e-300
 TRUNCATION_WARN_TOL = 1e-12
+VANISHING_TOL = 1e-12
 
 
 class TruncationWarning(UserWarning):
@@ -613,6 +614,25 @@ def evaluate_grid(f, points):
             acc = acc * z + rows[..., m]
         acc = acc * (z * np.conj(z)).real ** f.offset
     return acc.reshape(points.shape)
+
+
+def disk_min_modulus(s, points):
+    """(min |s| over the closed unit disk, None), or (0.0, why) when s vanishes there.
+
+    Reads the series s on `points`, equispaced samples of the unit circle.
+    By the argument principle the winding number of s around 0 counts its
+    zeros in the disk; when there are none, the minimum modulus principle
+    puts the minimum over the closed disk on the circle.  |s| at or below
+    VANISHING_TOL times its maximum on the samples counts as a zero.
+    """
+    vals = evaluate_grid(s.to_field(), points)
+    mod = np.abs(vals)
+    if not mod.min() > VANISHING_TOL * mod.max():  # NaN lands here too
+        return 0.0, f"vanishes or is not finite on the circle (min modulus {mod.min():.3e})"
+    winding = round(np.angle(np.roll(vals, -1) / vals).sum() / (2 * math.pi))
+    if winding:
+        return 0.0, f"has {winding} zero(s) in the unit disk (argument principle)"
+    return float(mod.min()), None
 
 
 def boundary_max(f, samples=256):

@@ -3,9 +3,11 @@
 import json
 import math
 
+import pytest
+
 from conformal_hodge import serialization as ser
 from conformal_hodge import series
-from conformal_hodge.cli import main, parse_series_spec
+from conformal_hodge.cli import build_parser, main, parse_series_spec
 from conformal_hodge.series import BivariateField, HolomorphicSeries, monomial
 
 
@@ -242,6 +244,14 @@ class TestDynamicsCommands:
         assert main(["geodesic", "--map", str(mp), "--xi0", "0.01", "--dt", "1e-3",
                      "--steps", "2", "--degree", "24"]) == 3
 
+    def test_geodesic_gram_overflow_exits_3(self, capsys):
+        # the stage map stays finite, but its Gram matrix overflows; this
+        # ended in LinAlgError from eigh with exit 1, the "failed check" code
+        assert main(["geodesic", "--xi0", "5*z", "--dt", "1", "--steps", "20",
+                     "--degree", "8"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "step 2" in err
+
     def test_geodesic_halve_dt_order(self, tmp_path):
         summary = tmp_path / "g.json"
         code = main([
@@ -279,6 +289,13 @@ class TestConfigAndFlags:
         ser.write_json(cfg, {"dx": 1.0})
         assert main(["wave", "--xi0", "z", "--config", str(cfg)]) == 2
 
+    def test_config_keys_without_option_rejected(self, tmp_path):
+        # classify has --tol but no --degree or --dt; both keys were ignored (exit 0)
+        fin = write_field(tmp_path / "f.json", monomial(1, 0))
+        cfg = tmp_path / "cfg.json"
+        ser.write_json(cfg, {"degree": 8, "dt": 5})
+        assert main(["classify", "--in", fin, "--config", str(cfg)]) == 2
+
     def test_missing_dt_reported(self):
         assert main(["wave", "--xi0", "z", "--steps", "5"]) == 2
 
@@ -311,6 +328,36 @@ class TestConfigAndFlags:
             main(["wave", "--xi0", "0.3*z + 0.1", "--dt", "1e-2", "--steps", "25",
                   "--out", str(out), "--summary", str(tmp_path / "s.json")])
         assert o1.read_bytes() == o2.read_bytes()
+
+
+class TestDomainResolution:
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--domain", "torus", "--in", "{field}"],
+        ["adjoint", "--domain", "annulus:0.5", "--in", "{field}"],
+        ["classify", "--domain", "map:{map}", "--in", "{field}"],
+        ["stationary", "--domain", "torus"],
+        ["wave", "--domain", "map:{map}", "--xi0", "z", "--dt", "1e-3", "--steps", "10"],
+        ["geodesic", "--domain", "annulus:0.5", "--xi0", "z", "--dt", "1e-3",
+         "--steps", "10"],
+        ["project", "--domain", "annulus:0.5", "--in", "{field}"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[2].split(':')[0]}")
+    def test_incompatible_domain_exits_4(self, tmp_path, capsys, argv):
+        mp = tmp_path / "map.json"
+        ser.write_json(mp, {"coeffs": [[0.0, 0.0], [1.0, 0.0], [0.1, 0.0]]})
+        fin = write_field(tmp_path / "f.json", monomial(1, 0))
+        argv = [a.format(map=mp, field=fin) for a in argv]
+        assert main(argv) == 4
+        assert f"{argv[0]} supports the domains" in capsys.readouterr().err
+
+    def test_shared_parser_keeps_no_state(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        ser.write_json(cfg, {"dt": 1e-2, "steps": 5})
+        assert main(["wave", "--xi0", "z", "--config", str(cfg),
+                     "--out", str(tmp_path / "w.csv"),
+                     "--summary", str(tmp_path / "w.json")]) == 0
+        # the config's steps must not carry over into the next call
+        assert main(["wave", "--xi0", "z", "--dt", "1e-2"]) == 2
+        assert build_parser() is build_parser()
 
 
 class TestSelfTest:

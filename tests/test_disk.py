@@ -321,6 +321,13 @@ class TestProjectionProperty:
         with pytest.raises(NonvanishingCheckError):
             projection_property_check(monomial(0, 1), HolomorphicSeries([0, 1.0]), tol=1e-8)
 
+    def test_interior_zero_rejected(self):
+        # psi = z - z0 vanishes between the nodes of the old 64 x 128 grid
+        # scan, which reported min |psi| = 0.0145 and accepted it
+        z0 = 31.5 / 63 * complex(math.cos(PI / 128), math.sin(PI / 128))
+        with pytest.raises(NonvanishingCheckError, match="1 zero"):
+            projection_property_check(monomial(0, 1), HolomorphicSeries([-z0, 1.0]), tol=1e-8)
+
     def test_random_pairs_consistent(self):
         rng = np.random.default_rng(77)
         for trial in range(20):

@@ -380,6 +380,13 @@ class TestGeodesic:
             geodesic_integrate(st, 1e-2, 5, degree=6, proj_degree=3,
                                min_deriv_floor=0.9)
 
+    def test_gram_overflow_abort(self):
+        # the stage maps stay finite while their Gram matrices overflow
+        st = GeodesicState(ConformalMap.identity(), HolomorphicSeries([0.0, 5.0]), 0.0)
+        with pytest.raises(GeodesicDegeneracyError, match="not finite in a stage of step 2"):
+            with np.errstate(all="ignore"):
+                geodesic_integrate(st, 1.0, 20, degree=8)
+
     def test_self_intersection_abort(self):
         # min |phi'| = 0.037 stays above the floor; only the boundary crosses itself
         coeffs = [0.0] + [3.3**k / math.factorial(k) / 3.3 for k in range(1, 25)]

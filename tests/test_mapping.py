@@ -208,6 +208,13 @@ class TestMappedProjection:
         with pytest.warns(GramConditionWarning):
             project_con_mapped(m, monomial(1, 1), degree=30, max_degree=34)
 
+    def test_gram_overflow_raises(self):
+        # phi' phi^3 = 1e240 z^3 is finite; its squared norm in the Gram matrix is not
+        m = ConformalMap(HolomorphicSeries([0.0, 1e60]), validate=False)
+        assert np.isfinite(m.basis_matrix(3, 3)).all()
+        with pytest.raises(FloatingPointError, match="not finite"), np.errstate(all="ignore"):
+            m.gram(3, 3)
+
     @pytest.mark.parametrize("degree", [4, 8, 17])
     def test_gram_solve_matches_explicit_solve(self, degree):
         # random gentle map: sum k |a_k| = 0.3 < 1 keeps Re phi' > 0 (univalent)
