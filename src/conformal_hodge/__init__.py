@@ -60,12 +60,10 @@ from .dynamics import (
     first_integrals,
     geodesic_integrate,
     geodesic_rhs,
-    grad_V_compose,
     stationary_residual,
     stationary_solve,
     wave_integrate,
     wave_mode_solution,
-    wave_rhs,
 )
 from .quadrature import QuadratureSpec
 

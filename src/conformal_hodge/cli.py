@@ -99,10 +99,22 @@ _TERM_RE = re.compile(r"^(?:(?P<coef>.+?)\*)?(?P<z>z(?:\^(?P<pow>\d+))?)$")
 
 
 def parse_series_spec(spec):
-    """A JSON path, or a small expression like 'z', '0.5', '0.3*z^2 + 1'."""
+    """A path ending in .json, or an expression like 'z', '0.5', '0.3*z^2 + 1'.
+
+    Only a spec that does not parse as an expression is read as an existing path.
+    """
     spec = spec.strip()
-    if spec.endswith(".json") or os.path.exists(spec):
+    if spec.endswith(".json"):
         return ser.series_from_json(ser.read_json(spec))
+    try:
+        return _parse_expression(spec)
+    except InputError:
+        if os.path.exists(spec):
+            return ser.series_from_json(ser.read_json(spec))
+        raise
+
+
+def _parse_expression(spec):
     text = spec.replace(" ", "")
     try:
         coeffs = {0: complex(text)}
@@ -305,8 +317,6 @@ def cmd_stationary(args):
 
 
 def _relative_drifts(traj):
-    if not traj.integrals:
-        return []
     base = [rep.values for rep in traj.integrals]
     i0 = base[0]
     ref = max(max(i0), 1e-300)
@@ -373,8 +383,7 @@ def cmd_wave(args):
         header += [f"I_{m}" for m in range(args.max_m + 1)]
         rows = [[t] + _complex_values(xi) + list(rep.values)
                 for t, xi, rep in zip(traj.times, traj.xi, traj.integrals)]
-        drifts = _relative_drifts(traj)
-        return header, rows, {"first_integral_max_rel_drift": max(drifts) if drifts else None}
+        return header, rows, {"first_integral_max_rel_drift": max(_relative_drifts(traj))}
 
     return _write_trajectory(args, run, table, lambda traj: traj.xi[-1])
 

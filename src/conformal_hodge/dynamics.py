@@ -17,7 +17,7 @@ from . import series
 from .disk import (
     MultiplierPair,
     adjoint_dz_disk,
-    conformal_decompose,
+    conformal_split,
     project_con_rule,
 )
 from .mapping import (
@@ -31,16 +31,12 @@ from .mapping import (
 )
 from .series import (
     DEFAULT_MAX_DEGREE,
-    BivariateField,
     HolomorphicSeries,
     add,
-    as_field,
     as_series,
     conjugate,
-    multiply,
     scale,
     subtract,
-    wirtinger,
 )
 
 
@@ -52,65 +48,22 @@ class GeodesicDegeneracyError(RuntimeError):
     """The evolving embedding lost its immersion or boundary injectivity."""
 
 
-# -- potentials ----------------------------------------------------------------
+# -- potential ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Potential V acting through the composition grad(V) o xi.
+    """V(z) = c |z|^2 / 2, whose gradient c z makes the force grad(V) o xi = c xi linear."""
 
-    kind 'quadratic' means V(z) = c |z|^2 / 2, whose gradient field is c z,
-    so composition is just scaling by c.  kind 'polynomial' carries the
-    gradient V_x + i V_y as a bivariate field to be composed by series
-    substitution.
-    """
-
-    kind: str
-    c: float = 0.0
-    gradient_field: BivariateField | None = None
+    c: float
 
     @staticmethod
     def quadratic(c):
-        return PotentialSpec(kind="quadratic", c=float(c))
+        return PotentialSpec(float(c))
 
     @staticmethod
     def zero():
-        return PotentialSpec(kind="quadratic", c=0.0)
-
-    @staticmethod
-    def polynomial(V):
-        V = as_field(V)
-        if not V.is_real(tol=1e-12 * max(series.coefficient_norm(V), 1.0)):
-            raise ValueError("polynomial potential must be real-valued")
-        grad = scale(wirtinger(series.real_part(V), "d_zbar"), 2)  # V_x + i V_y
-        return PotentialSpec(kind="polynomial", gradient_field=grad)
-
-
-def compose_bivariate(W, g, max_degree=DEFAULT_MAX_DEGREE):
-    """Substitute g into W: sum W_ab g^a conj(g)^b, truncated with mass reporting.
-
-    Horner's rule in g over the rows of W's table, and in conj(g) along each
-    row; truncating every partial product keeps all degrees up to max_degree.
-    """
-    W, g = as_field(W), as_field(g)
-    gc = conjugate(g)
-    total = series.zero_field()
-    for row in reversed(W.table.tolist()):
-        inner = series.zero_field()
-        for c in reversed(row):
-            inner = add(multiply(inner, gc, max_degree=max_degree), c)
-        total = add(multiply(total, g, max_degree=max_degree), inner)
-    return total
-
-
-def grad_V_compose(V: PotentialSpec, xi, max_degree=DEFAULT_MAX_DEGREE) -> BivariateField:
-    """grad(V) evaluated along the field xi."""
-    xi = as_field(xi)
-    if V.kind == "quadratic":
-        return scale(xi, V.c)
-    if V.kind == "polynomial":
-        return compose_bivariate(V.gradient_field, xi, max_degree=max_degree)
-    raise ValueError(f"unknown potential kind {V.kind!r}")
+        return PotentialSpec(0.0)
 
 
 # -- stationary problem ----------------------------------------------------------
@@ -120,17 +73,13 @@ def stationary_residual(xi, V: PotentialSpec, domain="disk", proj_degree=None):
     """Adjoint-derivative term plus projected potential force; zero at stationary points."""
     xi = as_series(xi)
     if domain == "disk" or domain is None:
-        adj = adjoint_dz_disk(xi.derivative())
-        forced = project_con_rule(grad_V_compose(V, xi.to_field()))
-        return adj + forced
+        return adjoint_dz_disk(xi.derivative()) + project_con_rule(scale(xi.to_field(), V.c))
     mapping: ConformalMap = domain
     if proj_degree is None:
         proj_degree = xi.degree + 1
     adj = adjoint_dz_mapped(mapping, xi.derivative(), degree=proj_degree)
     pulled = pullback(mapping, xi)
-    forced_field = grad_V_compose(V, pulled.to_field(),
-                                  max_degree=mapping.natural_cap(proj_degree))
-    forced = project_con_mapped(mapping, forced_field, degree=proj_degree)
+    forced = project_con_mapped(mapping, scale(pulled.to_field(), V.c), degree=proj_degree)
     return adj + forced
 
 
@@ -146,12 +95,10 @@ class StationaryResult:
 def stationary_matrix(V: PotentialSpec, domain, n):
     """Matrix L of the residual on coefficient vectors of length n (m = n + 2 rows).
 
-    For V = c|z|^2/2 the residual is complex-linear in xi, so column k is the
-    residual of z^k.  Every column is projected at the same degree n, so L x
-    is the residual of x at proj_degree=n.
+    The residual is complex-linear in xi, so column k is the residual of z^k.
+    Every column is projected at the same degree n, so L x is the residual of
+    x at proj_degree=n.
     """
-    if V.kind != "quadratic":
-        raise ValueError("the stationary residual is linear only for the quadratic potential")
     m = n + 2  # adjoint raises the degree by one; keep slack
     return np.column_stack([
         stationary_residual(HolomorphicSeries(e), V, domain=domain, proj_degree=n).to_array(m)
@@ -164,13 +111,14 @@ def stationary_solve(V: PotentialSpec, init, tol=1e-10, max_iter=50,
     """Least-squares steps x += lstsq(L, -L x) on the truncated coefficient vector.
 
     Non-convergence is a reported outcome, not an exception: the last iterate
-    comes back with converged=False.  Multipliers are recovered afterwards by
-    decomposing the unprojected residual (disk domain only).
+    comes back with converged=False.  An init above the degree is cut with a
+    TruncationWarning.  Multipliers are recovered afterwards by splitting the
+    unprojected residual (disk domain only).
     """
     init = as_series(init)
     n = (degree if degree is not None else max(init.degree, 1)) + 1
     L = stationary_matrix(V, domain, n)
-    x = init.to_array(n)
+    x = init.truncated(n - 1).to_array(n)
     rnorm = float(np.linalg.norm(L @ x))
     iterations = 0
     while rnorm > tol and iterations < max_iter:
@@ -180,11 +128,9 @@ def stationary_solve(V: PotentialSpec, init, tol=1e-10, max_iter=50,
     xi = HolomorphicSeries(x)
     multipliers = None
     if domain == "disk" or domain is None:
-        unprojected = add(
-            adjoint_dz_disk(xi.derivative()).to_field(),
-            grad_V_compose(V, xi.to_field()),
-        )
-        multipliers = conformal_decompose(unprojected).multipliers
+        unprojected = add(adjoint_dz_disk(xi.derivative()).to_field(), scale(xi.to_field(), V.c))
+        _, F, G, _, _ = conformal_split(unprojected)
+        multipliers = MultiplierPair(F, G)
     return StationaryResult(
         xi=xi,
         multipliers=multipliers,
@@ -220,13 +166,6 @@ def first_integrals(state: WaveState, c, max_m) -> FirstIntegralReport:
     return FirstIntegralReport(values=tuple(vals.tolist()), t=state.t)
 
 
-def wave_rhs(state: WaveState, V: PotentialSpec) -> HolomorphicSeries:
-    """Acceleration: minus the adjoint of the derivative, minus the projected force."""
-    adj = adjoint_dz_disk(state.xi.derivative())
-    forced = project_con_rule(grad_V_compose(V, state.xi.to_field()))
-    return -(adj + forced)
-
-
 def wave_mode_solution(m, c, xi0, xidot0, t):
     """Exact evolution of a single mode: oscillator, drift, or hyperbolic growth."""
     w2 = m * m + m + c
@@ -252,7 +191,7 @@ class WaveTrajectory:
     times: tuple
     xi: tuple  # coefficient arrays per sample
     xi_t: tuple
-    integrals: tuple | None
+    integrals: tuple  # FirstIntegralReport per sample
     dt: float
     steps: int
     sample_stride: int
@@ -262,30 +201,19 @@ def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride
                    max_m=6) -> WaveTrajectory:
     """Stoermer-Verlet (kick-drift-kick) on the coefficient vector.
 
-    For the quadratic potential the acceleration is the diagonal map
-    -(m^2+m+c) xi_m and per-mode energies are reported at every sample.
-    Stability needs dt < 2/omega_max with omega_max^2 = D^2+D+c at the
-    truncation degree D; a coefficient norm past 1e6 x the initial one aborts.
+    The acceleration is the diagonal map -(m^2+m+c) xi_m, and per-mode
+    energies are reported at every sample.  Stability needs dt < 2/omega_max
+    with omega_max^2 = D^2+D+c at the truncation degree D; a coefficient norm
+    past 1e6 x the initial one aborts (numpy's overflow warnings are muted,
+    since that check reports the failure).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = max(state0.xi.degree, state0.xi_t.degree, max_m) + 1
     x = state0.xi.to_array(n)
     v = state0.xi_t.to_array(n)
-    quadratic = V.kind == "quadratic"
     ks = np.arange(n, dtype=float)
-
-    if quadratic:
-        diag = ks * ks + ks + V.c
-
-        def accel(xc):
-            return -diag * xc
-
-    else:
-
-        def accel(xc):
-            return wave_rhs(WaveState(HolomorphicSeries(xc), HolomorphicSeries(), 0), V).to_array(n)
-
+    diag = ks * ks + ks + V.c
     initial_scale = max(float(np.linalg.norm(x)) + float(np.linalg.norm(v)), 1.0)
     times, xs, vs, reports = [], [], [], []
 
@@ -294,31 +222,28 @@ def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride
         times.append(t)
         xs.append(x.copy())
         vs.append(v.copy())
-        if quadratic:
-            st = WaveState(HolomorphicSeries(x), HolomorphicSeries(v), t)
-            reports.append(first_integrals(st, V.c, max_m))
+        st = WaveState(HolomorphicSeries(x), HolomorphicSeries(v), t)
+        reports.append(first_integrals(st, V.c, max_m))
 
-    record(0)
-    a = accel(x)
-    for step in range(1, steps + 1):
-        v_half = v + 0.5 * dt * a
-        x = x + dt * v_half
-        a = accel(x)
-        v = v_half + 0.5 * dt * a
-        if not np.linalg.norm(x) <= 1e6 * initial_scale:  # NaN fails too
-            raise IntegrationInstabilityError(
-                f"coefficient norm exceeded 1e+06 x initial at "
-                f"step {step}; dt*omega_max = "
-                f"{dt * math.sqrt(max((n - 1) ** 2 + n - 1 + (V.c if quadratic else 0.0), 0.0)):.3f} "
-                "(stability needs < 2)"
-            )
-        if step % sample_stride == 0 or step == steps:
-            record(step)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        record(0)
+        a = -diag * x
+        for step in range(1, steps + 1):
+            v_half = v + 0.5 * dt * a
+            x = x + dt * v_half
+            a = -diag * x
+            v = v_half + 0.5 * dt * a
+            if not np.linalg.norm(x) <= 1e6 * initial_scale:  # NaN fails too
+                raise IntegrationInstabilityError(
+                    f"coefficient norm exceeded 1e+06 x initial at step {step}; dt*omega_max"
+                    f" = {dt * math.sqrt(max(diag[-1], 0.0)):.3f} (stability needs < 2)")
+            if step % sample_stride == 0 or step == steps:
+                record(step)
     return WaveTrajectory(
         times=tuple(times),
         xi=tuple(xs),
         xi_t=tuple(vs),
-        integrals=tuple(reports) if quadratic else None,
+        integrals=tuple(reports),
         dt=dt,
         steps=steps,
         sample_stride=sample_stride,
@@ -390,7 +315,9 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
     output passes through the conformal projection).  Each accepted step the
     map is revalidated: min |phi'| under the floor or a boundary
     self-intersection aborts the run, as does a stage whose Gram matrix
-    overflows (GeodesicDegeneracyError naming the step).
+    overflows (GeodesicDegeneracyError naming the step); numpy's overflow
+    warnings on the way there are muted.  A map or velocity above its degree
+    is cut with a TruncationWarning.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -398,8 +325,8 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
         proj_degree = max(state0.xi.degree + 1, 2)
     n_phi = degree + 1
     n_xi = proj_degree + 1
-    phi_arr = state0.phi.phi.to_array(n_phi)
-    xi_arr = state0.xi.to_array(n_xi)
+    phi_arr = state0.phi.phi.truncated(degree).to_array(n_phi)
+    xi_arr = state0.xi.truncated(proj_degree).to_array(n_xi)
 
     def rhs(phi_c, xi_c):
         mapping = ConformalMap(HolomorphicSeries(phi_c), validate=False)
@@ -417,31 +344,32 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
         energies.append(geodesic_energy(st))
         derivs.append(mapping.min_deriv)
 
-    record(0, ConformalMap(HolomorphicSeries(phi_arr), validate=False))
-    for step in range(1, steps + 1):
-        try:
-            k1p, k1x = rhs(phi_arr, xi_arr)
-            k2p, k2x = rhs(phi_arr + 0.5 * dt * k1p, xi_arr + 0.5 * dt * k1x)
-            k3p, k3x = rhs(phi_arr + 0.5 * dt * k2p, xi_arr + 0.5 * dt * k2x)
-            k4p, k4x = rhs(phi_arr + dt * k3p, xi_arr + dt * k3x)
-        except FloatingPointError as exc:
-            raise GeodesicDegeneracyError(f"{exc} in a stage of step {step}") from exc
-        phi_arr = phi_arr + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        xi_arr = xi_arr + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        mapping = ConformalMap(HolomorphicSeries(phi_arr), validate=False)
-        if mapping.min_deriv < min_deriv_floor:
-            raise GeodesicDegeneracyError(
-                f"min |phi'| = {mapping.min_deriv:.3e} fell below the floor "
-                f"{min_deriv_floor:g} at step {step}"
-            )
-        try:
-            mapping.check_boundary_injectivity()
-        except EmbeddingError as exc:
-            raise GeodesicDegeneracyError(
-                f"boundary self-intersection at step {step}: {exc}"
-            ) from exc
-        if step % sample_stride == 0 or step == steps:
-            record(step, mapping)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        record(0, ConformalMap(HolomorphicSeries(phi_arr), validate=False))
+        for step in range(1, steps + 1):
+            try:
+                k1p, k1x = rhs(phi_arr, xi_arr)
+                k2p, k2x = rhs(phi_arr + 0.5 * dt * k1p, xi_arr + 0.5 * dt * k1x)
+                k3p, k3x = rhs(phi_arr + 0.5 * dt * k2p, xi_arr + 0.5 * dt * k2x)
+                k4p, k4x = rhs(phi_arr + dt * k3p, xi_arr + dt * k3x)
+            except FloatingPointError as exc:
+                raise GeodesicDegeneracyError(f"{exc} in a stage of step {step}") from exc
+            phi_arr = phi_arr + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            xi_arr = xi_arr + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+            mapping = ConformalMap(HolomorphicSeries(phi_arr), validate=False)
+            if mapping.min_deriv < min_deriv_floor:
+                raise GeodesicDegeneracyError(
+                    f"min |phi'| = {mapping.min_deriv:.3e} fell below the floor "
+                    f"{min_deriv_floor:g} at step {step}"
+                )
+            try:
+                mapping.check_boundary_injectivity()
+            except EmbeddingError as exc:
+                raise GeodesicDegeneracyError(
+                    f"boundary self-intersection at step {step}: {exc}"
+                ) from exc
+            if step % sample_stride == 0 or step == steps:
+                record(step, mapping)
     return GeodesicTrajectory(
         times=tuple(times),
         phi=tuple(phis),

@@ -2,13 +2,15 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
 from conformal_hodge import serialization as ser
 from conformal_hodge import series
 from conformal_hodge.cli import build_parser, main, parse_series_spec
-from conformal_hodge.series import BivariateField, HolomorphicSeries, monomial
+from conformal_hodge.mapping import GramConditionWarning
+from conformal_hodge.series import BivariateField, HolomorphicSeries, TruncationWarning, monomial
 
 
 def write_field(path, field):
@@ -34,6 +36,26 @@ class TestSeriesSpecParser:
         p = tmp_path / "xi.json"
         ser.write_json(p, ser.series_to_json(HolomorphicSeries([1, 2j])))
         assert parse_series_spec(str(p)) == HolomorphicSeries([1, 2j])
+
+    def test_json_path_without_suffix(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ser.write_json(tmp_path / "xi", ser.series_to_json(HolomorphicSeries([1, 2j])))
+        assert parse_series_spec("xi") == HolomorphicSeries([1, 2j])
+
+    def test_file_named_like_an_expression_does_not_shadow_it(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a spec that parses as an expression is one, whatever files sit beside it
+        monkeypatch.chdir(tmp_path)
+        argv = ["wave", "--xi0", "z", "--dt", "1e-2", "--steps", "3"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        ser.write_json(tmp_path / "z", ser.series_to_json(HolomorphicSeries([0, 2.0])))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+
+
+def runtime_warnings(caught):
+    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestProject:
@@ -247,10 +269,42 @@ class TestDynamicsCommands:
     def test_geodesic_gram_overflow_exits_3(self, capsys):
         # the stage map stays finite, but its Gram matrix overflows; this
         # ended in LinAlgError from eigh with exit 1, the "failed check" code
-        assert main(["geodesic", "--xi0", "5*z", "--dt", "1", "--steps", "20",
-                     "--degree", "8"]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["geodesic", "--xi0", "5*z", "--dt", "1", "--steps", "20",
+                         "--degree", "8"]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "step 2" in err
+        # the failure is the one-line message; numpy's overflow warnings are muted
+        assert not runtime_warnings(caught)
+        assert any(issubclass(w.category, GramConditionWarning) for w in caught)
+
+    def test_wave_overflow_exits_3(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["wave", "--xi0", "z", "--dt", "1e300", "--steps", "2"]) == 3
+        assert "numerical failure: coefficient norm exceeded" in capsys.readouterr().err
+        assert not runtime_warnings(caught)
+
+    def test_stationary_init_above_degree_warns(self, tmp_path):
+        out = tmp_path / "st.json"
+        with pytest.warns(TruncationWarning, match="dropped coefficient mass 1.000e-01"):
+            assert main(["stationary", "--c", "-6", "--init", "0.3*z^2+0.1*z^5",
+                         "--degree", "3", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["converged"] is True
+        assert ser.series_from_json(data["xi"]) == HolomorphicSeries([0, 0, 0.3])
+
+    def test_geodesic_map_above_degree_warns(self, tmp_path):
+        # z + 0.05 z^10 at degree 4 integrates phi = z, whose min |phi'| is 1
+        mp, summary = tmp_path / "map.json", tmp_path / "g.json"
+        ser.write_json(mp, {"coeffs": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 8
+                                      + [[0.05, 0.0]]})
+        with pytest.warns(TruncationWarning, match="dropped coefficient mass 5.000e-02"):
+            assert main(["geodesic", "--map", str(mp), "--xi0", "0.01", "--dt", "1e-3",
+                         "--steps", "1", "--degree", "4", "--out", str(tmp_path / "g.csv"),
+                         "--summary", str(summary)]) == 0
+        assert json.loads(summary.read_text())["min_deriv_min"] == 1.0
 
     def test_geodesic_halve_dt_order(self, tmp_path):
         summary = tmp_path / "g.json"

@@ -1,0 +1,61 @@
+"""Accepted CLI invocations: each must keep exiting 0.
+
+A change that turns one of these inputs into an error fails here.  The
+list holds the README examples verbatim, series JSON paths without a
+suffix, initial data above the requested degree (cut with a warning, not
+rejected), high modes, a fine mapped projection, and an expression that
+shares its name with a file in the working directory.
+"""
+
+import warnings
+
+import pytest
+
+from conformal_hodge import serialization as ser
+from conformal_hodge.cli import main
+from conformal_hodge.series import BivariateField, HolomorphicSeries, TruncationWarning
+
+README = [
+    "project   --domain disk --in field.json --out proj.json",
+    "decompose --in field.json --kind conformal --out dec.json",
+    "adjoint   --in series.json --map map.json",
+    "classify  --r-in 0.5 --in laurent.json",
+    "catalog   --domain torus",
+    "stationary --c -2 --init 0.9*z --out result.json",
+    "wave      --c 0 --xi0 z --dt 1e-3 --steps 10000 --out traj.csv",
+    "geodesic  --xi0 0.1 --dt 1e-3 --steps 1000 --out traj.csv",
+    "check",
+]
+
+ACCEPTED = [
+    "stationary --init xi_series --out result.json",
+    "wave --xi0 xi_series --dt 1e-2 --steps 3",
+    "stationary --c -6 --init 0.3*z^2+0.1*z^5 --degree 3",
+    "geodesic --map wiggly_map --xi0 0.01 --dt 1e-3 --steps 1 --degree 4",
+    "wave --xi0 z^70 --max-m 70 --dt 1e-6 --steps 3",
+    "project --map map.json --in field.json --degree 30",
+    "wave --xi0 z --dt 1e-2 --steps 3",  # beside an empty file named z
+]
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ser.write_json("field.json", ser.field_to_json(
+        BivariateField({(2, 1): 0.5, (1, 0): 1.0 - 0.5j, (0, 3): 0.25j})))
+    ser.write_json("series.json", ser.series_to_json(HolomorphicSeries([0.1, 0.3, -0.2j])))
+    ser.write_json("map.json", {"coeffs": [[0.0, 0.0], [1.0, 0.0], [0.1, 0.05]]})
+    ser.write_json("laurent.json", {"r_in": 0.5, "band_limit": 2, "terms": [
+        {"m": -1, "n": 0, "re": 1.0, "im": 0.0}, {"m": 2, "n": 0, "re": 0.0, "im": 0.5}]})
+    ser.write_json("xi_series", ser.series_to_json(HolomorphicSeries([0.2, 0.05j])))
+    ser.write_json("wiggly_map", {"coeffs": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 8
+                                  + [[0.05, 0.0]]})
+    (tmp_path / "z").touch()
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", README + ACCEPTED, ids=lambda c: " ".join(c.split()))
+def test_accepted_invocation_exits_0(workdir, command, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert main(command.split()) == 0, capsys.readouterr().err
