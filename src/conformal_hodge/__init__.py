@@ -3,11 +3,9 @@
 from .series import (
     BivariateField,
     HolomorphicSeries,
-    InnerProductValue,
     TruncationWarning,
     cr_residual,
     div_curl,
-    evaluate,
     inner_product,
     norm,
     wirtinger,
@@ -38,7 +36,6 @@ from .annulus import (
     AnnulusClassification,
     LaurentField,
     annulus_classify,
-    annulus_inner,
     poisson_annulus,
 )
 from .torus import TorusField, torus_project_con
@@ -48,7 +45,6 @@ from .forms import (
     ZeroForm,
     flat_map,
     hodge_membership,
-    one_form_calculus,
     sharp_map,
 )
 from .catalog import HodgeCatalogEntry, hodge_catalog

@@ -16,13 +16,10 @@ import numpy as np
 
 from .series import (
     CoefficientField,
-    InnerProductValue,
     add,
     angular_sums,
     coefficient_norm,
-    evaluate,
-    inner_product,
-    norm,
+    evaluate_grid,
     pair_sums,
     scale,
     subtract,
@@ -72,10 +69,6 @@ def laurent_monomial(m, n, c=1.0, r_in=0.5):
     return LaurentField({(m, n): c}, r_in=r_in)
 
 
-annulus_inner = inner_product
-annulus_norm = norm
-
-
 # -- conformal classification ---------------------------------------------------
 
 
@@ -88,14 +81,14 @@ class AnnulusClassification:
     a6_part: LaurentField
 
 
-def annulus_classify(h: LaurentField, tol=0.0) -> AnnulusClassification:
+def annulus_classify(h: LaurentField) -> AnnulusClassification:
     """Split the z^-1 coefficient p + iq into the i/z (a4) and 1/z (a5) coordinates.
 
     The remaining modes form the a6 part.  Input must be conformal (no zbar
-    content above tol).
+    content).
     """
     bad = h.antiholomorphic_norm()
-    if bad > tol:
+    if bad > 0.0:
         raise NonConformalInputError(
             f"field has antiholomorphic coefficient mass {bad:.3e}"
         )
@@ -180,9 +173,9 @@ class LogLaurentField:
 
     def evaluate(self, point):
         ln = math.log(abs(complex(point)) ** 2)
-        return sum(evaluate(f, point) * ln**ell for ell, f in enumerate(self.levels))
+        return sum(evaluate_grid(f, point) * ln**ell for ell, f in enumerate(self.levels))
 
-    def inner(self, other) -> InnerProductValue:
+    def inner(self, other) -> complex:
         """Complex pairing using the log-weighted radial moments."""
         total = 0j
         for l1, f in enumerate(self.levels):
@@ -190,10 +183,10 @@ class LogLaurentField:
                 start, sums = pair_sums(f, g)
                 moments = [_log_moment(start + a, l1 + l2, self.r_in) for a in range(len(sums))]
                 total += complex(sums @ np.array(moments))
-        return InnerProductValue(total)
+        return total
 
     def norm(self):
-        return math.sqrt(max(self.inner(self).real_value, 0.0))
+        return math.sqrt(max(self.inner(self).real, 0.0))
 
 
 def _radial_antiderivative(p, L, r):

@@ -364,7 +364,7 @@ def _complex_columns(name, n):
     return [x for k in range(n) for x in (f"{name}{k}_re", f"{name}{k}_im")]
 
 
-def _complex_values(coeffs):
+def _re_im(coeffs):
     return [v for c in coeffs for v in (c.real, c.imag)]
 
 
@@ -375,13 +375,13 @@ def cmd_wave(args):
 
     def run(dt, steps, stride):
         return dynamics.wave_integrate(
-            WaveState(xi0, xidot0, 0.0), V, dt, steps, sample_stride=stride, max_m=args.max_m
+            WaveState(xi0, xidot0), V, dt, steps, sample_stride=stride, max_m=args.max_m
         )
 
     def table(traj):
         header = ["t"] + _complex_columns("xi", len(traj.xi[0]))
         header += [f"I_{m}" for m in range(args.max_m + 1)]
-        rows = [[t] + _complex_values(xi) + list(rep.values)
+        rows = [[t] + _re_im(xi) + list(rep.values)
                 for t, xi, rep in zip(traj.times, traj.xi, traj.integrals)]
         return header, rows, {"first_integral_max_rel_drift": max(_relative_drifts(traj))}
 
@@ -395,13 +395,13 @@ def cmd_geodesic(args):
 
     def run(dt, steps, stride):
         return dynamics.geodesic_integrate(
-            GeodesicState(mapping, xi0, 0.0), dt, steps, sample_stride=stride, degree=args.degree
+            GeodesicState(mapping, xi0), dt, steps, sample_stride=stride, degree=args.degree
         )
 
     def table(traj):
         header = ["t"] + _complex_columns("phi", len(traj.phi[0]))
         header += _complex_columns("xi", len(traj.xi[0])) + ["energy", "min_deriv"]
-        rows = [[t] + _complex_values(phi) + _complex_values(xi) + [e, d]
+        rows = [[t] + _re_im(phi) + _re_im(xi) + [e, d]
                 for t, phi, xi, e, d in zip(traj.times, traj.phi, traj.xi,
                                             traj.energy, traj.min_deriv)]
         e0 = traj.energy[0]

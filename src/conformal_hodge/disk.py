@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -55,21 +55,18 @@ def project_con_rule(f) -> HolomorphicSeries:
     return HolomorphicSeries(angular_sums(t * ((m - n + 1) / (m + 1))))
 
 
-def project_con_gram_oracle(f, degree=None) -> HolomorphicSeries:
-    """Least-squares projection onto span{1, z, ..., z^degree} via normal equations.
+def project_con_gram_oracle(f) -> HolomorphicSeries:
+    """Least-squares projection onto span{1, z, ..., z^D}, D = f.max_degree.
 
-    The monomial basis is orthogonal, so the Gram matrix is diagonal with
-    entries pi/(k+1); each coefficient is an independent one-line solve.
+    The normal equations are diagonal: the monomial basis is orthogonal, so
+    the Gram matrix has entries pi/(k+1) and each coefficient is an
+    independent one-line solve.
     """
     f = as_field(f)
-    if degree is None:
-        degree = f.max_degree
-    if degree > f.max_degree:
-        raise ValueError("requested degree exceeds the field's truncation bound")
     out = []
-    for k in range(degree + 1):
+    for k in range(f.max_degree + 1):
         zk = series.monomial(k, 0)
-        out.append(inner_product(f, zk).complex_value / inner_product(zk, zk).real_value)
+        out.append(inner_product(f, zk) / inner_product(zk, zk).real)
     return HolomorphicSeries(out)
 
 
@@ -78,8 +75,8 @@ def bergman_kernel_disk(z, zeta):
     return 1.0 / (math.pi * (1.0 - np.conj(z) * zeta) ** 2)
 
 
-def project_con_bergman(f, quadrature=QuadratureSpec(), degree=None) -> HolomorphicSeries:
-    """Kernel-quadrature projection.
+def project_con_bergman(f, quadrature=QuadratureSpec()) -> HolomorphicSeries:
+    """Kernel-quadrature projection onto span{1, z, ..., z^d}, d = f.degree().
 
     Expanding the kernel in powers gives coefficient k as
     (k+1)/pi * integral of f(zeta) conj(zeta)^k dA; the integral is taken by
@@ -88,8 +85,7 @@ def project_con_bergman(f, quadrature=QuadratureSpec(), degree=None) -> Holomorp
     """
     f = as_field(f)
     spec = QuadratureSpec(*quadrature)
-    if degree is None:
-        degree = f.degree()
+    degree = f.degree()
     check_resolution(spec, f.degree(), degree)
     z, w = polar_nodes(spec)
     fz = evaluate_grid(f, z) * w
@@ -206,7 +202,7 @@ class DecompositionResult:
 
 
 def _orthogonality_matrix(parts):
-    return tuple(tuple(inner_product(p, q).real_value for q in parts) for p in parts)
+    return tuple(tuple(inner_product(p, q).real for q in parts) for p in parts)
 
 
 def conformal_split(f):
@@ -287,13 +283,7 @@ def symplectic_decompose(f) -> DecompositionResult:
         raise AssertionError(
             f"contraction with the area form is not closed: |d| = {defect:.3e}"
         )
-    return DecompositionResult(
-        kind="symplectic",
-        multipliers=result.multipliers,
-        residual_norm=result.residual_norm,
-        orthogonality=result.orthogonality,
-        divergence_free=vol,
-    )
+    return replace(result, kind="symplectic")
 
 
 # -- projection property check -------------------------------------------------

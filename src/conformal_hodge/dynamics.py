@@ -40,6 +40,9 @@ from .series import (
 )
 
 
+MIN_DERIV_FLOOR = 1e-3  # min |phi'| below which the geodesic flow stops
+
+
 class IntegrationInstabilityError(RuntimeError):
     """Coefficient norm blew up; reduce dt (stability needs dt * omega_max < 2)."""
 
@@ -60,10 +63,6 @@ class PotentialSpec:
     @staticmethod
     def quadratic(c):
         return PotentialSpec(float(c))
-
-    @staticmethod
-    def zero():
-        return PotentialSpec(0.0)
 
 
 # -- stationary problem ----------------------------------------------------------
@@ -147,7 +146,6 @@ def stationary_solve(V: PotentialSpec, init, tol=1e-10, max_iter=50,
 class WaveState:
     xi: HolomorphicSeries
     xi_t: HolomorphicSeries
-    t: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,6 @@ class FirstIntegralReport:
     """Per-mode oscillator energies I_m = |xi_t_m|^2/2 + (m^2+m+c)|xi_m|^2/2."""
 
     values: tuple
-    t: float
 
 
 def first_integrals(state: WaveState, c, max_m) -> FirstIntegralReport:
@@ -163,7 +160,7 @@ def first_integrals(state: WaveState, c, max_m) -> FirstIntegralReport:
     v = state.xi_t.to_array(max_m + 1)
     k = np.arange(max_m + 1)
     vals = 0.5 * np.abs(v) ** 2 + 0.5 * (k * k + k + c) * np.abs(x) ** 2
-    return FirstIntegralReport(values=tuple(vals.tolist()), t=state.t)
+    return FirstIntegralReport(values=tuple(vals.tolist()))
 
 
 def wave_mode_solution(m, c, xi0, xidot0, t):
@@ -218,11 +215,10 @@ def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride
     times, xs, vs, reports = [], [], [], []
 
     def record(step):
-        t = step * dt
-        times.append(t)
+        times.append(step * dt)
         xs.append(x.copy())
         vs.append(v.copy())
-        st = WaveState(HolomorphicSeries(x), HolomorphicSeries(v), t)
+        st = WaveState(HolomorphicSeries(x), HolomorphicSeries(v))
         reports.append(first_integrals(st, V.c, max_m))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -236,7 +232,7 @@ def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride
             if not np.linalg.norm(x) <= 1e6 * initial_scale:  # NaN fails too
                 raise IntegrationInstabilityError(
                     f"coefficient norm exceeded 1e+06 x initial at step {step}; dt*omega_max"
-                    f" = {dt * math.sqrt(max(diag[-1], 0.0)):.3f} (stability needs < 2)")
+                    f" = {dt * math.sqrt(max(diag[-1], 0.0)):.3g} (stability needs < 2)")
             if step % sample_stride == 0 or step == steps:
                 record(step)
     return WaveTrajectory(
@@ -257,10 +253,9 @@ def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride
 class GeodesicState:
     phi: ConformalMap
     xi: HolomorphicSeries  # velocity in image coordinates
-    t: float = 0.0
 
 
-def geodesic_rhs(state: GeodesicState, proj_degree=None, max_degree=None):
+def geodesic_rhs(state: GeodesicState, proj_degree, max_degree):
     """Time derivatives (phi_dot, xi_dot) of the embedding flow.
 
     phi_dot is the pulled-back velocity xi o phi.  xi_dot is the projection
@@ -269,10 +264,6 @@ def geodesic_rhs(state: GeodesicState, proj_degree=None, max_degree=None):
     unprojected field.
     """
     mapping, xi = state.phi, state.xi
-    if proj_degree is None:
-        proj_degree = max(xi.degree + 1, 2)
-    if max_degree is None:
-        max_degree = max(mapping.natural_cap(proj_degree), DEFAULT_MAX_DEGREE)
     xi_pull = pullback(mapping, xi, max_degree)
     phi_dot = xi_pull
     aT = adjoint_dz_mapped(mapping, xi, degree=proj_degree, max_degree=max_degree)
@@ -291,7 +282,7 @@ def geodesic_rhs(state: GeodesicState, proj_degree=None, max_degree=None):
 
 def geodesic_energy(state: GeodesicState) -> float:
     xi_pull = pullback(state.phi, state.xi)
-    return 0.5 * map_inner_product(state.phi, xi_pull.to_field(), xi_pull.to_field()).real_value
+    return 0.5 * map_inner_product(state.phi, xi_pull.to_field(), xi_pull.to_field()).real
 
 
 @dataclass(frozen=True)
@@ -307,13 +298,12 @@ class GeodesicTrajectory:
 
 
 def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
-                       degree=DEFAULT_MAX_DEGREE, proj_degree=None,
-                       min_deriv_floor=1e-3) -> GeodesicTrajectory:
+                       degree=DEFAULT_MAX_DEGREE, proj_degree=None) -> GeodesicTrajectory:
     """Classical RK4 on the pair of coefficient vectors.
 
     The velocity stays a holomorphic series by construction (every stage
     output passes through the conformal projection).  Each accepted step the
-    map is revalidated: min |phi'| under the floor or a boundary
+    map is revalidated: min |phi'| under MIN_DERIV_FLOOR or a boundary
     self-intersection aborts the run, as does a stage whose Gram matrix
     overflows (GeodesicDegeneracyError naming the step); numpy's overflow
     warnings on the way there are muted.  A map or velocity above its degree
@@ -330,7 +320,7 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
 
     def rhs(phi_c, xi_c):
         mapping = ConformalMap(HolomorphicSeries(phi_c), validate=False)
-        st = GeodesicState(mapping, HolomorphicSeries(xi_c), 0.0)
+        st = GeodesicState(mapping, HolomorphicSeries(xi_c))
         phi_dot, xi_dot = geodesic_rhs(st, proj_degree=proj_degree, max_degree=degree)
         return phi_dot.to_array(n_phi), xi_dot.to_array(n_xi)
 
@@ -340,7 +330,7 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
         times.append(step * dt)
         phis.append(phi_arr.copy())
         xis.append(xi_arr.copy())
-        st = GeodesicState(mapping, HolomorphicSeries(xi_arr), step * dt)
+        st = GeodesicState(mapping, HolomorphicSeries(xi_arr))
         energies.append(geodesic_energy(st))
         derivs.append(mapping.min_deriv)
 
@@ -357,10 +347,10 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
             phi_arr = phi_arr + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
             xi_arr = xi_arr + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
             mapping = ConformalMap(HolomorphicSeries(phi_arr), validate=False)
-            if mapping.min_deriv < min_deriv_floor:
+            if mapping.min_deriv < MIN_DERIV_FLOOR:
                 raise GeodesicDegeneracyError(
                     f"min |phi'| = {mapping.min_deriv:.3e} fell below the floor "
-                    f"{min_deriv_floor:g} at step {step}"
+                    f"{MIN_DERIV_FLOOR:g} at step {step}"
                 )
             try:
                 mapping.check_boundary_injectivity()

@@ -111,21 +111,10 @@ def codifferential(form):
     raise TypeError(f"not a form: {type(form).__name__}")
 
 
-def one_form_calculus(form, op):
-    """Dispatch by name: op in {'d', 'delta', 'star'}."""
-    if op == "d":
-        return exterior_derivative(form)
-    if op == "delta":
-        return codifferential(form)
-    if op == "star":
-        return star(form)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def form_inner(alpha: OneForm, beta: OneForm) -> float:
     """L2 pairing of 1-forms: integral of (u1 u2 + v1 v2)."""
-    return (inner_product(alpha.u_dx, beta.u_dx).real_value
-            + inner_product(alpha.v_dy, beta.v_dy).real_value)
+    return (inner_product(alpha.u_dx, beta.u_dx).real
+            + inner_product(alpha.v_dy, beta.v_dy).real)
 
 
 # -- reflected flat / sharp maps -------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 from . import series
 from .series import (
     HolomorphicSeries,
-    InnerProductValue,
     as_field,
     as_series,
     inner_product,
@@ -110,7 +109,7 @@ class ConformalMap:
         """Solve phi(zeta) = w by at most 50 Newton steps seeded from a coarse grid."""
         seeds = self._caches.get("seeds")
         if seeds is None:
-            seeds = disk_grid(9, 32)
+            seeds = disk_grid()
             self._caches["seeds"] = (seeds, series.evaluate_grid(self.phi.to_field(), seeds))
         seed_pts, seed_vals = self._caches["seeds"]
         z = complex(seed_pts[int(np.argmin(np.abs(seed_vals - w)))])
@@ -170,7 +169,7 @@ class ConformalMap:
         return xi.compose(self.phi, max_degree)
 
 
-def map_inner_product(mapping: ConformalMap, f, g) -> InnerProductValue:
+def map_inner_product(mapping: ConformalMap, f, g) -> complex:
     """Weighted pairing <<phi' f, phi' g>> for fields given in pulled-back coordinates."""
     f, g = as_field(f), as_field(g)
     dphi = mapping.phi_prime.to_field()
@@ -182,7 +181,7 @@ def map_inner_product(mapping: ConformalMap, f, g) -> InnerProductValue:
 
 
 def map_norm(mapping: ConformalMap, f) -> float:
-    return math.sqrt(max(map_inner_product(mapping, f, f).real_value, 0.0))
+    return math.sqrt(max(map_inner_product(mapping, f, f).real, 0.0))
 
 
 def bergman_kernel_mapped(mapping: ConformalMap, z, zeta):

@@ -32,10 +32,10 @@ def polar_nodes(spec: QuadratureSpec):
     return z.ravel(), w.ravel()
 
 
-def disk_grid(n_radial=64, n_angular=128):
-    """Sample grid of the closed unit disk, radii equispaced including r=1."""
-    r = np.linspace(0.0, 1.0, n_radial)
-    theta = 2 * math.pi * np.arange(n_angular) / n_angular
+def disk_grid():
+    """Coarse sample grid of the closed unit disk: 9 equispaced radii from 0 to 1, 32 angles."""
+    r = np.linspace(0.0, 1.0, 9)
+    theta = 2 * math.pi * np.arange(32) / 32
     return (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
 
 

@@ -80,10 +80,10 @@ def suite_adjoint_identities():
     for m in range(9):
         for n in range(9):
             xi, eta = monomial(m, 0), monomial(n, 0)
-            lhs = inner_product(xi, series.wirtinger(eta, "d_z")).real_value
+            lhs = inner_product(xi, series.wirtinger(eta, "d_z")).real
             rhs = inner_product(
                 adjoint_dz_disk(HolomorphicSeries.from_field(xi)).to_field(), eta
-            ).real_value
+            ).real
             worst = max(worst, abs(lhs - rhs))
     out = [SuiteResult("disk adjoint identity", worst <= 1e-12, worst, 1e-12)]
 
@@ -98,12 +98,12 @@ def suite_adjoint_identities():
                 mapping,
                 pullback(mapping, xi).to_field(),
                 pullback(mapping, eta.derivative()).to_field(),
-            ).real_value
+            ).real
             rhs = map_inner_product(
                 mapping,
                 pullback(mapping, adj).to_field(),
                 pullback(mapping, eta).to_field(),
-            ).real_value
+            ).real
             worst_mapped = max(worst_mapped, abs(lhs - rhs))
     out.append(
         SuiteResult("mapped adjoint identity", worst_mapped <= 1e-8, worst_mapped, 1e-8)
@@ -126,7 +126,7 @@ def suite_decomposition():
         norms = [max(norm(p), 1e-30) for p in parts]
         for i in range(3):
             for j in range(i + 1, 3):
-                ip = abs(inner_product(parts[i], parts[j]).real_value)
+                ip = abs(inner_product(parts[i], parts[j]).real)
                 worst_orth = max(worst_orth, ip / (norms[i] * norms[j]))
         coeff_scale = max(
             series.coefficient_norm(dec.multipliers.F),
@@ -170,9 +170,7 @@ def suite_catalog():
 
 
 def suite_wave():
-    state0 = dynamics.WaveState(
-        HolomorphicSeries([0.0, 1.0]), HolomorphicSeries([]), 0.0
-    )
+    state0 = dynamics.WaveState(HolomorphicSeries([0.0, 1.0]), HolomorphicSeries([]))
     traj = dynamics.wave_integrate(
         state0, dynamics.PotentialSpec.quadratic(0.0), WAVE_DT, WAVE_STEPS, sample_stride=10
     )
@@ -189,9 +187,7 @@ def suite_wave():
 
 
 def suite_geodesic():
-    state0 = dynamics.GeodesicState(
-        ConformalMap.identity(), HolomorphicSeries([0.1]), 0.0
-    )
+    state0 = dynamics.GeodesicState(ConformalMap.identity(), HolomorphicSeries([0.1]))
     traj = dynamics.geodesic_integrate(
         state0, GEODESIC_DT, GEODESIC_STEPS, sample_stride=30, degree=8, proj_degree=4
     )

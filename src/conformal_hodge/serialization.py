@@ -14,6 +14,8 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 from .annulus import LaurentField
 from .catalog import HodgeCatalogEntry
 from .disk import DecompositionResult
@@ -101,13 +103,8 @@ def torus_to_json(f: TorusField) -> dict:
     n = f.band_limit
 
     def comp(arr):
-        out = []
-        for j in range(-n, n + 1):
-            for k in range(-n, n + 1):
-                c = arr[j + n, k + n]
-                if c != 0:
-                    out.append({"m": j, "n": k, "re": c.real, "im": c.imag})
-        return out
+        j, k = np.nonzero(arr)
+        return _terms_to_list(zip(zip((j - n).tolist(), (k - n).tolist()), arr[j, k].tolist()))
 
     return {
         "band_limit": n,
@@ -117,8 +114,6 @@ def torus_to_json(f: TorusField) -> dict:
 
 
 def torus_from_json(d: dict) -> TorusField:
-    import numpy as np
-
     try:
         n = int(d["band_limit"])
         th_terms = _terms_from_list(d["theta_terms"], what="torus theta")
@@ -173,7 +168,11 @@ def catalog_to_json(entry: HodgeCatalogEntry) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Indented JSON with sorted keys; a NaN or infinite value raises FloatingPointError."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError(f"result is not finite: {exc}") from exc
 
 
 def atomic_write(path, text):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +146,7 @@ class CoefficientField:
         return multiply(as_field(other), self)
 
     def __call__(self, point):
-        return evaluate(self, point)
+        return evaluate_grid(self, point)
 
     def real_part(self):
         return real_part(self)
@@ -203,23 +202,6 @@ class BivariateField(CoefficientField):
         """Largest total degree actually present (0 for the zero field)."""
         i, j = np.nonzero(self.table)
         return int((i + j).max()) if i.size else 0
-
-
-@dataclass(frozen=True)
-class InnerProductValue:
-    """Complex pairing <<f,g>> together with its real part <f,g>."""
-
-    complex_value: complex
-
-    @property
-    def real_value(self) -> float:
-        return self.complex_value.real
-
-    def __complex__(self):
-        return self.complex_value
-
-    def __float__(self):
-        return self.real_value
 
 
 class HolomorphicSeries:
@@ -288,7 +270,7 @@ class HolomorphicSeries:
     __rmul__ = __mul__
 
     def __call__(self, point):
-        return np.polyval(self.coeffs[::-1], point)
+        return evaluate_grid(self, point)
 
     def derivative(self):
         return HolomorphicSeries(np.arange(1, len(self.coeffs)) * self.coeffs[1:])
@@ -299,8 +281,8 @@ class HolomorphicSeries:
             np.concatenate([[0j], self.coeffs / np.arange(1, len(self.coeffs) + 1)])
         )
 
-    def to_field(self, max_degree=None):
-        return BivariateField(self.coeffs[:, None], max_degree)
+    def to_field(self):
+        return BivariateField(self.coeffs[:, None])
 
     def truncated(self, max_degree, warn=True):
         if len(self.coeffs) - 1 <= max_degree:
@@ -312,11 +294,11 @@ class HolomorphicSeries:
         return HolomorphicSeries(self.coeffs[: max_degree + 1])
 
     @staticmethod
-    def from_field(field, tol=0.0):
-        """Extract the pure z-power part; reject fields with zbar content above tol."""
+    def from_field(field):
+        """Extract the pure z-power part; reject fields with any zbar content."""
         field = as_field(field)
         bad = field.antiholomorphic_norm()
-        if bad > tol:
+        if bad > 0.0:
             raise ValueError(f"field has non-holomorphic terms of coefficient norm {bad:.3e}")
         return HolomorphicSeries(field.table[:, :1])
 
@@ -344,7 +326,7 @@ class HolomorphicSeries:
             table = tables[max_degree] = grown
         return table[: degree + 1]
 
-    def compose(self, inner, max_degree=DEFAULT_MAX_DEGREE):
+    def compose(self, inner, max_degree):
         """Series composition self(inner(z)) = sum a_k inner^k, truncated at max_degree."""
         if not self:
             return self
@@ -556,8 +538,9 @@ def pair_sums(f, g):
     return start, sums
 
 
-def inner_product(f, g) -> InnerProductValue:
-    """Complex L2 pairing over the field's domain, conjugate-linear in the second slot.
+def inner_product(f, g) -> complex:
+    """Complex L2 pairing <<f, g>> over the field's domain, conjugate-linear in the
+    second slot; its real part is the real pairing <f, g>.
 
     Closed form: <<z^m zbar^n, z^p zbar^q>> is the moment of |z|^(2(m+q))
     when m - n == p - q, else 0; extended bilinearly.  On the disk this is
@@ -566,12 +549,12 @@ def inner_product(f, g) -> InnerProductValue:
     f, g = as_field(f), as_field(g)
     _check_domain(f, g)
     start, sums = pair_sums(f, g)
-    return InnerProductValue(complex(sums @ pair_constants(len(sums), f.r_in, start)))
+    return complex(sums @ pair_constants(len(sums), f.r_in, start))
 
 
 def norm(f) -> float:
     """L2 norm sqrt(<f, f>) over the field's domain."""
-    v = inner_product(f, f).real_value
+    v = inner_product(f, f).real
     return math.sqrt(max(v, 0.0))
 
 
@@ -582,26 +565,12 @@ def coefficient_norm(f) -> float:
 # -- evaluation ---------------------------------------------------------------
 
 
-def evaluate(f, point):
-    """Horner evaluation of sum c_{mn} z^m zbar^n at one complex point.
+def evaluate_grid(f, points):
+    """Values of a field or series at a complex point or array of points (Horner in z).
 
     Disk semantics expect |point| <= 1; evaluation outside is permitted but
     the inner-product and projection contracts only hold on the domain.
     """
-    f = as_field(f)
-    z = complex(point)
-    zb = z.conjugate()
-    acc = 0j
-    for row in reversed(f.table.tolist()):
-        inner = 0j
-        for c in reversed(row):
-            inner = inner * zb + c
-        acc = acc * z + inner
-    return acc * abs(z) ** (2 * f.offset) if f.offset else acc
-
-
-def evaluate_grid(f, points):
-    """Vectorised evaluation on a numpy array of complex points (Horner in z)."""
     f = as_field(f)
     points = np.asarray(points, dtype=complex)
     z = points.ravel()
@@ -613,7 +582,7 @@ def evaluate_grid(f, points):
         for m in range(t.shape[0] - 1, -1, -1):
             acc = acc * z + rows[..., m]
         acc = acc * (z * np.conj(z)).real ** f.offset
-    return acc.reshape(points.shape)
+    return acc.reshape(points.shape)[()]  # a scalar for a scalar point
 
 
 def disk_min_modulus(s, points):
@@ -635,9 +604,9 @@ def disk_min_modulus(s, points):
     return float(mod.min()), None
 
 
-def boundary_max(f, samples=256):
-    """max |f| over equispaced samples of the unit circle."""
-    return float(np.max(np.abs(evaluate_grid(f, boundary_points(samples)))))
+def boundary_max(f):
+    """max |f| over 256 equispaced samples of the unit circle."""
+    return float(np.max(np.abs(evaluate_grid(f, boundary_points(256)))))
 
 
 def random_field(rng, degree, real=False, max_degree=None):

@@ -85,7 +85,7 @@ def test_criterion_2_inner_products():
     worst_closed, worst_quad = 0.0, 0.0
     for m in range(11):
         for n in range(11):
-            got = s.inner_product(monomial(m, 0), monomial(n, 0)).complex_value
+            got = s.inner_product(monomial(m, 0), monomial(n, 0))
             expect = 2 * PI / (m + n + 2) if m == n else 0.0
             worst_closed = max(worst_closed, abs(got - expect))
             oracle = oracles.quad_inner({(m, 0): 1.0}, {(n, 0): 1.0})
@@ -103,10 +103,10 @@ def test_criterion_3_adjoint_identity():
     for m in range(11):
         for n in range(11):
             xi, eta = monomial(m, 0), monomial(n, 0)
-            lhs = s.inner_product(xi, s.wirtinger(eta, "d_z")).real_value
+            lhs = s.inner_product(xi, s.wirtinger(eta, "d_z")).real
             rhs = s.inner_product(
                 adjoint_dz_disk(HolomorphicSeries.from_field(xi)).to_field(), eta
-            ).real_value
+            ).real
             worst_disk = max(worst_disk, abs(lhs - rhs))
 
     mp = ConformalMap(HolomorphicSeries([0.0, 1.0, 0.1]))
@@ -119,14 +119,14 @@ def test_criterion_3_adjoint_identity():
             lhs = map_inner_product(
                 mp, pullback(mp, xi, 24).to_field(),
                 pullback(mp, eta.derivative(), 24).to_field(),
-            ).real_value
+            ).real
             rhs = map_inner_product(
                 mp, pullback(mp, adj, 24).to_field(), pullback(mp, eta, 24).to_field()
-            ).real_value
+            ).real
             worst_mapped = max(worst_mapped, abs(lhs - rhs))
 
     scaled = ConformalMap(HolomorphicSeries([0.0, 2.0]))
-    area = map_inner_product(scaled, monomial(0, 0), monomial(0, 0)).real_value
+    area = map_inner_product(scaled, monomial(0, 0), monomial(0, 0)).real
     adj1 = adjoint_dz_mapped(scaled, HolomorphicSeries([1.0]), degree=3)
     hand = abs(area - 4 * PI) + series_gap(adj1, HolomorphicSeries([0, 0.5]))
     ok = worst_disk <= 1e-12 and worst_mapped <= 1e-8 and hand <= 1e-12
@@ -150,7 +150,7 @@ def test_criterion_4_conformal_decomposition():
         for i in range(3):
             for j in range(i + 1, 3):
                 if norms[i] > 1e-14 and norms[j] > 1e-14:
-                    ip = abs(s.inner_product(parts[i], parts[j]).real_value)
+                    ip = abs(s.inner_product(parts[i], parts[j]).real)
                     worst_orth = max(worst_orth, ip / (norms[i] * norms[j]))
         mscale = max(
             s.coefficient_norm(dec.multipliers.F),
@@ -205,7 +205,7 @@ def test_criterion_6_wave_equation():
     # single-mode run for first integrals and convergence order; the leapfrog
     # energy oscillation scales like (omega dt)^2/4, so the 1e-6 drift bound
     # constrains the excited frequencies
-    state0 = WaveState(HolomorphicSeries([0.3, 1.0]), HolomorphicSeries([]), 0.0)
+    state0 = WaveState(HolomorphicSeries([0.3, 1.0]), HolomorphicSeries([]))
     V0 = PotentialSpec.quadratic(0.0)
     traj = wave_integrate(state0, V0, 1e-3, 10000, sample_stride=50)
     worst_mode = 0.0
@@ -224,7 +224,7 @@ def test_criterion_6_wave_equation():
 
     # multi-mode accuracy at the same stated tolerance
     multi0 = WaveState(
-        HolomorphicSeries([0.5, 1.0, 0.3, 0.2]), HolomorphicSeries([0.1j, 0.0, 0.05]), 0.0
+        HolomorphicSeries([0.5, 1.0, 0.3, 0.2]), HolomorphicSeries([0.1j, 0.0, 0.05])
     )
     V1 = PotentialSpec.quadratic(1.0)
     multi = wave_integrate(multi0, V1, 1e-3, 10000, sample_stride=100)
@@ -259,9 +259,9 @@ def test_criterion_6_wave_equation():
 
 def test_criterion_7_geodesic_flow():
     xi0 = HolomorphicSeries([0.08, 0.05])
-    st = GeodesicState(ConformalMap.identity(), xi0, 0.0)
+    st = GeodesicState(ConformalMap.identity(), xi0)
     norm0 = math.sqrt(
-        map_inner_product(ConformalMap.identity(), xi0.to_field(), xi0.to_field()).real_value
+        map_inner_product(ConformalMap.identity(), xi0.to_field(), xi0.to_field()).real
     )
     assert norm0 <= 0.2
     traj = geodesic_integrate(st, 1e-3, 1000, sample_stride=100, degree=10, proj_degree=5)

@@ -286,6 +286,12 @@ class TestDynamicsCommands:
         assert "numerical failure: coefficient norm exceeded" in capsys.readouterr().err
         assert not runtime_warnings(caught)
 
+    def test_wave_overflow_message_is_one_short_line(self, capsys):
+        # dt * omega_max = 6.48e300 was printed in full, about 300 digits
+        assert main(["wave", "--xi0", "z", "--dt", "1e300", "--steps", "2"]) == 3
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert "6.48e+300" in last and len(last) < 200
+
     def test_stationary_init_above_degree_warns(self, tmp_path):
         out = tmp_path / "st.json"
         with pytest.warns(TruncationWarning, match="dropped coefficient mass 1.000e-01"):
@@ -460,7 +466,7 @@ class TestErrorPaths:
         assert main(["geodesic", "--map", str(mp), "--xi0", "nan", "--dt", "0.01",
                      "--steps", "2", "--out", str(tmp_path / "g.csv"),
                      "--summary", str(tmp_path / "g.json")]) == 2
-        ser.write_json(mp, {"coeffs": [[0.0, 0.0], [1.0, math.inf]]})
+        mp.write_text(json.dumps({"coeffs": [[0.0, 0.0], [1.0, math.inf]]}))  # writes Infinity
         one = write_field(tmp_path / "one.json", monomial(0, 0))
         assert main(["adjoint", "--map", str(mp), "--in", one, "--degree", "3"]) == 2
         # non-finite numeric flags: exit 3 with a NaN in the JSON, or a traceback
@@ -499,3 +505,39 @@ class TestErrorPaths:
 
     def test_argparse_error_code(self):
         assert main(["definitely-not-a-command"]) == 2
+
+
+BIG = 1e308
+OVERFLOW_INPUTS = {
+    # 2 d_zbar f and its Poisson potentials overflow to inf and NaN
+    "field.json": {"max_degree": 3, "terms": [{"m": 1, "n": 0, "re": -BIG, "im": 0.0},
+                                              {"m": 2, "n": 1, "re": BIG, "im": BIG}]},
+    # the adjoint multiplies the coefficients by k + 2
+    "series.json": {"max_degree": 4, "terms": [{"m": 2, "n": 0, "re": BIG, "im": BIG},
+                                               {"m": 4, "n": 0, "re": -BIG, "im": 0.0}]},
+    "laurent.json": {"r_in": 0.5, "band_limit": 2,
+                     "terms": [{"m": -2, "n": 1, "re": BIG, "im": BIG}]},
+    "map.json": {"coeffs": [[0.0, 0.0], [1.0, 0.0], [0.1, 0.05]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    "decompose --in field.json --kind conformal",
+    "decompose --in field.json --kind helmholtz",
+    "decompose --in field.json --kind symplectic",
+    "classify --in field.json",
+    "adjoint --in series.json",
+    "adjoint --in series.json --map map.json",
+    "classify --r-in 0.5 --in laurent.json",
+])
+def test_non_finite_result_exits_3_without_output(tmp_path, monkeypatch, capsys, argv):
+    # each of these exited 0 with NaN or Infinity in its JSON
+    monkeypatch.chdir(tmp_path)
+    for name, obj in OVERFLOW_INPUTS.items():
+        ser.write_json(name, obj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv.split() + ["--out", "out.json"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("numerical failure")]) == 1
+    assert not (tmp_path / "out.json").exists()

@@ -4,9 +4,11 @@ A change that turns one of these inputs into an error fails here.  The
 list holds the README examples verbatim, series JSON paths without a
 suffix, initial data above the requested degree (cut with a warning, not
 rejected), high modes, a fine mapped projection, and an expression that
-shares its name with a file in the working directory.
+shares its name with a file in the working directory.  None of them may
+write a NaN or infinity token to stdout or to an output file.
 """
 
+import re
 import warnings
 
 import pytest
@@ -54,8 +56,16 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+NON_FINITE = re.compile(r"\b(NaN|-?Infinity|nan|-?inf)\b")
+
+
 @pytest.mark.parametrize("command", README + ACCEPTED, ids=lambda c: " ".join(c.split()))
 def test_accepted_invocation_exits_0(workdir, command, capsys):
+    inputs = set(workdir.iterdir())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         assert main(command.split()) == 0, capsys.readouterr().err
+    # strict output: no NaN or infinity token on stdout or in any file written
+    outputs = {p.name: p.read_text() for p in set(workdir.iterdir()) - inputs}
+    for where, text in {"stdout": capsys.readouterr().out, **outputs}.items():
+        assert not NON_FINITE.search(text), where

@@ -21,6 +21,7 @@ from conformal_hodge.disk import (
     sgrad_bar,
     symplectic_decompose,
 )
+from conformal_hodge.quadrature import boundary_points
 from conformal_hodge.series import HolomorphicSeries, TruncationWarning, monomial
 
 import oracles
@@ -65,8 +66,8 @@ class TestProjectionRule:
         rng = np.random.default_rng(2)
         for _ in range(5):
             f, g = s.random_field(rng, 6), s.random_field(rng, 6)
-            lhs = s.inner_product(project_con_rule(f).to_field(), g).real_value
-            rhs = s.inner_product(f, project_con_rule(g).to_field()).real_value
+            lhs = s.inner_product(project_con_rule(f).to_field(), g).real
+            rhs = s.inner_product(f, project_con_rule(g).to_field()).real
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -83,10 +84,6 @@ class TestGramOracle:
 
     def test_zbar_projects_to_zero(self):
         assert not project_con_gram_oracle(monomial(0, 1))
-
-    def test_degree_precondition(self):
-        with pytest.raises(ValueError):
-            project_con_gram_oracle(monomial(1, 1), degree=5)
 
 
 class TestBergman:
@@ -129,8 +126,8 @@ class TestAdjoint:
 
     def test_adjoint_pairing_for_constant(self):
         # <<1, (z)_z>> = pi = <<2z, z>>
-        lhs = s.inner_product(monomial(0, 0), monomial(0, 0)).complex_value
-        rhs = s.inner_product(monomial(1, 0, 2.0), monomial(1, 0)).complex_value
+        lhs = s.inner_product(monomial(0, 0), monomial(0, 0))
+        rhs = s.inner_product(monomial(1, 0, 2.0), monomial(1, 0))
         assert lhs == pytest.approx(PI)
         assert rhs == pytest.approx(PI)
 
@@ -139,10 +136,10 @@ class TestAdjoint:
         for m in range(11):
             for n in range(11):
                 xi, eta = monomial(m, 0), monomial(n, 0)
-                lhs = s.inner_product(xi, s.wirtinger(eta, "d_z")).real_value
+                lhs = s.inner_product(xi, s.wirtinger(eta, "d_z")).real
                 rhs = s.inner_product(
                     adjoint_dz_disk(HolomorphicSeries.from_field(xi)).to_field(), eta
-                ).real_value
+                ).real
                 worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-12
 
@@ -180,7 +177,8 @@ class TestPoisson:
             rhs = s.random_field(rng, 6, real=True)
             F = poisson_disk(rhs)
             assert s.coefficient_norm(s.subtract(s.laplacian(F), rhs)) < 1e-12
-            assert s.boundary_max(F, 256) <= 1e-12 * max(s.coefficient_norm(F), 1.0)
+            trace = np.abs(s.evaluate_grid(F, boundary_points(256))).max()
+            assert trace <= 1e-12 * max(s.coefficient_norm(F), 1.0)
             assert F.is_real(tol=1e-14 * max(s.coefficient_norm(F), 1.0))
 
     def test_complex_rhs_rejected(self):
@@ -240,7 +238,7 @@ class TestConformalDecompose:
             parts = [p for _, p in dec.parts()]
             for i in range(3):
                 for j in range(i + 1, 3):
-                    ip = abs(s.inner_product(parts[i], parts[j]).real_value)
+                    ip = abs(s.inner_product(parts[i], parts[j]).real)
                     ni, nj = s.norm(parts[i]), s.norm(parts[j])
                     if ni > 1e-14 and nj > 1e-14:
                         assert ip <= 1e-10 * ni * nj
@@ -272,7 +270,7 @@ class TestHelmholtz:
             assert s.coefficient_norm(div) <= 1e-12 * max(s.coefficient_norm(vol), 1)
             nv, ng = s.norm(vol), s.norm(grad)
             if nv > 1e-14 and ng > 1e-14:
-                ip = abs(s.inner_product(vol, grad).real_value)
+                ip = abs(s.inner_product(vol, grad).real)
                 assert ip <= 1e-10 * nv * ng
             assert dec.residual_norm <= 1e-12 * max(s.norm(f), 1)
 

@@ -18,7 +18,6 @@ from conformal_hodge.forms import (
     flat_map,
     form_inner,
     hodge_membership,
-    one_form_calculus,
     sharp_map,
     star,
 )
@@ -51,7 +50,7 @@ class TestFlatSharp:
     def test_isometry(self):
         rng = np.random.default_rng(72)
         f, g = s.random_field(rng, 4), s.random_field(rng, 4)
-        lhs = s.inner_product(f, g).real_value
+        lhs = s.inner_product(f, g).real
         rhs = form_inner(flat_map(f), flat_map(g))
         assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
 
@@ -80,14 +79,20 @@ class TestCalculus:
         out = codifferential(flat_map(monomial(0, 1)))
         assert out.value == monomial(0, 0, 2.0)
 
-    def test_dispatcher(self):
+    def test_form_degrees_and_type_checks(self):
         F = ZeroForm(x_field())
-        assert isinstance(one_form_calculus(F, "d"), OneForm)
-        assert isinstance(one_form_calculus(F, "star"), TwoForm)
+        assert isinstance(exterior_derivative(F), OneForm)
+        assert isinstance(star(F), TwoForm)
         alpha = flat_map(monomial(1, 0))
-        assert isinstance(one_form_calculus(alpha, "delta"), ZeroForm)
+        assert isinstance(codifferential(alpha), ZeroForm)
+        assert isinstance(star(TwoForm(x_field())), ZeroForm)
         with pytest.raises(ValueError):
-            one_form_calculus(alpha, "lie")
+            exterior_derivative(TwoForm(x_field()))
+        with pytest.raises(ValueError):
+            codifferential(F)
+        for op in (star, exterior_derivative, codifferential):
+            with pytest.raises(TypeError):
+                op(x_field())
 
     def test_conformal_iff_harmonic(self):
         rng = np.random.default_rng(74)
@@ -108,7 +113,7 @@ class TestCalculus:
             gamma = s.random_field(rng, 4, real=True)
             beta = flat_map(s.random_field(rng, 4))
             lhs = form_inner(exterior_derivative(ZeroForm(gamma)), beta)
-            rhs = s.inner_product(gamma, codifferential(beta).value).real_value
+            rhs = s.inner_product(gamma, codifferential(beta).value).real
             # boundary term: gamma * (tangential component of star beta) ds
             n_samp = 512
             theta = 2 * math.pi * np.arange(n_samp) / n_samp

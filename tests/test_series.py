@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conformal_hodge import serialization as ser
 from conformal_hodge import series as s
+from conformal_hodge.annulus import LaurentField
 from conformal_hodge.series import (
     BivariateField,
     HolomorphicSeries,
@@ -106,19 +107,19 @@ class TestWirtinger:
         z0, h = 0.31 + 0.17j, 1e-6
 
         def u(p):
-            return s.evaluate(f, p).real
+            return f(p).real
 
         def v(p):
-            return s.evaluate(f, p).imag
+            return f(p).imag
 
         ux = (u(z0 + h) - u(z0 - h)) / (2 * h)
         vy = (v(z0 + 1j * h) - v(z0 - 1j * h)) / (2 * h)
         vx = (v(z0 + h) - v(z0 - h)) / (2 * h)
         uy = (u(z0 + 1j * h) - u(z0 - 1j * h)) / (2 * h)
-        res = s.evaluate(s.cr_residual(f), z0)
+        res = s.cr_residual(f)(z0)
         assert res.real == pytest.approx(ux - vy, abs=1e-6)
         assert res.imag == pytest.approx(vx + uy, abs=1e-6)
-        dc = s.evaluate(s.div_curl(f), z0)
+        dc = s.div_curl(f)(z0)
         assert dc.real == pytest.approx(ux + vy, abs=1e-6)
         assert dc.imag == pytest.approx(vx - uy, abs=1e-6)
 
@@ -131,27 +132,27 @@ class TestWirtinger:
         xi = s.random_series(rng, 6)
         dc = s.div_curl(xi.to_field())
         z0 = 0.4 - 0.2j
-        assert s.evaluate(dc, z0) == pytest.approx(2 * xi.derivative()(z0))
+        assert dc(z0) == pytest.approx(2 * xi.derivative()(z0))
 
 
 class TestInnerProduct:
     def test_z_z(self):
-        assert s.inner_product(monomial(1, 0), monomial(1, 0)).complex_value == pytest.approx(
+        assert s.inner_product(monomial(1, 0), monomial(1, 0)) == pytest.approx(
             PI / 2
         )
 
     def test_one_one_is_disk_area(self):
-        assert s.inner_product(monomial(0, 0), monomial(0, 0)).real_value == pytest.approx(PI)
+        assert s.inner_product(monomial(0, 0), monomial(0, 0)).real == pytest.approx(PI)
 
     def test_z2_zbar_vanishes_vs_quadrature(self):
-        got = s.inner_product(monomial(2, 0), monomial(0, 1)).complex_value
+        got = s.inner_product(monomial(2, 0), monomial(0, 1))
         oracle = oracles.quad_inner({(2, 0): 1.0}, {(0, 1): 1.0})
         assert got == 0
         assert abs(oracle - got) < 1e-12
 
     def test_real_value_is_real_part(self):
         v = s.inner_product(monomial(2, 1, 1 + 2j), monomial(1, 0, 0.5 - 1j))
-        assert v.real_value == v.complex_value.real
+        assert type(v) is complex  # the real pairing <f, g> is v.real
 
     def test_closed_form_vs_quadrature_all_monomials(self):
         # all pairs with m, n, p, q <= 6 against one set of quadrature moments
@@ -166,17 +167,17 @@ class TestInnerProduct:
             for n in range(7):
                 for p in range(7):
                     for q in range(7):
-                        got = s.inner_product(monomial(m, n), monomial(p, q)).complex_value
+                        got = s.inner_product(monomial(m, n), monomial(p, q))
                         worst = max(worst, abs(got - moments[(m + q, n + p)]))
         assert worst < 1e-10
 
 
 class TestEvaluate:
     def test_examples(self):
-        assert s.evaluate(monomial(2, 0), 1j) == pytest.approx(-1)
-        assert s.evaluate(monomial(1, 1), 0.5) == pytest.approx(0.25)
+        assert monomial(2, 0)(1j) == pytest.approx(-1)
+        assert monomial(1, 1)(0.5) == pytest.approx(0.25)
         f = BivariateField({(0, 0): 1, (0, 1): 1})
-        assert s.evaluate(f, 1j) == pytest.approx(1 - 1j)
+        assert f(1j) == pytest.approx(1 - 1j)
 
     def test_matches_direct_power_sum(self):
         rng = np.random.default_rng(11)
@@ -185,6 +186,21 @@ class TestEvaluate:
         direct = oracles.eval_terms(f.terms(), pts)
         horner = s.evaluate_grid(f, pts)
         assert np.max(np.abs(direct - horner)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_laurent_field_matches_direct_power_sum(self, seed):
+        # band-3 Laurent field on the annulus 0.5 <= |z| <= 1, at scalar and array points
+        rng = np.random.default_rng(seed)
+        terms = {(m, n): complex(*rng.standard_normal(2))
+                 for m in range(-3, 4) for n in range(-3, 4)}
+        f = LaurentField(terms, r_in=0.5)
+        pts = rng.uniform(0.5, 1.0, 12) * np.exp(2j * math.pi * rng.random(12))
+        direct = oracles.eval_terms(terms, pts)
+        got = s.evaluate_grid(f, pts)
+        assert np.max(np.abs(got - direct) / np.abs(direct)) < 1e-12
+        for z, want in zip(pts[:3].tolist(), direct[:3].tolist()):
+            assert abs(s.evaluate_grid(f, z) - want) < 1e-12 * abs(want)
+            assert f(z) == s.evaluate_grid(f, z)
 
 
 # coefficients below ~1e-154 square to subnormal/zero in double precision,
@@ -212,17 +228,17 @@ class TestProperties:
     def test_conjugation_adjointness(self, f, g):
         # conjugating both slots transposes the pairing:
         # <<conj f, conj g>> = <<g, f>> = conj(<<f, g>>)
-        lhs = s.inner_product(s.conjugate(f), s.conjugate(g)).complex_value
-        rhs = s.inner_product(g, f).complex_value
+        lhs = s.inner_product(s.conjugate(f), s.conjugate(g))
+        rhs = s.inner_product(g, f)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
-        assert abs(lhs - s.inner_product(f, g).complex_value.conjugate()) <= 1e-10 * (
+        assert abs(lhs - s.inner_product(f, g).conjugate()) <= 1e-10 * (
             1 + abs(lhs)
         )
 
     @given(field_strategy())
     @settings(max_examples=60, deadline=None)
     def test_inner_product_positivity(self, f):
-        v = s.inner_product(f, f).complex_value
+        v = s.inner_product(f, f)
         assert abs(v.imag) <= 1e-12 * (1 + abs(v))
         assert v.real >= -1e-12
         if f:
@@ -231,7 +247,7 @@ class TestProperties:
     def test_positivity_on_monomial_basis(self):
         for m in range(9):
             for n in range(9 - m):
-                assert s.inner_product(monomial(m, n), monomial(m, n)).real_value > 0
+                assert s.inner_product(monomial(m, n), monomial(m, n)).real > 0
 
     @given(field_strategy(3), field_strategy(3))
     @settings(max_examples=40, deadline=None)
