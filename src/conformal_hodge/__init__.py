@@ -28,7 +28,6 @@ from .disk import (
 from .mapping import (
     ConformalMap,
     adjoint_dz_mapped,
-    bergman_kernel_mapped,
     map_inner_product,
     project_con_mapped,
 )

@@ -35,7 +35,8 @@ from .dynamics import (
     PotentialSpec,
     WaveState,
 )
-from .mapping import ConformalMap, EmbeddingError, InversionError, adjoint_dz_mapped, project_con_mapped
+from .mapping import ConformalMap, EmbeddingError, adjoint_dz_mapped, project_con_mapped
+from .quadrature import QuadratureSpec
 from .selftest import format_report, run_self_test
 from .series import HolomorphicSeries
 from .torus import torus_project_con
@@ -340,23 +341,23 @@ def _write_trajectory(args, run, table, final_state):
 
     run(dt, steps, stride) integrates; table(traj) gives the CSV header, its
     rows and the command's own summary entries.  --halve-dt reruns at dt/2
-    and dt/4 and adds the observed order of final_state(traj).
+    and dt/4 and adds the observed order of final_state(traj).  Both texts
+    are built before either is written, so a non-finite value writes nothing.
     """
     traj = run(args.dt, args.steps, args.sample_stride or max(args.steps // 1000, 1))
     header, rows, summary = table(traj)
-    if args.out:
-        ser.write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(ser.format_csv(header, rows))
+    csv_text = ser.format_csv(header, rows)
     summary.update(dt=args.dt, steps=args.steps, final_time=traj.times[-1])
     if args.halve_dt:
         summary["order"] = _observed_order(
             lambda k: final_state(run(args.dt / k, args.steps * k, args.steps * k))
         )
-    if args.summary:
-        ser.write_json(args.summary, summary)
-    else:
-        sys.stdout.write(ser.dumps(summary))
+    summary_text = ser.dumps(summary)
+    for path, text in ((args.out, csv_text), (args.summary, summary_text)):
+        if path:
+            ser.atomic_write(path, text)
+        else:
+            sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -416,16 +417,16 @@ def cmd_geodesic(args):
 
 
 def cmd_check(args):
-    quad = (64, 128)
+    quad = QuadratureSpec()
     if args.quadrature:
         try:
             nr, nt = args.quadrature.lower().split("x")
-            quad = (int(nr), int(nt))
+            quad = QuadratureSpec(int(nr), int(nt))
         except ValueError as exc:
             raise InputError("quadrature must look like 64x128") from exc
         if min(quad) < 1:
             raise InputError("quadrature counts must be at least 1")
-    results = run_self_test(quadrature=quad)
+    results = run_self_test(quad)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
@@ -546,7 +547,9 @@ def main(argv=None):
                 raise IncompatibleError(
                     f"{args.command} supports the domains {', '.join(args.domains)}"
                 )
-        return args.func(args)
+        # an overflow surfaces as one numerical-failure line, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (InputError, ser.FormatError, NonConformalInputError, FileNotFoundError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -555,7 +558,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except (IntegrationInstabilityError, GeodesicDegeneracyError, EmbeddingError,
-            InversionError, FloatingPointError) as exc:
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

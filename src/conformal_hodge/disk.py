@@ -294,7 +294,6 @@ class ProjectionPropertyReport:
     norm_plain: float
     norm_weighted: float
     tol: float
-    psi_min_abs: float
 
     @property
     def consistent(self) -> bool:
@@ -310,7 +309,7 @@ def projection_property_check(f, psi, tol) -> ProjectionPropertyReport:
     """
     f = as_field(f)
     psi = series.as_series(psi)
-    psi_min, why = series.disk_min_modulus(psi, boundary_points(8 * max(psi.degree, 16)))
+    _, why = series.disk_min_modulus(psi, boundary_points(8 * max(psi.degree, 16)))
     if why:
         raise NonvanishingCheckError(f"psi {why}")
     weighted = multiply(
@@ -318,6 +317,4 @@ def projection_property_check(f, psi, tol) -> ProjectionPropertyReport:
     )
     p_plain = norm(project_con_rule(f).to_field())
     p_weighted = norm(project_con_rule(weighted).to_field())
-    return ProjectionPropertyReport(
-        norm_plain=p_plain, norm_weighted=p_weighted, tol=tol, psi_min_abs=psi_min
-    )
+    return ProjectionPropertyReport(norm_plain=p_plain, norm_weighted=p_weighted, tol=tol)

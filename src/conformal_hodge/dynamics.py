@@ -189,9 +189,6 @@ class WaveTrajectory:
     xi: tuple  # coefficient arrays per sample
     xi_t: tuple
     integrals: tuple  # FirstIntegralReport per sample
-    dt: float
-    steps: int
-    sample_stride: int
 
 
 def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride=1,
@@ -211,7 +208,6 @@ def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride
     v = state0.xi_t.to_array(n)
     ks = np.arange(n, dtype=float)
     diag = ks * ks + ks + V.c
-    initial_scale = max(float(np.linalg.norm(x)) + float(np.linalg.norm(v)), 1.0)
     times, xs, vs, reports = [], [], [], []
 
     def record(step):
@@ -222,6 +218,7 @@ def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride
         reports.append(first_integrals(st, V.c, max_m))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        initial_scale = max(float(np.linalg.norm(x)) + float(np.linalg.norm(v)), 1.0)
         record(0)
         a = -diag * x
         for step in range(1, steps + 1):
@@ -235,15 +232,7 @@ def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride
                     f" = {dt * math.sqrt(max(diag[-1], 0.0)):.3g} (stability needs < 2)")
             if step % sample_stride == 0 or step == steps:
                 record(step)
-    return WaveTrajectory(
-        times=tuple(times),
-        xi=tuple(xs),
-        xi_t=tuple(vs),
-        integrals=tuple(reports),
-        dt=dt,
-        steps=steps,
-        sample_stride=sample_stride,
-    )
+    return WaveTrajectory(tuple(times), tuple(xs), tuple(vs), tuple(reports))
 
 
 # -- geodesic flow of conformal embeddings ------------------------------------------
@@ -292,9 +281,6 @@ class GeodesicTrajectory:
     xi: tuple
     energy: tuple
     min_deriv: tuple
-    dt: float
-    steps: int
-    sample_stride: int
 
 
 def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
@@ -360,16 +346,8 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
                 ) from exc
             if step % sample_stride == 0 or step == steps:
                 record(step, mapping)
-    return GeodesicTrajectory(
-        times=tuple(times),
-        phi=tuple(phis),
-        xi=tuple(xis),
-        energy=tuple(energies),
-        min_deriv=tuple(derivs),
-        dt=dt,
-        steps=steps,
-        sample_stride=sample_stride,
-    )
+    return GeodesicTrajectory(tuple(times), tuple(phis), tuple(xis), tuple(energies),
+                              tuple(derivs))
 
 
 # -- variation identity (finite-difference verification) ----------------------------

@@ -138,7 +138,7 @@ def sharp_map(alpha: OneForm):
 # -- boundary traces --------------------------------------------------------------
 
 
-def boundary_traces(alpha: OneForm, radius=1.0):
+def boundary_traces(alpha: OneForm, radius):
     """(max tangential, max normal) component over 256 samples of the circle |z| = radius."""
     pts = radius * boundary_points(256)
     u = evaluate_grid(alpha.u_dx, pts)

@@ -1,9 +1,8 @@
-"""Conformally mapped disks: weighted inner products, kernel, projection, adjoint.
+"""Conformally mapped disks: weighted inner products, projection, adjoint.
 
 A ConformalMap is a holomorphic series phi: D -> U with nonvanishing
 derivative.  The inverse is never represented as a series: every mapped
-computation pulls back to the disk through phi (change of variables), and
-pointwise kernel evaluation inverts phi by Newton iteration.
+computation pulls back to the disk through phi (change of variables).
 """
 
 from __future__ import annotations
@@ -22,15 +21,11 @@ from .series import (
     inner_product,
     multiply,
 )
-from .quadrature import boundary_points, disk_grid
+from .quadrature import boundary_points
 
 
 class EmbeddingError(ValueError):
     """The candidate map fails the immersion or boundary-injectivity checks."""
-
-
-class InversionError(RuntimeError):
-    """Newton inversion of the map failed to converge (point likely outside)."""
 
 
 class GramConditionWarning(UserWarning):
@@ -102,34 +97,6 @@ class ConformalMap:
             raise EmbeddingError(f"boundary polygon edges {i} and {j} cross or touch")
         return True
 
-    def __call__(self, z):
-        return self.phi(z)
-
-    def invert(self, w):
-        """Solve phi(zeta) = w by at most 50 Newton steps seeded from a coarse grid."""
-        seeds = self._caches.get("seeds")
-        if seeds is None:
-            seeds = disk_grid()
-            self._caches["seeds"] = (seeds, series.evaluate_grid(self.phi.to_field(), seeds))
-        seed_pts, seed_vals = self._caches["seeds"]
-        z = complex(seed_pts[int(np.argmin(np.abs(seed_vals - w)))])
-        for _ in range(50):
-            fz = self.phi(z) - w
-            if abs(fz) <= 1e-13 * (1.0 + abs(w)):
-                if abs(z) > 1.0 + 1e-9:
-                    raise InversionError(
-                        f"preimage {z:.6g} lies outside the closed disk"
-                    )
-                return z
-            dz = self.phi_prime(z)
-            if dz == 0:
-                raise InversionError("derivative vanished during Newton iteration")
-            z = z - fz / dz
-        raise InversionError(
-            f"Newton iteration did not converge for w = {w:.6g} "
-            f"(point likely outside the image domain)"
-        )
-
     # -- cached series helpers ------------------------------------------------
 
     def basis_matrix(self, degree, max_degree):
@@ -182,20 +149,6 @@ def map_inner_product(mapping: ConformalMap, f, g) -> complex:
 
 def map_norm(mapping: ConformalMap, f) -> float:
     return math.sqrt(max(map_inner_product(mapping, f, f).real, 0.0))
-
-
-def bergman_kernel_mapped(mapping: ConformalMap, z, zeta):
-    """Kernel on the image domain via the inverse map psi:
-
-    K_U(z, zeta) = K_D(psi(z), psi(zeta)) psi'(zeta) conj(psi'(z)).
-    """
-    from .disk import bergman_kernel_disk
-
-    pz = mapping.invert(z)
-    pzeta = mapping.invert(zeta)
-    dpsi_z = 1.0 / mapping.phi_prime(pz)
-    dpsi_zeta = 1.0 / mapping.phi_prime(pzeta)
-    return bergman_kernel_disk(pz, pzeta) * dpsi_zeta * np.conj(dpsi_z)
 
 
 def _solve_gram(mapping, rhs, degree, max_degree):

@@ -32,13 +32,6 @@ def polar_nodes(spec: QuadratureSpec):
     return z.ravel(), w.ravel()
 
 
-def disk_grid():
-    """Coarse sample grid of the closed unit disk: 9 equispaced radii from 0 to 1, 32 angles."""
-    r = np.linspace(0.0, 1.0, 9)
-    theta = 2 * math.pi * np.arange(32) / 32
-    return (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-
-
 def boundary_points(samples=256):
     theta = 2 * math.pi * np.arange(samples) / samples
     return np.exp(1j * theta)
@@ -51,12 +44,8 @@ def check_resolution(spec: QuadratureSpec, field_degree: int, out_degree: int):
     alias); radial Gauss exactness needs 2*n_radial - 1 >= field_degree +
     out_degree + 1.
     """
-    resolved = True
-    if spec.n_angular <= field_degree + out_degree:
-        resolved = False
-    if 2 * spec.n_radial - 1 < field_degree + out_degree + 1:
-        resolved = False
-    if not resolved:
+    if (spec.n_angular <= field_degree + out_degree
+            or 2 * spec.n_radial - 1 < field_degree + out_degree + 1):
         warnings.warn(
             f"quadrature {spec.n_radial}x{spec.n_angular} does not exactly "
             f"resolve degree {out_degree} recovery from a degree-{field_degree} "
@@ -64,4 +53,3 @@ def check_resolution(spec: QuadratureSpec, field_degree: int, out_degree: int):
             QuadratureResolutionWarning,
             stacklevel=3,
         )
-    return resolved

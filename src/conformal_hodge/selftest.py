@@ -26,7 +26,6 @@ from .mapping import ConformalMap, adjoint_dz_mapped, map_inner_product, pullbac
 from .quadrature import QuadratureSpec
 from .series import HolomorphicSeries, inner_product, monomial, norm
 
-DEFAULT_QUADRATURE = QuadratureSpec(64, 128)
 # sizes of the suites' fixed problems
 PROJECTION_DEGREE = 6
 DECOMPOSITION_FIELDS, DECOMPOSITION_DEGREE, DECOMPOSITION_SEED = 20, 6, 7
@@ -48,7 +47,7 @@ def _series_gap(a: HolomorphicSeries, b: HolomorphicSeries) -> float:
     return float(np.max(np.abs(a.to_array(n) - b.to_array(n)), initial=0.0))
 
 
-def suite_projection_three_way(quadrature=DEFAULT_QUADRATURE):
+def suite_projection_three_way(quadrature):
     worst_exact = 0.0
     worst_quad = 0.0
     for m in range(PROJECTION_DEGREE + 1):
@@ -59,7 +58,7 @@ def suite_projection_three_way(quadrature=DEFAULT_QUADRATURE):
             berg = project_con_bergman(f, quadrature=quadrature)
             worst_exact = max(worst_exact, _series_gap(rule, gram))
             worst_quad = max(worst_quad, _series_gap(rule, berg))
-    degraded = tuple(quadrature) < tuple(DEFAULT_QUADRATURE)
+    degraded = quadrature < QuadratureSpec()
     quad_threshold = 1e-3 if degraded else 1e-6
     note = "degraded quadrature, relaxed threshold" if degraded else ""
     results = [
@@ -196,9 +195,9 @@ def suite_geodesic():
     return [SuiteResult("geodesic energy drift", drift <= 1e-6, drift, 1e-6)]
 
 
-def run_self_test(quadrature=DEFAULT_QUADRATURE):
-    """Run every suite; returns the list of SuiteResult rows."""
-    return (suite_projection_three_way(quadrature=QuadratureSpec(*quadrature))
+def run_self_test(quadrature):
+    """Run every suite at the given kernel QuadratureSpec; returns the SuiteResult rows."""
+    return (suite_projection_three_way(quadrature)
             + suite_adjoint_identities()
             + suite_decomposition()
             + suite_catalog()

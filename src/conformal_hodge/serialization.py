@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import os
 import tempfile
 
@@ -202,9 +203,15 @@ def read_json(path):
 
 
 def format_csv(header, rows) -> str:
+    """CSV text with shortest round-trip floats; a NaN or infinite value raises
+    FloatingPointError, as in dumps."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(float(x)) for x in row))
+        values = [float(x) for x in row]
+        if not all(map(math.isfinite, values)):
+            name, bad = next((h, v) for h, v in zip(header, values) if not math.isfinite(v))
+            raise FloatingPointError(f"result is not finite: CSV column {name} is {bad}")
+        lines.append(",".join(map(repr, values)))
     return "\n".join(lines) + "\n"
 
 

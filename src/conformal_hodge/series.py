@@ -275,12 +275,6 @@ class HolomorphicSeries:
     def derivative(self):
         return HolomorphicSeries(np.arange(1, len(self.coeffs)) * self.coeffs[1:])
 
-    def antiderivative(self):
-        """Primitive with zero constant term."""
-        return HolomorphicSeries(
-            np.concatenate([[0j], self.coeffs / np.arange(1, len(self.coeffs) + 1)])
-        )
-
     def to_field(self):
         return BivariateField(self.coeffs[:, None])
 
@@ -617,9 +611,3 @@ def random_field(rng, degree, real=False, max_degree=None):
             terms[(m, n)] = complex(rng.standard_normal(), rng.standard_normal())
     f = BivariateField(terms, max_degree=max_degree or degree)
     return real_part(f) if real else f
-
-
-def random_series(rng, degree):
-    return HolomorphicSeries(
-        [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(degree + 1)]
-    )

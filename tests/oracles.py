@@ -6,6 +6,8 @@ Dirichlet-Poisson problems are solved by second-order finite differences
 per angular mode on a fine radial grid.  The dict-loop kernels at the end
 are the term-by-term reference for the library's array kernels, and the
 forward-difference Jacobian is the reference for the stationary matrix.
+The random series and the primitive at the very end are test inputs and
+a test-only inverse of the derivative.
 """
 
 import math
@@ -13,6 +15,8 @@ from collections import defaultdict
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from conformal_hodge.series import HolomorphicSeries
 
 
 def eval_terms(terms, pts):
@@ -185,3 +189,16 @@ def fd_jacobian(residual, x, h=1e-7):
             xp[k] += delta
             J[:, 2 * k + part] = (residual(xp) - r) / h
     return J
+
+
+def random_series(rng, degree):
+    return HolomorphicSeries(
+        [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(degree + 1)]
+    )
+
+
+def antiderivative(h):
+    """Primitive of the series h with zero constant term."""
+    return HolomorphicSeries(
+        np.concatenate([[0j], h.coeffs / np.arange(1, len(h.coeffs) + 1)])
+    )

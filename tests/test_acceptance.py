@@ -297,7 +297,7 @@ def test_criterion_8_property_suites():
     rng = np.random.default_rng(4096)
     harmonic_ok = True
     for _ in range(20):
-        h = s.random_series(rng, 8)
+        h = oracles.random_series(rng, 8)
         alpha = flat_map(h.to_field())
         if exterior_derivative(alpha).density or codifferential(alpha).value:
             harmonic_ok = False

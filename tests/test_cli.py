@@ -292,6 +292,23 @@ class TestDynamicsCommands:
         last = capsys.readouterr().err.splitlines()[-1]
         assert "6.48e+300" in last and len(last) < 200
 
+    def test_wave_energy_overflow_exits_3_without_output(self, tmp_path, monkeypatch, capsys):
+        # exited 0 with inf in every I_1 cell and a first-integral drift of 0.0
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["wave", "--xi0", "1e200*z", "--dt", "1e-3", "--steps", "2",
+                         "--out", "t.csv", "--summary", "s.json"]) == 3
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure"), err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_format_csv_rejects_non_finite(self):
+        assert ser.format_csv(["t", "x"], [[0.0, 1.5]]) == "t,x\n0.0,1.5\n"
+        with pytest.raises(FloatingPointError, match="column x is nan"):
+            ser.format_csv(["t", "x"], [[0.0, 1.5], [1.0, math.nan]])
+
     def test_stationary_init_above_degree_warns(self, tmp_path):
         out = tmp_path / "st.json"
         with pytest.warns(TruncationWarning, match="dropped coefficient mass 1.000e-01"):
@@ -535,9 +552,11 @@ def test_non_finite_result_exits_3_without_output(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     for name, obj in OVERFLOW_INPUTS.items():
         ser.write_json(name, obj)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(argv.split() + ["--out", "out.json"]) == 3
+    # the failure is one stderr line: numpy's overflow warnings are muted
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.splitlines()
-    assert len([line for line in err if line.startswith("numerical failure")]) == 1
+    assert len(err) == 1 and err[0].startswith("numerical failure"), err
     assert not (tmp_path / "out.json").exists()

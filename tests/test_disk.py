@@ -79,7 +79,7 @@ class TestGramOracle:
 
     def test_identity_on_holomorphic(self):
         rng = np.random.default_rng(3)
-        xi = s.random_series(rng, 6)
+        xi = oracles.random_series(rng, 6)
         assert series_gap(project_con_gram_oracle(xi.to_field()), xi) < 1e-14
 
     def test_zbar_projects_to_zero(self):

@@ -23,6 +23,8 @@ from conformal_hodge.forms import (
 )
 from conformal_hodge.series import BivariateField, monomial
 
+import oracles
+
 R_IN = 0.5
 
 
@@ -97,7 +99,7 @@ class TestCalculus:
     def test_conformal_iff_harmonic(self):
         rng = np.random.default_rng(74)
         for _ in range(6):
-            h = s.random_series(rng, 8)
+            h = oracles.random_series(rng, 8)
             alpha = flat_map(h.to_field())
             assert not exterior_derivative(alpha).density
             assert not codifferential(alpha).value

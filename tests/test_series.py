@@ -129,7 +129,7 @@ class TestWirtinger:
 
     def test_div_of_holomorphic_is_twice_real_derivative(self):
         rng = np.random.default_rng(5)
-        xi = s.random_series(rng, 6)
+        xi = oracles.random_series(rng, 6)
         dc = s.div_curl(xi.to_field())
         z0 = 0.4 - 0.2j
         assert dc(z0) == pytest.approx(2 * xi.derivative()(z0))
@@ -263,7 +263,7 @@ class TestProperties:
 
     def test_cr_zero_iff_series_roundtrip(self):
         rng = np.random.default_rng(23)
-        xi = s.random_series(rng, 8)
+        xi = oracles.random_series(rng, 8)
         f = xi.to_field()
         assert not s.cr_residual(f)
         assert HolomorphicSeries.from_field(f) == xi
@@ -287,7 +287,7 @@ class TestHolomorphicSeries:
 
     def test_derivative_antiderivative(self):
         h = HolomorphicSeries([1.0, 2.0, 3.0])
-        assert h.derivative().antiderivative() == HolomorphicSeries([0, 2.0, 3.0])
+        assert oracles.antiderivative(h.derivative()) == HolomorphicSeries([0, 2.0, 3.0])
 
     def test_evaluate(self):
         h = HolomorphicSeries([1, 1, 1])
