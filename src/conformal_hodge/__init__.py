@@ -46,9 +46,8 @@ from .forms import (
     hodge_membership,
     sharp_map,
 )
-from .catalog import HodgeCatalogEntry, hodge_catalog
+from .catalog import hodge_catalog
 from .dynamics import (
-    FirstIntegralReport,
     GeodesicState,
     PotentialSpec,
     WaveState,

@@ -3,8 +3,8 @@
 Laurent fields share the coefficient table of the disk fields, with the
 index offset -band_limit, so the element-wise operations and the pairing
 of ``series`` serve them unchanged.  The Dirichlet Poisson solver augments
-the Laurent table with powers of ln(z zbar), which is what the z^-1 modes
-and the two-circle boundary matching require.
+the Laurent table with powers of ln(z zbar) for the z^-1 modes and the
+two-circle boundary matching; two such solves give ``conformal_split``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from .series import (
     angular_sums,
     coefficient_norm,
     evaluate_grid,
+    imag_part,
     pair_sums,
+    real_part,
     scale,
     subtract,
     wirtinger,
@@ -41,7 +43,7 @@ class LaurentField(CoefficientField):
 
     __slots__ = ("band_limit", "r_in")
 
-    def __init__(self, terms=None, r_in=0.5, band_limit=None):
+    def __init__(self, terms, r_in, band_limit=None):
         if not 0.0 < r_in < 1.0:
             raise ValueError("r_in must lie strictly between 0 and 1")
         if band_limit is None:
@@ -65,7 +67,7 @@ class LaurentField(CoefficientField):
         return LaurentField(table, r_in=self.r_in, band_limit=bound)
 
 
-def laurent_monomial(m, n, c=1.0, r_in=0.5):
+def laurent_monomial(m, n, c, r_in):
     return LaurentField({(m, n): c}, r_in=r_in)
 
 
@@ -117,7 +119,7 @@ class LogLaurentField:
 
     __slots__ = ("levels", "r_in")
 
-    def __init__(self, levels=(), r_in=0.5):
+    def __init__(self, levels, r_in):
         self.levels = tuple(levels)
         self.r_in = float(r_in)
 
@@ -126,7 +128,7 @@ class LogLaurentField:
         return LogLaurentField((f,), r_in=f.r_in)
 
     def _level(self, ell):
-        return self.levels[ell] if ell < len(self.levels) else LaurentField(r_in=self.r_in)
+        return self.levels[ell] if ell < len(self.levels) else LaurentField(None, self.r_in)
 
     def __add__(self, other):
         count = max(len(self.levels), len(other.levels))
@@ -171,9 +173,10 @@ class LogLaurentField:
     def coefficient_norm(self):
         return math.sqrt(sum(coefficient_norm(f) ** 2 for f in self.levels))
 
-    def evaluate(self, point):
-        ln = math.log(abs(complex(point)) ** 2)
-        return sum(evaluate_grid(f, point) * ln**ell for ell, f in enumerate(self.levels))
+    def evaluate(self, points):
+        """Values at a complex point or array of points, as evaluate_grid."""
+        ln = np.log(np.abs(points) ** 2)
+        return sum(evaluate_grid(f, points) * ln**ell for ell, f in enumerate(self.levels))
 
     def inner(self, other) -> complex:
         """Complex pairing using the log-weighted radial moments."""
@@ -260,3 +263,24 @@ def poisson_annulus(rhs: LaurentField) -> LogLaurentField:
         [LaurentField(plain, r_in=r_in), LaurentField(logs, r_in=r_in)], r_in=r_in
     )
     return part + correction
+
+
+def conformal_split(f: LaurentField):
+    """(h, F, G, grad_bar(F), sgrad_bar(G), stray): ``disk.conformal_split`` on the annulus.
+
+    F and G vanish on both circles, the gradients are log-augmented, and
+    stray is the coefficient norm of the zbar and log terms that exact
+    arithmetic would cancel from f - grad_bar(F) - sgrad_bar(G), whose
+    z-power part is h.
+    """
+    residue = scale(wirtinger(f, "d_zbar"), 2)
+    F = poisson_annulus(real_part(residue))
+    G = poisson_annulus(imag_part(residue))
+    W = F + G.scaled(1j)
+    gradient_sum = W.wirtinger("d_z").scaled(2)
+    rest, log_defect = (LogLaurentField.from_laurent(f) - gradient_sum).laurent_part()
+    h = rest.holomorphic_part()
+    stray = math.hypot(rest.antiholomorphic_norm(), log_defect)
+    gF = F.wirtinger("d_z").scaled(2)
+    sG = G.wirtinger("d_z").scaled(2j)
+    return h, F, G, gF, sG, stray

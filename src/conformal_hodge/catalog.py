@@ -8,24 +8,8 @@ fields, A6 = simultaneously exact and co-exact harmonic fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 DOMAINS = ("disk", "annulus", "torus", "sphere")
 SPACE_NAMES = ("A1", "A2", "A3", "A4", "A5", "A6")
-
-
-@dataclass(frozen=True)
-class HodgeCatalogEntry:
-    domain: str
-    dims: tuple  # six dimensions, A1..A6: "zero", "finite(k)" or "infinite"
-
-    def as_dict(self):
-        return dict(zip(SPACE_NAMES, self.dims))
-
-    def __getitem__(self, name):
-        return self.dims[SPACE_NAMES.index(name)]
-
-
 _Z, _I = "zero", "infinite"
 
 _CATALOG = {
@@ -36,8 +20,9 @@ _CATALOG = {
 }
 
 
-def hodge_catalog(domain: str) -> HodgeCatalogEntry:
-    """Dimensions of the six orthogonal subspaces of 1-forms on a model domain."""
+def hodge_catalog(domain: str) -> dict:
+    """{"A1": ..., "A6": ...}: dimensions of the six orthogonal subspaces of
+    1-forms on a model domain, each "zero", "finite(k)" or "infinite"."""
     if domain not in _CATALOG:
         raise ValueError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
-    return HodgeCatalogEntry(domain=domain, dims=_CATALOG[domain])
+    return dict(zip(SPACE_NAMES, _CATALOG[domain]))

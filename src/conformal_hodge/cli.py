@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import dynamics, forms, serialization as ser
-from .annulus import NonConformalInputError, annulus_classify
+from .annulus import NonConformalInputError
 from .catalog import DOMAINS, hodge_catalog
 from .disk import (
     adjoint_dz_disk,
@@ -169,15 +169,7 @@ def _apply_config(args):
         if unknown:
             raise InputError(f"config keys unknown to {args.command}: {sorted(unknown)}")
         for key, val in cfg.items():
-            integral = key in _INTEGER_CONFIG_KEYS
-            if isinstance(val, bool) or not isinstance(val, int if integral else (int, float)):
-                raise InputError(f"config value {key!r} must be "
-                                 f"{'an integer' if integral else 'a number'}, got {val!r}")
-            if not integral:
-                try:
-                    val = float(val)
-                except OverflowError as exc:
-                    raise InputError(f"config value {key!r} is out of range") from exc
+            val = ser._number(val, f"config value {key!r}", key in _INTEGER_CONFIG_KEYS)
             if getattr(args, key) is None:
                 setattr(args, key, val)
     for key, default in (("degree", 16), ("tol", 1e-10)):
@@ -261,22 +253,22 @@ def cmd_adjoint(args):
 
 def cmd_classify(args):
     kind, payload = args.domain
-    extra = {}
+    data = ser.read_json(args.input)
     if kind == "disk":
-        f = ser.field_from_json(ser.read_json(args.input))
-        report = forms.hodge_membership(forms.flat_map(f), "disk", tol=args.tol)
+        f = ser.field_from_json(data)
     else:
-        data = ser.read_json(args.input)
         if not isinstance(data, dict):
             raise ser.FormatError("laurent JSON must be an object")
         data.setdefault("r_in", payload)
         f = ser.laurent_from_json(data)
         if f.r_in != payload:
             raise InputError("r_in in the field JSON disagrees with the domain selector")
-        report = forms.hodge_membership(forms.flat_map(f), "annulus", tol=args.tol)
-        if f.antiholomorphic_norm() == 0.0:
-            cls = annulus_classify(f)
-            extra = {"a4_coeff": cls.a4_coeff, "a5_coeff": cls.a5_coeff}
+    report = forms.hodge_membership(forms.flat_map(f), tol=args.tol)
+    extra = {}
+    if kind == "annulus" and f.antiholomorphic_norm() == 0.0:
+        # a conformal field is its own harmonic part: its raw coordinates on
+        # i/z and 1/z are the A5 and A4 coordinates of its 1-form image
+        extra = {"a4_coeff": report.coordinates["A5"], "a5_coeff": report.coordinates["A4"]}
     _emit(args, {
         "labels": list(report.labels),
         "inconclusive": list(report.inconclusive),
@@ -294,7 +286,7 @@ def cmd_classify(args):
 def cmd_catalog(args):
     if args.domain not in DOMAINS:
         raise IncompatibleError(f"catalog domains are {', '.join(DOMAINS)}")
-    _emit(args, ser.catalog_to_json(hodge_catalog(args.domain)))
+    _emit(args, {"domain": args.domain, "dims": hodge_catalog(args.domain)})
     return EXIT_OK
 
 
@@ -318,14 +310,10 @@ def cmd_stationary(args):
 
 
 def _relative_drifts(traj):
-    base = [rep.values for rep in traj.integrals]
-    i0 = base[0]
+    i0 = traj.integrals[0]
     ref = max(max(i0), 1e-300)
-    out = []
-    for m in range(len(i0)):
-        drift = max(abs(vals[m] - i0[m]) for vals in base)
-        out.append(drift / max(i0[m], ref * 1e-12))
-    return out
+    return [max(abs(vals[m] - i0[m]) for vals in traj.integrals) / max(i0[m], ref * 1e-12)
+            for m in range(len(i0))]
 
 
 def _observed_order(final_state):
@@ -382,8 +370,8 @@ def cmd_wave(args):
     def table(traj):
         header = ["t"] + _complex_columns("xi", len(traj.xi[0]))
         header += [f"I_{m}" for m in range(args.max_m + 1)]
-        rows = [[t] + _re_im(xi) + list(rep.values)
-                for t, xi, rep in zip(traj.times, traj.xi, traj.integrals)]
+        rows = [[t] + _re_im(xi) + list(integrals)
+                for t, xi, integrals in zip(traj.times, traj.xi, traj.integrals)]
         return header, rows, {"first_integral_max_rel_drift": max(_relative_drifts(traj))}
 
     return _write_trajectory(args, run, table, lambda traj: traj.xi[-1])
@@ -558,7 +546,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except (IntegrationInstabilityError, GeodesicDegeneracyError, EmbeddingError,
-            FloatingPointError) as exc:
+            FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -148,19 +148,13 @@ class WaveState:
     xi_t: HolomorphicSeries
 
 
-@dataclass(frozen=True)
-class FirstIntegralReport:
-    """Per-mode oscillator energies I_m = |xi_t_m|^2/2 + (m^2+m+c)|xi_m|^2/2."""
-
-    values: tuple
-
-
-def first_integrals(state: WaveState, c, max_m) -> FirstIntegralReport:
+def first_integrals(state: WaveState, c, max_m) -> tuple:
+    """Per-mode oscillator energies I_m = |xi_t_m|^2/2 + (m^2+m+c)|xi_m|^2/2, m <= max_m."""
     x = state.xi.to_array(max_m + 1)
     v = state.xi_t.to_array(max_m + 1)
     k = np.arange(max_m + 1)
     vals = 0.5 * np.abs(v) ** 2 + 0.5 * (k * k + k + c) * np.abs(x) ** 2
-    return FirstIntegralReport(values=tuple(vals.tolist()))
+    return tuple(vals.tolist())
 
 
 def wave_mode_solution(m, c, xi0, xidot0, t):
@@ -188,7 +182,7 @@ class WaveTrajectory:
     times: tuple
     xi: tuple  # coefficient arrays per sample
     xi_t: tuple
-    integrals: tuple  # FirstIntegralReport per sample
+    integrals: tuple  # first_integrals tuple per sample
 
 
 def wave_integrate(state0: WaveState, V: PotentialSpec, dt, steps, sample_stride=1,

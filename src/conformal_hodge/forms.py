@@ -9,13 +9,12 @@ u dx - v dy has delta = u_x - v_y and d = -(v_x + u_y) dx^dy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import disk as disk_mod
-from .annulus import LogLaurentField, laurent_monomial, poisson_annulus
+from . import annulus as annulus_mod, disk as disk_mod
+from .annulus import annulus_classify, laurent_monomial
 from .quadrature import boundary_points
 from .series import (
     add,
@@ -42,8 +41,8 @@ def d_y(f):
     return scale(subtract(wirtinger(f, "d_z"), wirtinger(f, "d_zbar")), 1j)
 
 
-def _check_real(name, f, tol_factor=1e-9):
-    if not f.is_real(tol=tol_factor * max(coefficient_norm(f), 1.0)):
+def _require_real(name, f):
+    if not f.is_real(tol=1e-9 * max(coefficient_norm(f), 1.0)):
         raise ValueError(f"{name} component of a form must be real-valued")
 
 
@@ -55,7 +54,7 @@ class ZeroForm:
     value: object
 
     def __post_init__(self):
-        _check_real("0-form", self.value)
+        _require_real("0-form", self.value)
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,8 @@ class OneForm:
     v_dy: object
 
     def __post_init__(self):
-        _check_real("u dx", self.u_dx)
-        _check_real("v dy", self.v_dy)
+        _require_real("u dx", self.u_dx)
+        _require_real("v dy", self.v_dy)
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class TwoForm:
     density: object  # w in w dx^dy
 
     def __post_init__(self):
-        _check_real("2-form", self.density)
+        _require_real("2-form", self.density)
 
 
 def star(form):
@@ -179,28 +178,25 @@ def _labels_from_norms(norms, total, tol):
     return tuple(labels), tuple(inconclusive)
 
 
-def hodge_membership(alpha: OneForm, domain: str, tol=1e-10) -> MembershipReport:
-    """Classify a 1-form into the six-space catalog by potential recovery.
+def hodge_membership(alpha: OneForm, tol=1e-10) -> MembershipReport:
+    """Classify a 1-form on the disk or the annulus into the six-space catalog.
 
-    The form is carried to a field by the reflected sharp map, split by the
-    Dirichlet-Poisson route into gradient / skew-gradient / harmonic parts,
-    and, on the annulus, the harmonic part is further resolved against the
-    two distinguished z^-1 directions.  Components whose norms land within
-    a factor of 3 of the decision threshold are reported as inconclusive
-    rather than guessed.
+    The form is carried to a field by the reflected sharp map and split by
+    the conformal split of its domain into gradient / skew-gradient /
+    harmonic parts; on the annulus (a field with r_in > 0) the harmonic part
+    is further resolved against the two distinguished z^-1 directions.
+    Components whose norms land within a factor of 3 of the decision
+    threshold are reported as inconclusive rather than guessed.
     """
-    if domain not in ("disk", "annulus"):
-        raise ValueError(f"membership classification supports disk/annulus, not {domain!r}")
     f = sharp_map(alpha)
-    split = _split_disk if domain == "disk" else _split_annulus
-    norms, stray, coordinates, potentials = split(f)
+    norms, stray, coordinates, potentials = _split(f)
     total = norm(f)
     labels, inconclusive = _labels_from_norms(norms, total, tol)
     if stray > tol * max(total, 1.0):
         inconclusive = tuple(sorted(set(inconclusive) | {"unresolved"}))
     traces = [boundary_traces(alpha, radius=r) for r in ((1.0, f.r_in) if f.r_in else (1.0,))]
     return MembershipReport(
-        domain=domain,
+        domain="annulus" if f.r_in else "disk",
         labels=labels,
         norms=norms,
         inconclusive=inconclusive,
@@ -213,46 +209,24 @@ def hodge_membership(alpha: OneForm, domain: str, tol=1e-10) -> MembershipReport
     )
 
 
-def _split_disk(f):
-    h, F, G, gF, sG = disk_mod.conformal_split(f)
-    norms = {
-        "A1": norm(gF),
-        "A2": norm(sG),
-        "A3": 0.0,
-        "A4": 0.0,
-        "A5": 0.0,
-        "A6": norm(h.to_field()),
-    }
-    return norms, 0.0, {}, {"A1": F, "A2": G}
-
-
-def _split_annulus(f):
-    residue = scale(wirtinger(f, "d_zbar"), 2)
-    F = poisson_annulus(real_part(residue))
-    G = poisson_annulus(imag_part(residue))
-    W = F + G.scaled(1j)
-    gradient_sum = W.wirtinger("d_z").scaled(2)
-    h_log = LogLaurentField.from_laurent(f) - gradient_sum
-    h, log_defect = h_log.laurent_part()
-    harmonic = h.holomorphic_part()
-    stray = math.hypot(h.antiholomorphic_norm(), log_defect)
-
-    gF = F.wirtinger("d_z").scaled(2)
-    sG = G.wirtinger("d_z").scaled(2j)
-    one_over_z = laurent_monomial(-1, 0, 1.0, r_in=f.r_in)
-    basis_norm = norm(one_over_z)
-    c_res = harmonic.coefficient(-1, 0)
+def _split(f):
+    """(norms, stray, coordinates, potentials) from the conformal split of f's domain."""
+    if not f.r_in:
+        h, F, G, gF, sG = disk_mod.conformal_split(f)
+        norms = {"A1": norm(gF), "A2": norm(sG), "A3": 0.0, "A4": 0.0, "A5": 0.0,
+                 "A6": norm(h.to_field())}
+        return norms, 0.0, {}, {"A1": F, "A2": G}
+    h, F, G, gF, sG, stray = annulus_mod.conformal_split(f)
     # Under the reflected sharp the field 1/z is the d ln(x^2+y^2) direction
     # (normal harmonic, exact) and i/z is its star image.
-    a4_coord = c_res.real
-    a5_coord = c_res.imag
-    a6_part = subtract(harmonic, scale(one_over_z, c_res))
+    cls = annulus_classify(h)
+    basis_norm = norm(laurent_monomial(-1, 0, 1.0, f.r_in))
     norms = {
         "A1": gF.norm(),
         "A2": sG.norm(),
         "A3": 0.0,
-        "A4": abs(a4_coord) * basis_norm,
-        "A5": abs(a5_coord) * basis_norm,
-        "A6": norm(a6_part),
+        "A4": abs(cls.a5_coeff) * basis_norm,
+        "A5": abs(cls.a4_coeff) * basis_norm,
+        "A6": norm(cls.a6_part),
     }
-    return norms, stray, {"A4": a4_coord, "A5": a5_coord}, {"A1": F, "A2": G}
+    return norms, stray, {"A4": cls.a5_coeff, "A5": cls.a4_coeff}, {"A1": F, "A2": G}

@@ -32,7 +32,7 @@ def polar_nodes(spec: QuadratureSpec):
     return z.ravel(), w.ravel()
 
 
-def boundary_points(samples=256):
+def boundary_points(samples):
     theta = 2 * math.pi * np.arange(samples) / samples
     return np.exp(1j * theta)
 

@@ -3,8 +3,10 @@
 Field JSON: {"max_degree": D, "terms": [{"m": int, "n": int, "re": float,
 "im": float}, ...]} with terms in lexicographic (m, n) order and no
 duplicate indices.  Annulus fields add "r_in" and "band_limit"; torus
-fields carry separate theta/phi term lists with "band_limit".  All writers
-are deterministic (sorted keys, shortest round-trip floats) and atomic.
+fields carry separate theta/phi term lists with "band_limit".  Numbers are
+JSON numbers and integer fields JSON integers; readers raise FormatError
+on anything else.  All writers are deterministic (sorted keys, shortest
+round-trip floats) and atomic.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ import cmath
 import json
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
 
 from .annulus import LaurentField
-from .catalog import HodgeCatalogEntry
 from .disk import DecompositionResult
 from .mapping import ConformalMap
 from .series import BivariateField, HolomorphicSeries
@@ -29,6 +31,18 @@ class FormatError(ValueError):
     """Input does not conform to the declared interchange format."""
 
 
+def _number(value, what, integer):
+    """A JSON integer, or for a non-integer field a finite JSON number as a float."""
+    if type(value) is not int and (integer or not isinstance(value, float)):
+        raise FormatError(f"{what} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    if integer:
+        return value
+    if not abs(value) <= sys.float_info.max:  # NaN, infinity, an integer past the float range
+        raise FormatError(f"{what} must be finite and in range, got {value!r}")
+    return float(value)
+
+
 def _terms_to_list(items):
     return [
         {"m": m, "n": n, "re": c.real, "im": c.imag}
@@ -37,12 +51,18 @@ def _terms_to_list(items):
 
 
 def _terms_from_list(entries, what="field"):
+    if type(entries) is not list:
+        raise FormatError(f"{what} terms must be a list")
     terms = {}
     for e in entries:
         try:
-            key = (int(e["m"]), int(e["n"]))
-            val = complex(float(e["re"]), float(e["im"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            m, n, re, im = e["m"], e["n"], e["re"], e["im"]
+            if not (type(m) is int and type(n) is int  # a bool is not an int here
+                    and (type(re) is float or type(re) is int)
+                    and (type(im) is float or type(im) is int)):
+                raise TypeError("m and n must be integers, re and im numbers")
+            key, val = (m, n), complex(re, im)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"malformed {what} term {e!r}") from exc
         if not cmath.isfinite(val):
             raise FormatError(f"non-finite coefficient in {what} term {e!r}")
@@ -58,10 +78,10 @@ def field_to_json(f: BivariateField) -> dict:
 
 def field_from_json(d: dict) -> BivariateField:
     try:
-        max_degree = int(d["max_degree"])
-        entries = d["terms"]
+        max_degree, entries = d["max_degree"], d["terms"]
     except (KeyError, TypeError) as exc:
         raise FormatError("field JSON needs 'max_degree' and 'terms'") from exc
+    max_degree = _number(max_degree, "max_degree", True)
     try:
         return BivariateField(_terms_from_list(entries), max_degree=max_degree)
     except ValueError as exc:
@@ -89,13 +109,13 @@ def laurent_to_json(f: LaurentField) -> dict:
 
 def laurent_from_json(d: dict) -> LaurentField:
     try:
-        r_in = float(d["r_in"])
-        band = int(d["band_limit"])
-        terms = _terms_from_list(d["terms"], what="laurent")
-    except (KeyError, TypeError, ValueError) as exc:
+        r_in, band, entries = d["r_in"], d["band_limit"], d["terms"]
+    except (KeyError, TypeError) as exc:
         raise FormatError("laurent JSON needs 'r_in', 'band_limit', 'terms'") from exc
     try:
-        return LaurentField(terms, r_in=r_in, band_limit=band)
+        return LaurentField(_terms_from_list(entries, what="laurent"),
+                            r_in=_number(r_in, "r_in", False),
+                            band_limit=_number(band, "band_limit", True))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -116,11 +136,13 @@ def torus_to_json(f: TorusField) -> dict:
 
 def torus_from_json(d: dict) -> TorusField:
     try:
-        n = int(d["band_limit"])
-        th_terms = _terms_from_list(d["theta_terms"], what="torus theta")
-        ph_terms = _terms_from_list(d["phi_terms"], what="torus phi")
+        n, th_entries, ph_entries = d["band_limit"], d["theta_terms"], d["phi_terms"]
     except (KeyError, TypeError) as exc:
         raise FormatError("torus JSON needs 'band_limit' and component terms") from exc
+    if not _number(n, "band_limit", True) >= 0:
+        raise FormatError(f"band_limit must be at least 0, got {n}")
+    th_terms = _terms_from_list(th_entries, what="torus theta")
+    ph_terms = _terms_from_list(ph_entries, what="torus phi")
     side = 2 * n + 1
     th = np.zeros((side, side), dtype=complex)
     ph = np.zeros((side, side), dtype=complex)
@@ -141,11 +163,10 @@ def map_to_json(m: ConformalMap) -> dict:
 
 def map_from_json(d: dict) -> ConformalMap:
     try:
-        coeffs = [complex(re, im) for re, im in d["coeffs"]]
+        pairs = [(re, im) for re, im in d["coeffs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("map JSON needs 'coeffs' as [[re, im], ...]") from exc
-    if not all(cmath.isfinite(c) for c in coeffs):
-        raise FormatError("map JSON has a non-finite coefficient")
+    coeffs = [complex(*(_number(x, "map coefficient", False) for x in pair)) for pair in pairs]
     return ConformalMap(HolomorphicSeries(coeffs))
 
 
@@ -162,10 +183,6 @@ def decomposition_to_json(result: DecompositionResult) -> dict:
         "residual_norm": result.residual_norm,
         "orthogonality": [list(row) for row in result.orthogonality],
     }
-
-
-def catalog_to_json(entry: HodgeCatalogEntry) -> dict:
-    return {"domain": entry.domain, "dims": entry.as_dict()}
 
 
 def dumps(obj) -> str:
@@ -198,7 +215,7 @@ def read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise FormatError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -154,7 +154,7 @@ class CoefficientField:
     def coefficient_norm(self):
         return coefficient_norm(self)
 
-    def is_real(self, tol=0.0):
+    def is_real(self, tol):
         """True when c_{nm} == conj(c_{mn}) within tol (pointwise real values)."""
         a, b = _aligned(self, conjugate(self))
         return not np.any(np.abs(a - b) > tol)

@@ -22,7 +22,7 @@ class TorusField:
 
     __slots__ = ("theta_coeffs", "phi_coeffs", "band_limit")
 
-    def __init__(self, theta_coeffs, phi_coeffs, check_real=True):
+    def __init__(self, theta_coeffs, phi_coeffs):
         theta_coeffs = np.asarray(theta_coeffs, dtype=complex)
         phi_coeffs = np.asarray(phi_coeffs, dtype=complex)
         if theta_coeffs.shape != phi_coeffs.shape or theta_coeffs.ndim != 2:
@@ -31,14 +31,13 @@ class TorusField:
         if side % 2 != 1 or theta_coeffs.shape[1] != side:
             raise ValueError("coefficient arrays must be square with odd side 2N+1")
         self.band_limit = side // 2
-        if check_real:
-            for name, arr in (("theta", theta_coeffs), ("phi", phi_coeffs)):
-                defect = np.max(np.abs(arr - np.conj(arr[::-1, ::-1])))
-                if defect > 1e-12:
-                    raise ValueError(
-                        f"{name} component is not real-valued "
-                        f"(Hermitian defect {defect:.3e})"
-                    )
+        for name, arr in (("theta", theta_coeffs), ("phi", phi_coeffs)):
+            defect = np.max(np.abs(arr - np.conj(arr[::-1, ::-1])))
+            if defect > 1e-12:
+                raise ValueError(
+                    f"{name} component is not real-valued "
+                    f"(Hermitian defect {defect:.3e})"
+                )
         self.theta_coeffs = theta_coeffs
         self.phi_coeffs = phi_coeffs
 
@@ -67,7 +66,7 @@ class TorusField:
         n = self.band_limit
         th[n, n] = 0
         ph[n, n] = 0
-        return TorusField(th, ph, check_real=False)
+        return TorusField(th, ph)  # the mean-free part of a real field is real
 
     def inner(self, other) -> float:
         """Real L2 pairing; Parseval over both components, cell area (2 pi)^2."""

@@ -186,7 +186,7 @@ def test_criterion_5_hodge_catalog():
         "sphere": {"A1": "infinite", "A2": "infinite", "A3": "zero",
                    "A4": "zero", "A5": "zero", "A6": "zero"},
     }
-    table_ok = all(hodge_catalog(d).as_dict() == expected[d] for d in expected)
+    table_ok = all(hodge_catalog(d) == expected[d] for d in expected)
     c1 = annulus_classify(laurent_monomial(-1, 0, 1.0, r_in=0.5))
     c2 = annulus_classify(laurent_monomial(-1, 0, 1j, r_in=0.5))
     cls_ok = (
@@ -213,13 +213,13 @@ def test_criterion_6_wave_equation():
         for m, x0 in ((0, 0.3), (1, 1.0)):
             exact, _ = wave_mode_solution(m, 0.0, x0, 0.0, t)
             worst_mode = max(worst_mode, abs(x[m] - exact))
-    base = traj.integrals[0].values
+    base = traj.integrals[0]
     ref = max(base)
     worst_drift = 0.0
     for rep in traj.integrals:
         for m in range(7):
             worst_drift = max(
-                worst_drift, abs(rep.values[m] - base[m]) / max(base[m], ref)
+                worst_drift, abs(rep[m] - base[m]) / max(base[m], ref)
             )
 
     # multi-mode accuracy at the same stated tolerance

@@ -560,3 +560,27 @@ def test_non_finite_result_exits_3_without_output(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure"), err
     assert not (tmp_path / "out.json").exists()
+
+
+# (r_in, Laurent field): r_in ** -k in the Poisson solve, and r ** (p + 1) in
+# the radial antiderivative, overflow Python floats; both ended in a traceback
+ANNULUS_OVERFLOW = [
+    (1e-200, {"r_in": 1e-200, "band_limit": 2,
+              "terms": [{"m": 0, "n": 1, "re": 1.0, "im": 0.0}]}),
+    (0.01, {"r_in": 0.01, "band_limit": 60,
+            "terms": [{"m": -60, "n": 3, "re": 1.0, "im": 0.0}]}),
+]
+
+
+@pytest.mark.parametrize("r_in, field", ANNULUS_OVERFLOW, ids=["poisson", "moment"])
+def test_annulus_overflow_exits_3_without_output(tmp_path, monkeypatch, capsys, r_in, field):
+    monkeypatch.chdir(tmp_path)
+    ser.write_json("laurent.json", field)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        argv = ["classify", "--r-in", repr(r_in), "--in", "laurent.json", "--out", "out.json"]
+        assert main(argv) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure"), err
+    assert not (tmp_path / "out.json").exists()

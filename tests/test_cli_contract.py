@@ -1,11 +1,14 @@
-"""Accepted CLI invocations: each must keep exiting 0.
+"""Accepted CLI invocations must keep exiting 0; malformed input files exit 2.
 
-A change that turns one of these inputs into an error fails here.  The
-list holds the README examples verbatim, series JSON paths without a
+A change that turns one of the accepted inputs into an error fails here.
+The list holds the README examples verbatim, series JSON paths without a
 suffix, initial data above the requested degree (cut with a warning, not
 rejected), high modes, a fine mapped projection, and an expression that
 shares its name with a file in the working directory.  None of them may
 write a NaN or infinity token to stdout or to an output file.
+
+Each REJECTED invocation reads a malformed interchange file ``bad.json``
+and must exit 2 with a single ``error:`` line, writing nothing.
 """
 
 import re
@@ -39,6 +42,33 @@ ACCEPTED = [
     "wave --xi0 z --dt 1e-2 --steps 3",  # beside an empty file named z
 ]
 
+BIG_INT = "1" + "0" * 400  # a JSON integer past the float range
+TORUS = '"theta_terms": [], "phi_terms": []'
+
+# (invocation, content of bad.json); each of these ended in a traceback
+# with exit 1, or was silently misread, before the reader rule
+REJECTED = [
+    ("project --in bad.json", '{"max_degree": "x", "terms": []}'),
+    ("project --in bad.json", '{"max_degree": true, "terms": []}'),
+    ("project --in bad.json", '{"max_degree": 2, "terms": 5}'),
+    ("project --in bad.json", '{"max_degree": 1%s, "terms": []}' % ("0" * 5000)),
+    ("project --in bad.json", "[" * 100_000),
+    ("project --domain torus --in bad.json", '{"band_limit": "x", %s}' % TORUS),
+    ("project --domain torus --in bad.json", '{"band_limit": -1, %s}' % TORUS),
+    ("project --domain torus --in bad.json", '{"band_limit": 1.5, %s}' % TORUS),
+    ("decompose --in bad.json",
+     '{"max_degree": 2, "terms": [{"m": 1, "n": 0, "re": %s, "im": 0}]}' % BIG_INT),
+    ("decompose --in bad.json",
+     '{"max_degree": 2, "terms": [{"m": 1.5, "n": 0, "re": 1.0, "im": 0}]}'),
+    ("decompose --in bad.json",
+     '{"max_degree": 2, "terms": [{"m": 1, "n": 0, "re": true, "im": 0}]}'),
+    ("adjoint --in series.json --map bad.json", '{"coeffs": [[0, 0], [%s, 0]]}' % BIG_INT),
+    ("adjoint --in series.json --map bad.json", '{"coeffs": [[0, 0], [1, 0], [0, false]]}'),
+    ("classify --in bad.json", b'{"max_degree": 0, "terms": [], "note": "\xe9"}'),
+    ("classify --r-in 0.5 --in bad.json", '{"band_limit": 1.5, "terms": []}'),
+    ("classify --r-in 0.5 --in bad.json", '{"r_in": "0.5", "band_limit": 1, "terms": []}'),
+]
+
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
@@ -69,3 +99,20 @@ def test_accepted_invocation_exits_0(workdir, command, capsys):
     outputs = {p.name: p.read_text() for p in set(workdir.iterdir()) - inputs}
     for where, text in {"stdout": capsys.readouterr().out, **outputs}.items():
         assert not NON_FINITE.search(text), where
+
+
+@pytest.mark.parametrize("command, content", REJECTED,
+                         ids=[f"{c.split()[0]}-{i}" for i, (c, _) in enumerate(REJECTED)])
+def test_rejected_input_exits_2(workdir, command, content, capsys):
+    bad = workdir / "bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
+    inputs = set(workdir.iterdir())
+    assert main(command.split() + ["--out", "out.txt"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert captured.out == ""
+    assert set(workdir.iterdir()) == inputs

@@ -226,7 +226,7 @@ class TestWaveIntegrate:
     def test_first_integral_drift(self):
         state0 = WaveState(HolomorphicSeries([0, 1.0]), HolomorphicSeries([]))
         traj = wave_integrate(state0, PotentialSpec.quadratic(0.0), 1e-3, 10000, sample_stride=50)
-        i1 = [rep.values[1] for rep in traj.integrals]
+        i1 = [rep[1] for rep in traj.integrals]
         assert max(abs(v - i1[0]) for v in i1) / i1[0] <= 1e-6
 
     def test_second_order_convergence(self):
@@ -268,21 +268,21 @@ class TestFirstIntegrals:
         rep = first_integrals(
             WaveState(HolomorphicSeries([0, 1.0]), HolomorphicSeries([])), 0.0, 6
         )
-        assert rep.values[1] == pytest.approx(1.0)
-        assert all(v == 0 for i, v in enumerate(rep.values) if i != 1)
+        assert rep[1] == pytest.approx(1.0)
+        assert all(v == 0 for i, v in enumerate(rep) if i != 1)
 
     def test_velocity_only(self):
         rep = first_integrals(
             WaveState(HolomorphicSeries([]), HolomorphicSeries([1.0])), 0.0, 3
         )
-        assert rep.values[0] == pytest.approx(0.5)
+        assert rep[0] == pytest.approx(0.5)
 
     def test_quadratic_scaling(self):
         st0 = WaveState(HolomorphicSeries([0.5, 1.0]), HolomorphicSeries([0.2j]))
         st2 = WaveState(HolomorphicSeries([1.0, 2.0]), HolomorphicSeries([0.4j]))
         r1 = first_integrals(st0, 2.0, 4)
         r2 = first_integrals(st2, 2.0, 4)
-        for a, b in zip(r1.values, r2.values):
+        for a, b in zip(r1, r2):
             assert b == pytest.approx(4 * a)
 
 

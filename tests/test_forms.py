@@ -137,14 +137,14 @@ class TestCalculus:
 class TestMembershipDisk:
     def test_gradient_of_dirichlet_potential_is_A1(self):
         F = BivariateField({(1, 1): 1.0, (0, 0): -1.0})
-        rep = hodge_membership(exterior_derivative(ZeroForm(F)), "disk")
+        rep = hodge_membership(exterior_derivative(ZeroForm(F)))
         assert rep.labels == ("A1",)
         assert rep.boundary_tangential_max < 1e-12  # exact forms with normal potential
         got_F = rep.potentials["A1"]
         assert s.coefficient_norm(s.subtract(got_F, F)) < 1e-12
 
     def test_flat_holomorphic_is_A6(self):
-        rep = hodge_membership(flat_map(monomial(1, 0)), "disk")
+        rep = hodge_membership(flat_map(monomial(1, 0)))
         assert rep.labels == ("A6",)
         assert rep.closedness_defect == 0
         assert rep.coclosedness_defect == 0
@@ -153,18 +153,18 @@ class TestMembershipDisk:
         from conformal_hodge.disk import sgrad_bar
 
         G = poisson_disk(monomial(0, 0, 2.0))
-        rep = hodge_membership(flat_map(sgrad_bar(G)), "disk")
+        rep = hodge_membership(flat_map(sgrad_bar(G)))
         assert rep.labels == ("A2",)
 
     def test_mixture_labels(self):
         f = s.add(monomial(0, 1), monomial(2, 0))  # gradient part + conformal part
-        rep = hodge_membership(flat_map(f), "disk")
+        rep = hodge_membership(flat_map(f))
         assert "A6" in rep.labels and "A1" in rep.labels
         assert rep.norms["A4"] == 0.0
 
     def test_inconclusive_band_reported(self):
         f = s.add(monomial(0, 1), monomial(2, 0, 1e-10))
-        rep = hodge_membership(flat_map(f), "disk", tol=1e-10)
+        rep = hodge_membership(flat_map(f), tol=1e-10)
         assert "A6" in rep.inconclusive
         assert "A6" not in rep.labels
 
@@ -172,7 +172,7 @@ class TestMembershipDisk:
 class TestMembershipAnnulus:
     def test_log_differential_is_A4(self):
         alpha = flat_map(laurent_monomial(-1, 0, 2.0, r_in=R_IN))  # d ln(x^2+y^2)
-        rep = hodge_membership(alpha, "annulus")
+        rep = hodge_membership(alpha)
         assert rep.labels == ("A4",)
         assert rep.coordinates["A4"] == pytest.approx(2.0)
         assert rep.coordinates["A5"] == pytest.approx(0.0)
@@ -180,20 +180,16 @@ class TestMembershipAnnulus:
 
     def test_star_log_differential_is_A5(self):
         alpha = star(flat_map(laurent_monomial(-1, 0, 2.0, r_in=R_IN)))
-        rep = hodge_membership(alpha, "annulus")
+        rep = hodge_membership(alpha)
         assert rep.labels == ("A5",)
         assert rep.boundary_normal_max < 1e-12  # tangential harmonic field
 
     def test_mixed_field_resolves_components(self):
         f = LaurentField({(-1, 0): 3j, (1, 1): 2.0, (2, 0): 1.0}, r_in=R_IN)
-        rep = hodge_membership(flat_map(f), "annulus")
+        rep = hodge_membership(flat_map(f))
         assert set(rep.labels) >= {"A5", "A6"}
         assert rep.norms["A1"] > 0 and rep.norms["A2"] > 0
         assert rep.coordinates["A5"] == pytest.approx(3.0)
-
-    def test_unknown_domain(self):
-        with pytest.raises(ValueError):
-            hodge_membership(flat_map(monomial(0, 0)), "torus")
 
 
 class TestBoundaryTraces:

@@ -19,6 +19,7 @@ from conformal_hodge.series import BivariateField, HolomorphicSeries
 import oracles
 
 REL_TOL = 1e-12
+SUBNORMAL = np.finfo(float).smallest_subnormal
 
 coefficient = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
 
@@ -28,8 +29,11 @@ def _norm(terms):
 
 
 def _compose_tol(outer, inner):
-    # Horner multiplies by inner once per outer coefficient
-    return REL_TOL * _norm(dict(enumerate(outer))) * (1 + _norm(dict(enumerate(inner)))) ** len(outer)
+    # Horner multiplies by inner once per outer coefficient.  The relative
+    # bound underflows to 0 for subnormal coefficients, so each accumulated
+    # product may also differ by a couple of subnormal steps.
+    relative = REL_TOL * _norm(dict(enumerate(outer))) * (1 + _norm(dict(enumerate(inner)))) ** len(outer)
+    return relative + 2 * SUBNORMAL * len(outer) * (len(inner) + 1)
 
 
 @st.composite
@@ -108,6 +112,9 @@ def test_compose_matches_horner_loop(outer, inner, max_degree):
 
 @given(st.lists(coefficient, max_size=6), st.lists(coefficient, max_size=6),
        st.lists(coefficient, max_size=4), st.integers(0, 20))
+# the kernel and Horner differ by 5e-324, one subnormal step, where the
+# relative bound underflows to 0
+@example([], [0j, 0j, 2.2250738585e-313 + 0j], [4 + 1j], 0)
 @settings(max_examples=100, deadline=None)
 def test_compose_with_cached_table_matches_horner_loop(first, second, inner, max_degree):
     # the second composition reads, and may extend, the power table the first one cached
