@@ -19,7 +19,6 @@ from .series import (
     add,
     angular_sums,
     coefficient_norm,
-    evaluate_grid,
     imag_part,
     pair_sums,
     real_part,
@@ -37,8 +36,9 @@ class LaurentField(CoefficientField):
     """Polynomial in z, zbar, 1/z, 1/zbar with a band limit on the indices.
 
     ``table[i, j]`` is the coefficient of z^(i-band_limit) zbar^(j-band_limit).
-    ``terms`` is a {(m, n): c} mapping, or a 2-D complex array used as the
-    table itself (then band_limit is required).
+    ``terms`` is a {(m, n): c} mapping, or a tuple (m, n, c) of index and
+    coefficient arrays or a 2-D complex array used as the table itself (then
+    band_limit is required).
     """
 
     __slots__ = ("band_limit", "r_in")
@@ -172,11 +172,6 @@ class LogLaurentField:
 
     def coefficient_norm(self):
         return math.sqrt(sum(coefficient_norm(f) ** 2 for f in self.levels))
-
-    def evaluate(self, points):
-        """Values at a complex point or array of points, as evaluate_grid."""
-        ln = np.log(np.abs(points) ** 2)
-        return sum(evaluate_grid(f, points) * ln**ell for ell, f in enumerate(self.levels))
 
     def inner(self, other) -> complex:
         """Complex pairing using the log-weighted radial moments."""

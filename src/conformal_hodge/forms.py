@@ -154,7 +154,6 @@ def boundary_traces(alpha: OneForm, radius):
 
 @dataclass(frozen=True)
 class MembershipReport:
-    domain: str
     labels: tuple
     norms: dict
     inconclusive: tuple
@@ -196,7 +195,6 @@ def hodge_membership(alpha: OneForm, tol=1e-10) -> MembershipReport:
         inconclusive = tuple(sorted(set(inconclusive) | {"unresolved"}))
     traces = [boundary_traces(alpha, radius=r) for r in ((1.0, f.r_in) if f.r_in else (1.0,))]
     return MembershipReport(
-        domain="annulus" if f.r_in else "disk",
         labels=labels,
         norms=norms,
         inconclusive=inconclusive,

@@ -5,18 +5,21 @@ Field JSON: {"max_degree": D, "terms": [{"m": int, "n": int, "re": float,
 duplicate indices.  Annulus fields add "r_in" and "band_limit"; torus
 fields carry separate theta/phi term lists with "band_limit".  Numbers are
 JSON numbers and integer fields JSON integers; readers raise FormatError
-on anything else.  All writers are deterministic (sorted keys, shortest
-round-trip floats) and atomic.
+on anything else.  Output JSON is byte for byte the text of
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, with
+shortest round-trip floats; ``dumps`` writes that layout itself, since the
+json module formats indented output in pure Python.  All writers are
+deterministic and atomic.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -25,6 +28,10 @@ from .disk import DecompositionResult
 from .mapping import ConformalMap
 from .series import BivariateField, HolomorphicSeries
 from .torus import TorusField
+
+_TERM_KEYS = {"im", "m", "n", "re"}
+_NUMBER = {int, float}
+_INT64 = range(-2**63, 2**63)
 
 
 class FormatError(ValueError):
@@ -50,26 +57,46 @@ def _terms_to_list(items):
     ]
 
 
+def _malformed(e):
+    """Whether a decoded term lacks JSON integers m, n in the int64 range or
+    JSON numbers re, im in the float range (a bool is not a number here)."""
+    try:
+        m, n, re, im = e["m"], e["n"], e["re"], e["im"]
+        complex(re, im)  # OverflowError past the float range
+    except (KeyError, TypeError, OverflowError):
+        return True
+    return not ({type(m), type(n)} <= {int} and {type(re), type(im)} <= _NUMBER
+                and m in _INT64 and n in _INT64)
+
+
 def _terms_from_list(entries, what="field"):
+    """Index and coefficient arrays (m, n, c) of a JSON term list.
+
+    A term that _malformed refuses, a non-finite coefficient and a repeated
+    index are refused.
+    """
     if type(entries) is not list:
         raise FormatError(f"{what} terms must be a list")
-    terms = {}
-    for e in entries:
-        try:
-            m, n, re, im = e["m"], e["n"], e["re"], e["im"]
-            if not (type(m) is int and type(n) is int  # a bool is not an int here
-                    and (type(re) is float or type(re) is int)
-                    and (type(im) is float or type(im) is int)):
-                raise TypeError("m and n must be integers, re and im numbers")
-            key, val = (m, n), complex(re, im)
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise FormatError(f"malformed {what} term {e!r}") from exc
-        if not cmath.isfinite(val):
-            raise FormatError(f"non-finite coefficient in {what} term {e!r}")
-        if key in terms:
-            raise FormatError(f"duplicate index {key} in {what} terms")
-        terms[key] = val
-    return terms
+    try:
+        rows = [(e["m"], e["n"], e["re"], e["im"]) for e in entries]
+        m, n, re, im = zip(*rows) if rows else [()] * 4
+        if not ({*map(type, m), *map(type, n)} <= {int}
+                and {*map(type, re), *map(type, im)} <= _NUMBER):
+            raise TypeError
+        mn = np.array((m, n), dtype=np.int64)
+        c = np.empty(len(rows), dtype=complex)
+        c.real, c.imag = re, im
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise FormatError(f"malformed {what} term {next(filter(_malformed, entries))!r}") from exc
+    finite = np.isfinite(c)
+    if not finite.all():
+        raise FormatError(f"non-finite coefficient in {what} term {entries[finite.argmin()]!r}")
+    order = np.lexsort(mn[::-1])
+    repeats = order[1:][(np.diff(mn[:, order]) == 0).all(axis=0)]
+    if repeats.size:
+        k = repeats.min()  # the first term whose index came before
+        raise FormatError(f"duplicate index {(int(mn[0, k]), int(mn[1, k]))} in {what} terms")
+    return mn[0], mn[1], c
 
 
 def field_to_json(f: BivariateField) -> dict:
@@ -141,16 +168,16 @@ def torus_from_json(d: dict) -> TorusField:
         raise FormatError("torus JSON needs 'band_limit' and component terms") from exc
     if not _number(n, "band_limit", True) >= 0:
         raise FormatError(f"band_limit must be at least 0, got {n}")
-    th_terms = _terms_from_list(th_entries, what="torus theta")
-    ph_terms = _terms_from_list(ph_entries, what="torus phi")
     side = 2 * n + 1
     th = np.zeros((side, side), dtype=complex)
     ph = np.zeros((side, side), dtype=complex)
-    for arr, terms in ((th, th_terms), (ph, ph_terms)):
-        for (j, k), c in terms.items():
-            if abs(j) > n or abs(k) > n:
-                raise FormatError(f"torus index ({j},{k}) outside band {n}")
-            arr[j + n, k + n] = c
+    for arr, entries, what in ((th, th_entries, "torus theta"), (ph, ph_entries, "torus phi")):
+        j, k, c = _terms_from_list(entries, what)
+        outside = (np.minimum(j, k) < -n) | (np.maximum(j, k) > n)
+        if outside.any():
+            q = outside.argmax()
+            raise FormatError(f"torus index ({j[q]},{k[q]}) outside band {n}")
+        arr[j + n, k + n] = c
     try:
         return TorusField(th, ph)
     except ValueError as exc:
@@ -185,8 +212,70 @@ def decomposition_to_json(result: DecompositionResult) -> dict:
     }
 
 
+class _Unhandled(Exception):
+    """A value that the direct writer leaves to the json module."""
+
+
+def _term_lines(terms, pad):
+    """The entries of a term list in the indented layout at prefix pad, or None
+    unless each is a dict of exactly im, m, n, re with int indices and finite
+    float values."""
+    if not all(type(t) is dict and t.keys() == _TERM_KEYS
+               and type(t["m"]) is int and type(t["n"]) is int
+               and isinstance(t["re"], float) and math.isfinite(t["re"])
+               and isinstance(t["im"], float) and math.isfinite(t["im"]) for t in terms):
+        return None
+    inner = pad + "  "
+    float_repr = float.__repr__  # as json writes a float or float subclass
+    return [f'{{\n{inner}"im": {float_repr(t["im"])},\n{inner}"m": {t["m"]},\n'
+            f'{inner}"n": {t["n"]},\n{inner}"re": {float_repr(t["re"])}\n{pad}}}'
+            for t in terms]
+
+
+def _encode(value, pad):
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it nested at
+    prefix pad; _Unhandled for a value or key it would not write that way."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise _Unhandled
+        return float.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = _term_lines(value, inner) or [_encode(v, inner) for v in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(type(k) is str for k in value):
+            raise _Unhandled
+        items = [f"{encode_basestring_ascii(k)}: {_encode(value[k], inner)}"
+                 for k in sorted(value)]
+        brackets = "{}"
+    else:
+        raise _Unhandled
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{pad}{brackets[1]}"
+
+
 def dumps(obj) -> str:
-    """Indented JSON with sorted keys; a NaN or infinite value raises FloatingPointError."""
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline; a NaN or
+    infinite value raises FloatingPointError."""
+    try:
+        return _encode(obj, "") + "\n"
+    except (_Unhandled, RecursionError):
+        pass  # the json module raises for the value, or writes it its own way
     try:
         return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -233,4 +322,5 @@ def format_csv(header, rows) -> str:
 
 
 def write_csv(path, header, rows):
+    """Unused by the package; perfbench/tracer.py wraps it by name."""
     atomic_write(path, format_csv(header, rows))

@@ -40,6 +40,12 @@ def _warn_truncation(op, dropped, total, warn_tol):
         )
 
 
+def _columns(terms):
+    """Index and coefficient arrays (m, n, c) of a {(m, n): c} mapping."""
+    mn = np.array(list(terms), dtype=np.int64).reshape(len(terms), 2)
+    return mn[:, 0], mn[:, 1], np.array(list(terms.values()), dtype=complex)
+
+
 def _trimmed(table):
     """Drop trailing all-zero rows and columns; the zero table has shape (0, 0)."""
     if table.size and table[-1].any() and table[:, -1].any():
@@ -62,20 +68,22 @@ class CoefficientField:
     __slots__ = ("table",)
     offset = 0
     r_in = 0.0
-    drop_tolerance = 0.0  # dict terms of smaller modulus are left out
+    drop_tolerance = 0.0  # listed terms of smaller modulus are left out
 
     def __init__(self, terms, offset):
         if isinstance(terms, np.ndarray):
             table = np.asarray(terms, dtype=complex)
         else:
-            entries = [(int(m) - offset, int(n) - offset, complex(c))
-                       for (m, n), c in (terms or {}).items() if c and abs(c) >= self.drop_tolerance]
-            if any(i < 0 or j < 0 for i, j, _ in entries):
+            m, n, c = terms if isinstance(terms, tuple) else _columns(terms or {})
+            mag = np.abs(c)
+            if (np.isinf(mag) & np.isfinite(c)).any():  # as abs() of such a complex raises
+                raise OverflowError("absolute value too large")
+            keep = (c != 0) & (mag >= self.drop_tolerance)
+            i, j = m[keep] - offset, n[keep] - offset
+            if i.size and min(i.min(), j.min()) < 0:
                 raise ValueError(f"index below the lowest power {offset}")
-            table = np.zeros((max((e[0] for e in entries), default=-1) + 1,
-                              max((e[1] for e in entries), default=-1) + 1), dtype=complex)
-            for i, j, c in entries:
-                table[i, j] += c
+            table = np.zeros((i.max(initial=-1) + 1, j.max(initial=-1) + 1), dtype=complex)
+            np.add.at(table, (i, j), c[keep])  # adding to zero also turns -0.0 into 0.0
         table = _trimmed(table)
         table.flags.writeable = False
         self.table = table
@@ -176,7 +184,8 @@ class BivariateField(CoefficientField):
 
     ``table[m, n]`` is the coefficient of z^m zbar^n; entries with
     m + n > max_degree are zero (the triangular layout).  ``terms`` is a
-    {(m, n): c} mapping or a 2-D complex array used as the table itself.
+    {(m, n): c} mapping, a tuple (m, n, c) of index and coefficient arrays,
+    or a 2-D complex array used as the table itself.
     """
 
     __slots__ = ("max_degree",)

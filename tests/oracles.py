@@ -4,12 +4,14 @@ These deliberately avoid the library's closed-form paths: fields are
 evaluated by direct power sums, integrals are taken by quadrature, and the
 Dirichlet-Poisson problems are solved by second-order finite differences
 per angular mode on a fine radial grid.  The dict-loop kernels at the end
-are the term-by-term reference for the library's array kernels, and the
-forward-difference Jacobian is the reference for the stationary matrix.
+are the term-by-term reference for the library's array kernels and its
+JSON term reader, and the forward-difference Jacobian is the reference for
+the stationary matrix.
 The random series and the primitive at the very end are test inputs and
 a test-only inverse of the derivative.
 """
 
+import cmath
 import math
 from collections import defaultdict
 
@@ -27,6 +29,12 @@ def eval_terms(terms, pts):
     for (m, n), c in terms.items():
         out = out + c * pts ** float(m) * conj ** float(n)
     return out
+
+
+def eval_log_laurent(F, pts):
+    """Direct evaluation of a LogLaurentField sum_l L_l ln(z zbar)^l at complex points."""
+    ln = np.log(np.abs(pts) ** 2)
+    return sum(eval_terms(f.terms(), pts) * ln**ell for ell, f in enumerate(F.levels))
 
 
 def polar_quad_nodes(n_radial=64, n_angular=256, r_inner=0.0, r_outer=1.0):
@@ -140,6 +148,26 @@ def dict_convolve(ft, gt, max_degree):
         else:
             dropped.append(abs(c))
     return kept, math.hypot(*dropped)  # squares of tiny terms would underflow
+
+
+def dict_terms(entries):
+    """Decoded JSON terms as {(m, n): c}, one term at a time; ValueError for a
+    term without int64 integers m, n and finite float-range numbers re, im
+    (no bool), or for a repeated index."""
+    terms = {}
+    for e in entries:
+        try:
+            m, n, re, im = e["m"], e["n"], e["re"], e["im"]
+            ok = (type(m) is int and type(n) is int
+                  and type(re) in (int, float) and type(im) in (int, float)
+                  and -2**63 <= m < 2**63 and -2**63 <= n < 2**63)
+            c = complex(re, im)
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed term {e!r}") from exc
+        if not ok or not cmath.isfinite(c) or (m, n) in terms:
+            raise ValueError(f"refused term {e!r}")
+        terms[(m, n)] = c
+    return terms
 
 
 def annulus_moment(a, r_in):

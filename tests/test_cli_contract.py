@@ -5,12 +5,15 @@ The list holds the README examples verbatim, series JSON paths without a
 suffix, initial data above the requested degree (cut with a warning, not
 rejected), high modes, a fine mapped projection, and an expression that
 shares its name with a file in the working directory.  None of them may
-write a NaN or infinity token to stdout or to an output file.
+write a NaN or infinity token to stdout or to an output file, and each
+JSON document they write is laid out exactly as
+``json.dumps(..., sort_keys=True, indent=2)`` writes it.
 
 Each REJECTED invocation reads a malformed interchange file ``bad.json``
 and must exit 2 with a single ``error:`` line, writing nothing.
 """
 
+import json
 import re
 import warnings
 
@@ -87,6 +90,7 @@ def workdir(tmp_path, monkeypatch):
 
 
 NON_FINITE = re.compile(r"\b(NaN|-?Infinity|nan|-?inf)\b")
+JSON_START = re.compile(r"^\{$", re.MULTILINE)  # a document, alone or after a CSV table
 
 
 @pytest.mark.parametrize("command", README + ACCEPTED, ids=lambda c: " ".join(c.split()))
@@ -99,6 +103,10 @@ def test_accepted_invocation_exits_0(workdir, command, capsys):
     outputs = {p.name: p.read_text() for p in set(workdir.iterdir()) - inputs}
     for where, text in {"stdout": capsys.readouterr().out, **outputs}.items():
         assert not NON_FINITE.search(text), where
+        start = JSON_START.search(text)
+        if start:
+            doc = text[start.start():]
+            assert doc == json.dumps(json.loads(doc), sort_keys=True, indent=2) + "\n", where
 
 
 @pytest.mark.parametrize("command, content", REJECTED,
