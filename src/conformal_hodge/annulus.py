@@ -49,11 +49,16 @@ class LaurentField(CoefficientField):
         if band_limit is None:
             band_limit = max((max(abs(int(m)), abs(int(n)))
                               for (m, n), c in (terms or {}).items() if c != 0), default=0)
-        super().__init__(terms, -int(band_limit))
+        super().__init__(terms, -int(band_limit), int(band_limit))
         if max(self.table.shape) > 2 * band_limit + 1:
             raise ValueError(f"index outside band limit {band_limit}")
         self.band_limit = int(band_limit)
         self.r_in = float(r_in)
+
+    @staticmethod
+    def _check_indices(i, j, band_limit):
+        if max(i.max(), j.max()) > 2 * band_limit:
+            raise ValueError(f"index outside band limit {band_limit}")
 
     @property
     def offset(self):

@@ -4,16 +4,20 @@ The wave equation integrates with kick-drift-kick leapfrog (the quadratic
 potential turns the modes into uncoupled oscillators, which the symplectic
 scheme tracks with bounded energy error); the geodesic embedding flow uses
 classical RK4 with re-projection onto the conformal subspace each stage.
+One stage's right-hand side is array expressions on pulled-back
+coefficient vectors: two outer products and one convolution, cut at
+m + n <= degree, then the mapped projection, which reads the phi'
+operator its map builds once per size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import series
 from .disk import (
     MultiplierPair,
     adjoint_dz_disk,
@@ -31,12 +35,11 @@ from .mapping import (
 )
 from .series import (
     DEFAULT_MAX_DEGREE,
+    BivariateField,
     HolomorphicSeries,
     add,
     as_series,
-    conjugate,
     scale,
-    subtract,
 )
 
 
@@ -238,29 +241,40 @@ class GeodesicState:
     xi: HolomorphicSeries  # velocity in image coordinates
 
 
+@functools.cache
+def _above_degree(max_degree):
+    """Mask of the entries m + n > max_degree of a square table of side max_degree + 1."""
+    k = np.arange(max_degree + 1)
+    mask = k[:, None] + k[None, :] > max_degree
+    mask.flags.writeable = False
+    return mask
+
+
 def geodesic_rhs(state: GeodesicState, proj_degree, max_degree):
     """Time derivatives (phi_dot, xi_dot) of the embedding flow.
 
-    phi_dot is the pulled-back velocity xi o phi.  xi_dot is the projection
-    of conj(xi) * adjoint_dz(xi) - 2 div(xi) xi; the orthogonal multiplier
-    terms are absorbed by the projection and recoverable on demand from the
-    unprojected field.
+    phi_dot is the pulled-back velocity X = xi o phi.  xi_dot is the
+    projection of conj(xi) * adjoint_dz(xi) - 2 div(xi) xi; the orthogonal
+    multiplier terms are absorbed by the projection and recoverable on
+    demand from the unprojected field.  Pulled back, with A = adjoint_dz(xi)
+    o phi and Y = xi' o phi, that field has the table
+    outer(A, conj X) - 2 outer(X, conj Y), minus 2 X Y in column 0 (div(xi)
+    o phi = Y + conj Y), cut at m + n <= max_degree.
     """
     mapping, xi = state.phi, state.xi
+    n = max_degree + 1
     xi_pull = pullback(mapping, xi, max_degree)
-    phi_dot = xi_pull
     aT = adjoint_dz_mapped(mapping, xi, degree=proj_degree, max_degree=max_degree)
-    aT_pull = pullback(mapping, aT, max_degree)
-    xi_prime_pull = pullback(mapping, xi.derivative(), max_degree)
-    div_pull = add(xi_prime_pull.to_field(), conjugate(xi_prime_pull.to_field()))
+    X = xi_pull.to_array(n)
+    A = pullback(mapping, aT, max_degree).to_array(n)
+    Y = pullback(mapping, xi.derivative(), max_degree).to_array(n)
+    B = np.outer(A, X.conj()) - 2 * np.outer(X, Y.conj())
+    B[:, 0] -= 2 * np.convolve(Y, X)[:n]
     # degree-budget truncation is the design here, so drop mass silently
-    term1, _ = series.convolve(
-        conjugate(xi_pull.to_field()), aT_pull.to_field(), max_degree=max_degree
-    )
-    term2, _ = series.convolve(div_pull, xi_pull.to_field(), max_degree=max_degree)
-    B = subtract(term1, scale(term2, 2))
-    xi_dot = project_con_mapped(mapping, B, degree=proj_degree, max_degree=max_degree)
-    return phi_dot, xi_dot
+    B[_above_degree(max_degree)] = 0
+    xi_dot = project_con_mapped(mapping, BivariateField(B, max_degree), degree=proj_degree,
+                                max_degree=max_degree)
+    return xi_pull, xi_dot
 
 
 def geodesic_energy(state: GeodesicState) -> float:

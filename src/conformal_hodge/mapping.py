@@ -99,15 +99,28 @@ class ConformalMap:
 
     # -- cached series helpers ------------------------------------------------
 
+    def phi_prime_operator(self, size):
+        """Lower-triangular Toeplitz matrix T of phi' (cached, read-only).
+
+        T @ v is the coefficient vector of phi' v cut at degree size - 1, for
+        a coefficient vector v of length size.
+        """
+        key = ("phi_prime", size)
+        if key not in self._caches:
+            d = self.phi_prime.to_array(size)
+            k = np.arange(size)
+            gap = k[:, None] - k[None, :]
+            T = np.where(gap >= 0, d[gap], 0)  # negative gaps index from the end, masked
+            T.flags.writeable = False
+            self._caches[key] = T
+        return self._caches[key]
+
     def basis_matrix(self, degree, max_degree):
         """Rows are the coefficient vectors of phi' phi^k, the pulled-back monomial frame."""
         key = ("basis", degree, max_degree)
         if key not in self._caches:
             powers = self.phi.power_table(degree, max_degree)
-            B = np.zeros_like(powers)
-            for j, d in enumerate(self.phi_prime.coeffs[: max_degree + 1].tolist()):
-                B[:, j:] += d * powers[:, : max_degree + 1 - j]
-            self._caches[key] = B
+            self._caches[key] = powers @ self.phi_prime_operator(max_degree + 1).T
         return self._caches[key]
 
     def gram(self, degree, max_degree):
@@ -174,12 +187,13 @@ def project_con_mapped(mapping: ConformalMap, f, degree, max_degree=None) -> Hol
     f = as_field(f)
     if max_degree is None:
         max_degree = max(mapping.natural_cap(degree), f.max_degree)
-    dphi = mapping.phi_prime.to_field()
-    wf = multiply(dphi, f, max_degree=f.max_degree + dphi.max_degree)
+    # the rows of phi' f: each column of f's table times phi', exact
+    rows = len(f.table)
+    wf = mapping.phi_prime_operator(rows + mapping.phi_prime.degree)[:, :rows] @ f.table
     B = mapping.basis_matrix(degree, max_degree)
     # <<wf, z^k>> collects the terms of angular index k = m - n, so
     # <<wf, phi' phi^j>> is the sum over k against basis coefficient k
-    moments = series.angular_sums(wf.table * series.pair_constants(len(wf.table))[:, None])
+    moments = series.angular_sums(wf * series.pair_constants(len(wf))[:, None])
     width = min(len(moments), B.shape[1])
     rhs = B[:, :width].conj() @ moments[:width]
     coeffs = _solve_gram(mapping, rhs, degree, max_degree)

@@ -62,7 +62,9 @@ class CoefficientField:
 
     ``table[i, j]`` multiplies ``z^(i+offset) zbar^(j+offset)``; the table is
     trimmed to the rows and columns that hold a nonzero term.  Subclasses
-    fix the offset, the domain radius ``r_in`` and the truncation bound.
+    fix the offset, the domain radius ``r_in`` and the truncation bound;
+    listed terms are checked against that bound before their table is
+    allocated.
     """
 
     __slots__ = ("table",)
@@ -70,7 +72,7 @@ class CoefficientField:
     r_in = 0.0
     drop_tolerance = 0.0  # listed terms of smaller modulus are left out
 
-    def __init__(self, terms, offset):
+    def __init__(self, terms, offset, bound):
         if isinstance(terms, np.ndarray):
             table = np.asarray(terms, dtype=complex)
         else:
@@ -82,6 +84,8 @@ class CoefficientField:
             i, j = m[keep] - offset, n[keep] - offset
             if i.size and min(i.min(), j.min()) < 0:
                 raise ValueError(f"index below the lowest power {offset}")
+            if bound is not None and i.size:
+                self._check_indices(i, j, bound)
             table = np.zeros((i.max(initial=-1) + 1, j.max(initial=-1) + 1), dtype=complex)
             np.add.at(table, (i, j), c[keep])  # adding to zero also turns -0.0 into 0.0
         table = _trimmed(table)
@@ -192,13 +196,19 @@ class BivariateField(CoefficientField):
     drop_tolerance = DROP_TOLERANCE
 
     def __init__(self, terms=None, max_degree=None):
-        super().__init__(terms, 0)
+        super().__init__(terms, 0, max_degree)
         t = self.table
         if max_degree is None:
             max_degree = self.degree()
         elif sum(t.shape) - 2 > max_degree and np.triu(t[::-1], max_degree - t.shape[0] + 2).any():
             raise ValueError(f"term of degree {self.degree()} exceeds max_degree {max_degree}")
         self.max_degree = int(max_degree)
+
+    @staticmethod
+    def _check_indices(m, n, max_degree):
+        degree = m.astype(np.uint64) + n.astype(np.uint64)  # both >= 0: no overflow
+        if (degree > max_degree).any():
+            raise ValueError(f"term of degree {degree.max()} exceeds max_degree {max_degree}")
 
     @property
     def _bound(self):

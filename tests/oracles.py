@@ -6,7 +6,8 @@ Dirichlet-Poisson problems are solved by second-order finite differences
 per angular mode on a fine radial grid.  The dict-loop kernels at the end
 are the term-by-term reference for the library's array kernels and its
 JSON term reader, and the forward-difference Jacobian is the reference for
-the stationary matrix.
+the stationary matrix.  The field-arithmetic routes of the mapped
+operators are the reference for their coefficient-vector forms.
 The random series and the primitive at the very end are test inputs and
 a test-only inverse of the derivative.
 """
@@ -18,6 +19,8 @@ from collections import defaultdict
 import numpy as np
 from scipy.linalg import solve_banded
 
+from conformal_hodge import series
+from conformal_hodge.mapping import _solve_gram, adjoint_dz_mapped, pullback
 from conformal_hodge.series import HolomorphicSeries
 
 
@@ -219,6 +222,47 @@ def fd_jacobian(residual, x, h=1e-7):
     return J
 
 
+# -- field-arithmetic routes of the mapped operators ----------------------------
+# The geodesic right-hand side, the pulled-back frame and the weighted
+# projection built from field products, as the library computed them before
+# its coefficient-vector forms.
+
+
+def basis_matrix(mapping, degree, max_degree):
+    """Rows phi' phi^k by shift-add: one shifted copy of the power table per coefficient of phi'."""
+    powers = mapping.phi.power_table(degree, max_degree)
+    B = np.zeros_like(powers)
+    for j, d in enumerate(mapping.phi_prime.coeffs[: max_degree + 1].tolist()):
+        B[:, j:] += d * powers[:, : max_degree + 1 - j]
+    return B
+
+
+def project_con_mapped(mapping, f, degree, max_degree):
+    """Mapped projection whose weighted field phi' f is a field product."""
+    dphi = mapping.phi_prime.to_field()
+    wf = series.multiply(dphi, f, max_degree=f.max_degree + dphi.max_degree)
+    B = basis_matrix(mapping, degree, max_degree)
+    moments = series.angular_sums(wf.table * series.pair_constants(len(wf.table))[:, None])
+    width = min(len(moments), B.shape[1])
+    rhs = B[:, :width].conj() @ moments[:width]
+    return HolomorphicSeries(_solve_gram(mapping, rhs, degree, max_degree))
+
+
+def geodesic_rhs(mapping, xi, proj_degree, max_degree):
+    """(phi_dot, xi_dot) of the embedding flow from field products, conjugates and sums."""
+    xi_pull = pullback(mapping, xi, max_degree)
+    aT = adjoint_dz_mapped(mapping, xi, degree=proj_degree, max_degree=max_degree)
+    aT_pull = pullback(mapping, aT, max_degree)
+    xi_prime_pull = pullback(mapping, xi.derivative(), max_degree)
+    div_pull = series.add(xi_prime_pull.to_field(), series.conjugate(xi_prime_pull.to_field()))
+    term1, _ = series.convolve(
+        series.conjugate(xi_pull.to_field()), aT_pull.to_field(), max_degree=max_degree
+    )
+    term2, _ = series.convolve(div_pull, xi_pull.to_field(), max_degree=max_degree)
+    B = series.subtract(term1, series.scale(term2, 2))
+    return xi_pull, project_con_mapped(mapping, B, proj_degree, max_degree)
+
+
 def random_series(rng, degree):
     return HolomorphicSeries(
         [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(degree + 1)]
@@ -230,3 +274,4 @@ def antiderivative(h):
     return HolomorphicSeries(
         np.concatenate([[0j], h.coeffs / np.arange(1, len(h.coeffs) + 1)])
     )
+

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,9 @@ from conformal_hodge import series
 from conformal_hodge.cli import build_parser, main, parse_series_spec
 from conformal_hodge.mapping import GramConditionWarning
 from conformal_hodge.series import BivariateField, HolomorphicSeries, TruncationWarning, monomial
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_field(path, field):
@@ -405,6 +412,31 @@ class TestConfigAndFlags:
             main(["wave", "--xi0", "0.3*z + 0.1", "--dt", "1e-2", "--steps", "25",
                   "--out", str(out), "--summary", str(tmp_path / "s.json")])
         assert o1.read_bytes() == o2.read_bytes()
+
+
+class TestProcessDeterminism:
+    """Identical inputs give byte-identical outputs in fresh processes whose
+    string hashes differ (PYTHONHASHSEED), for the geodesic flow whose stages
+    run through BLAS matrix products."""
+
+    @pytest.mark.parametrize("argv", [
+        "geodesic --xi0 0.1 --dt 1e-3 --steps 1000",  # the README example
+        "geodesic --map map.json --xi0 0.05+0.1*z --dt 1e-2 --steps 50",
+    ], ids=["readme", "map"])
+    def test_geodesic_outputs_match_across_hash_seeds(self, tmp_path, argv):
+        ser.write_json(tmp_path / "map.json", {"coeffs": [[0.0, 0.0], [1.0, 0.0], [0.1, 0.05]]})
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        procs = []
+        for seed in ("0", "1"):
+            cmd = [sys.executable, "-m", "conformal_hodge.cli", *argv.split(),
+                   "--out", f"traj{seed}.csv", "--summary", f"summary{seed}.json"]
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+            procs.append(subprocess.Popen(cmd, cwd=tmp_path, env=env, stderr=subprocess.PIPE))
+        for proc in procs:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err.decode()
+        for name in ("traj{}.csv", "summary{}.json"):
+            assert (tmp_path / name.format(0)).read_bytes() == (tmp_path / name.format(1)).read_bytes()
 
 
 class TestDomainResolution:

@@ -70,6 +70,12 @@ REJECTED = [
     ("classify --in bad.json", b'{"max_degree": 0, "terms": [], "note": "\xe9"}'),
     ("classify --r-in 0.5 --in bad.json", '{"band_limit": 1.5, "terms": []}'),
     ("classify --r-in 0.5 --in bad.json", '{"r_in": "0.5", "band_limit": 1, "terms": []}'),
+    # an index far outside the declared bound, refused before any table is allocated
+    ("decompose --in bad.json",
+     '{"max_degree": 32, "terms": [{"m": %d, "n": 0, "re": 1.0, "im": 0.0}]}' % 10**15),
+    ("classify --r-in 0.5 --in bad.json",
+     '{"r_in": 0.5, "band_limit": 6, "terms": [{"m": %d, "n": 0, "re": 1.0, "im": 0.0}]}'
+     % 10**15),
 ]
 
 
