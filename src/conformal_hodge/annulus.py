@@ -19,6 +19,7 @@ from .series import (
     add,
     angular_sums,
     coefficient_norm,
+    cr_residual,
     imag_part,
     pair_sums,
     real_part,
@@ -273,14 +274,12 @@ def conformal_split(f: LaurentField):
     arithmetic would cancel from f - grad_bar(F) - sgrad_bar(G), whose
     z-power part is h.
     """
-    residue = scale(wirtinger(f, "d_zbar"), 2)
+    residue = cr_residual(f)
     F = poisson_annulus(real_part(residue))
     G = poisson_annulus(imag_part(residue))
-    W = F + G.scaled(1j)
-    gradient_sum = W.wirtinger("d_z").scaled(2)
-    rest, log_defect = (LogLaurentField.from_laurent(f) - gradient_sum).laurent_part()
-    h = rest.holomorphic_part()
-    stray = math.hypot(rest.antiholomorphic_norm(), log_defect)
     gF = F.wirtinger("d_z").scaled(2)
     sG = G.wirtinger("d_z").scaled(2j)
+    rest, log_defect = (LogLaurentField.from_laurent(f) - gF - sG).laurent_part()
+    h = rest.holomorphic_part()
+    stray = math.hypot(rest.antiholomorphic_norm(), log_defect)
     return h, F, G, gF, sG, stray

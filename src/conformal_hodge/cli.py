@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import math
 import os
@@ -263,23 +264,13 @@ def cmd_classify(args):
         f = ser.laurent_from_json(data)
         if f.r_in != payload:
             raise InputError("r_in in the field JSON disagrees with the domain selector")
-    report = forms.hodge_membership(forms.flat_map(f), tol=args.tol)
+    report = forms.hodge_membership(f, tol=args.tol)
     extra = {}
     if kind == "annulus" and f.antiholomorphic_norm() == 0.0:
         # a conformal field is its own harmonic part: its raw coordinates on
         # i/z and 1/z are the A5 and A4 coordinates of its 1-form image
         extra = {"a4_coeff": report.coordinates["A5"], "a5_coeff": report.coordinates["A4"]}
-    _emit(args, {
-        "labels": list(report.labels),
-        "inconclusive": list(report.inconclusive),
-        "norms": report.norms,
-        "coordinates": report.coordinates,
-        "boundary_tangential_max": report.boundary_tangential_max,
-        "boundary_normal_max": report.boundary_normal_max,
-        "closedness_defect": report.closedness_defect,
-        "coclosedness_defect": report.coclosedness_defect,
-        **extra,
-    })
+    _emit(args, {**dataclasses.asdict(report), **extra})
     return EXIT_OK
 
 

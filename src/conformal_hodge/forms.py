@@ -4,7 +4,8 @@ Components are coefficient fields, polynomial on the disk and Laurent on the
 annulus, and the ``series`` operations serve both.  Orientation fixes
 star(dx) = dy, star(dy) = -dx, and on 1-forms the co-differential is
 delta = star d star, so that for a vector field u + iv the reflected image
-u dx - v dy has delta = u_x - v_y and d = -(v_x + u_y) dx^dy.
+u dx - v dy has delta = u_x - v_y and d = -(v_x + u_y) dx^dy, the real and
+minus the imaginary part of 2 d_zbar f; the membership test reads the field.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .series import (
     add,
     as_field,
     coefficient_norm,
+    cr_residual,
     evaluate_grid,
     imag_part,
     inner_product,
@@ -137,16 +139,12 @@ def sharp_map(alpha: OneForm):
 # -- boundary traces --------------------------------------------------------------
 
 
-def boundary_traces(alpha: OneForm, radius):
-    """(max tangential, max normal) component over 256 samples of the circle |z| = radius."""
-    pts = radius * boundary_points(256)
-    u = evaluate_grid(alpha.u_dx, pts)
-    v = evaluate_grid(alpha.v_dy, pts)
-    tangent = pts * 1j / radius
-    normal = pts / radius
-    tang = u * tangent.real + v * tangent.imag
-    norm_c = u * normal.real + v * normal.imag
-    return float(np.max(np.abs(tang))), float(np.max(np.abs(norm_c)))
+def boundary_traces(f, radius):
+    """(max tangential, max normal) component of u dx - v dy on 256 samples of
+    |z| = radius: -Im(f n) and Re(f n) for f = u + iv and the unit normal n."""
+    normal = boundary_points(256)
+    fn = evaluate_grid(f, radius * normal) * normal
+    return float(np.max(np.abs(fn.imag))), float(np.max(np.abs(fn.real)))
 
 
 # -- membership classification ----------------------------------------------------
@@ -162,7 +160,6 @@ class MembershipReport:
     closedness_defect: float
     coclosedness_defect: float
     coordinates: dict
-    potentials: dict
 
 
 def _labels_from_norms(norms, total, tol):
@@ -177,45 +174,45 @@ def _labels_from_norms(norms, total, tol):
     return tuple(labels), tuple(inconclusive)
 
 
-def hodge_membership(alpha: OneForm, tol=1e-10) -> MembershipReport:
-    """Classify a 1-form on the disk or the annulus into the six-space catalog.
+def hodge_membership(f, tol=1e-10) -> MembershipReport:
+    """Classify a field on the disk or the annulus into the six-space catalog.
 
-    The form is carried to a field by the reflected sharp map and split by
-    the conformal split of its domain into gradient / skew-gradient /
-    harmonic parts; on the annulus (a field with r_in > 0) the harmonic part
-    is further resolved against the two distinguished z^-1 directions.
-    Components whose norms land within a factor of 3 of the decision
-    threshold are reported as inconclusive rather than guessed.
+    The conformal split of the field's domain gives the gradient /
+    skew-gradient / harmonic parts of its reflected image u dx - v dy; on the
+    annulus (r_in > 0) the harmonic part is further resolved against the two
+    distinguished z^-1 directions.  Components whose norms land within a
+    factor of 3 of the decision threshold are reported as inconclusive rather
+    than guessed.  The (co-)closedness defect is the coefficient norm of the
+    imaginary (real) part of 2 d_zbar f, and each circle is one evaluation.
     """
-    f = sharp_map(alpha)
-    norms, stray, coordinates, potentials = _split(f)
+    norms, stray, coordinates = _split(f)
     total = norm(f)
     labels, inconclusive = _labels_from_norms(norms, total, tol)
     if stray > tol * max(total, 1.0):
         inconclusive = tuple(sorted(set(inconclusive) | {"unresolved"}))
-    traces = [boundary_traces(alpha, radius=r) for r in ((1.0, f.r_in) if f.r_in else (1.0,))]
+    traces = [boundary_traces(f, radius=r) for r in ((1.0, f.r_in) if f.r_in else (1.0,))]
+    residue = cr_residual(f)
     return MembershipReport(
         labels=labels,
         norms=norms,
         inconclusive=inconclusive,
         boundary_tangential_max=max(t for t, _ in traces),
         boundary_normal_max=max(n for _, n in traces),
-        closedness_defect=coefficient_norm(exterior_derivative(alpha).density),
-        coclosedness_defect=coefficient_norm(codifferential(alpha).value),
+        closedness_defect=coefficient_norm(imag_part(residue)),
+        coclosedness_defect=coefficient_norm(real_part(residue)),
         coordinates=coordinates,
-        potentials=potentials,
     )
 
 
 def _split(f):
-    """(norms, stray, coordinates, potentials) from the conformal split of f's domain."""
+    """(norms, stray, coordinates) from the conformal split of f's domain."""
     if not f.r_in:
-        h, F, G, gF, sG = disk_mod.conformal_split(f)
+        h, _, _, gF, sG = disk_mod.conformal_split(f)
         norms = {"A1": norm(gF), "A2": norm(sG), "A3": 0.0, "A4": 0.0, "A5": 0.0,
                  "A6": norm(h.to_field())}
-        return norms, 0.0, {}, {"A1": F, "A2": G}
-    h, F, G, gF, sG, stray = annulus_mod.conformal_split(f)
-    # Under the reflected sharp the field 1/z is the d ln(x^2+y^2) direction
+        return norms, 0.0, {}
+    h, _, _, gF, sG, stray = annulus_mod.conformal_split(f)
+    # Under the reflected flat map 1/z is the d ln(x^2+y^2) direction
     # (normal harmonic, exact) and i/z is its star image.
     cls = annulus_classify(h)
     basis_norm = norm(laurent_monomial(-1, 0, 1.0, f.r_in))
@@ -227,4 +224,4 @@ def _split(f):
         "A5": abs(cls.a4_coeff) * basis_norm,
         "A6": norm(cls.a6_part),
     }
-    return norms, stray, {"A4": cls.a5_coeff, "A5": cls.a4_coeff}, {"A1": F, "A2": G}
+    return norms, stray, {"A4": cls.a5_coeff, "A5": cls.a4_coeff}

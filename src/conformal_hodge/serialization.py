@@ -4,12 +4,13 @@ Field JSON: {"max_degree": D, "terms": [{"m": int, "n": int, "re": float,
 "im": float}, ...]} with terms in lexicographic (m, n) order and no
 duplicate indices.  Annulus fields add "r_in" and "band_limit"; torus
 fields carry separate theta/phi term lists with "band_limit".  Numbers are
-JSON numbers and integer fields JSON integers; readers raise FormatError
-on anything else.  Output JSON is byte for byte the text of
-``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, with
-shortest round-trip floats; ``dumps`` writes that layout itself, since the
-json module formats indented output in pure Python.  All writers are
-deterministic and atomic.
+JSON numbers and integer fields JSON integers, and a declared max_degree
+or band_limit is at most SIZE_LIMIT; readers raise FormatError on anything
+else, before any coefficient table is allocated.  Output JSON is byte for
+byte the text of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
+newline, with shortest round-trip floats; ``dumps`` writes that layout
+itself, since the json module formats indented output in pure Python.  All
+writers are deterministic and atomic.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .torus import TorusField
 _TERM_KEYS = {"im", "m", "n", "re"}
 _NUMBER = {int, float}
 _INT64 = range(-2**63, 2**63)
+SIZE_LIMIT = 512  # largest declared max_degree or band_limit
 
 
 class FormatError(ValueError):
@@ -48,6 +50,13 @@ def _number(value, what, integer):
     if not abs(value) <= sys.float_info.max:  # NaN, infinity, an integer past the float range
         raise FormatError(f"{what} must be finite and in range, got {value!r}")
     return float(value)
+
+
+def _bound(value, what):
+    """A declared max_degree or band_limit: a JSON integer of at most SIZE_LIMIT."""
+    if _number(value, what, True) > SIZE_LIMIT:
+        raise FormatError(f"{what} must be at most {SIZE_LIMIT}, got {value}")
+    return value
 
 
 def _terms_to_list(items):
@@ -108,7 +117,7 @@ def field_from_json(d: dict) -> BivariateField:
         max_degree, entries = d["max_degree"], d["terms"]
     except (KeyError, TypeError) as exc:
         raise FormatError("field JSON needs 'max_degree' and 'terms'") from exc
-    max_degree = _number(max_degree, "max_degree", True)
+    max_degree = _bound(max_degree, "max_degree")
     try:
         return BivariateField(_terms_from_list(entries), max_degree=max_degree)
     except ValueError as exc:
@@ -142,7 +151,7 @@ def laurent_from_json(d: dict) -> LaurentField:
     try:
         return LaurentField(_terms_from_list(entries, what="laurent"),
                             r_in=_number(r_in, "r_in", False),
-                            band_limit=_number(band, "band_limit", True))
+                            band_limit=_bound(band, "band_limit"))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -166,7 +175,7 @@ def torus_from_json(d: dict) -> TorusField:
         n, th_entries, ph_entries = d["band_limit"], d["theta_terms"], d["phi_terms"]
     except (KeyError, TypeError) as exc:
         raise FormatError("torus JSON needs 'band_limit' and component terms") from exc
-    if not _number(n, "band_limit", True) >= 0:
+    if not _bound(n, "band_limit") >= 0:
         raise FormatError(f"band_limit must be at least 0, got {n}")
     side = 2 * n + 1
     th = np.zeros((side, side), dtype=complex)

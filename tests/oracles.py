@@ -7,7 +7,8 @@ per angular mode on a fine radial grid.  The dict-loop kernels at the end
 are the term-by-term reference for the library's array kernels and its
 JSON term reader, and the forward-difference Jacobian is the reference for
 the stationary matrix.  The field-arithmetic routes of the mapped
-operators are the reference for their coefficient-vector forms.
+operators are the reference for their coefficient-vector forms, and the
+1-form route of the membership test is the reference for its field form.
 The random series and the primitive at the very end are test inputs and
 a test-only inverse of the derivative.
 """
@@ -19,8 +20,9 @@ from collections import defaultdict
 import numpy as np
 from scipy.linalg import solve_banded
 
-from conformal_hodge import series
+from conformal_hodge import annulus, disk, forms, series
 from conformal_hodge.mapping import _solve_gram, adjoint_dz_mapped, pullback
+from conformal_hodge.quadrature import boundary_points
 from conformal_hodge.series import HolomorphicSeries
 
 
@@ -261,6 +263,69 @@ def geodesic_rhs(mapping, xi, proj_degree, max_degree):
     term2, _ = series.convolve(div_pull, xi_pull.to_field(), max_degree=max_degree)
     B = series.subtract(term1, series.scale(term2, 2))
     return xi_pull, project_con_mapped(mapping, B, proj_degree, max_degree)
+
+
+# -- the 1-form route of the membership test ---------------------------------------
+# The six-space report of a 1-form alpha = u dx + v dy as the library computed
+# it before it read the field: the sharp map, the annulus split through
+# W = F + iG, both form components on every circle, and d and delta from the
+# form calculus.
+
+
+def annulus_split(f):
+    """(h, gF, sG, stray) of the annulus split, with 2 d_z W taken for W = F + iG."""
+    residue = series.scale(series.wirtinger(f, "d_zbar"), 2)
+    F = annulus.poisson_annulus(series.real_part(residue))
+    G = annulus.poisson_annulus(series.imag_part(residue))
+    gradient_sum = (F + G.scaled(1j)).wirtinger("d_z").scaled(2)
+    rest, log_defect = (annulus.LogLaurentField.from_laurent(f) - gradient_sum).laurent_part()
+    stray = math.hypot(rest.antiholomorphic_norm(), log_defect)
+    return rest.holomorphic_part(), F.wirtinger("d_z").scaled(2), G.wirtinger("d_z").scaled(2j), stray
+
+
+def form_traces(alpha, radius):
+    """(max tangential, max normal) component of alpha over 256 samples of |z| = radius."""
+    pts = radius * boundary_points(256)
+    u = series.evaluate_grid(alpha.u_dx, pts)
+    v = series.evaluate_grid(alpha.v_dy, pts)
+    tangent = pts * 1j / radius
+    normal = pts / radius
+    tang = u * tangent.real + v * tangent.imag
+    norm_c = u * normal.real + v * normal.imag
+    return float(np.max(np.abs(tang))), float(np.max(np.abs(norm_c)))
+
+
+def hodge_membership(alpha, tol):
+    """MembershipReport of the 1-form alpha through its sharp image and the form calculus."""
+    f = forms.sharp_map(alpha)
+    if not f.r_in:
+        h, F, G, gF, sG = disk.conformal_split(f)
+        norms = {"A1": series.norm(gF), "A2": series.norm(sG), "A3": 0.0, "A4": 0.0,
+                 "A5": 0.0, "A6": series.norm(h.to_field())}
+        stray, coordinates = 0.0, {}
+    else:
+        h, gF, sG, stray = annulus_split(f)
+        cls = annulus.annulus_classify(h)
+        basis_norm = series.norm(annulus.laurent_monomial(-1, 0, 1.0, f.r_in))
+        norms = {"A1": gF.norm(), "A2": sG.norm(), "A3": 0.0,
+                 "A4": abs(cls.a5_coeff) * basis_norm, "A5": abs(cls.a4_coeff) * basis_norm,
+                 "A6": series.norm(cls.a6_part)}
+        coordinates = {"A4": cls.a5_coeff, "A5": cls.a4_coeff}
+    total = series.norm(f)
+    labels, inconclusive = forms._labels_from_norms(norms, total, tol)
+    if stray > tol * max(total, 1.0):
+        inconclusive = tuple(sorted(set(inconclusive) | {"unresolved"}))
+    traces = [form_traces(alpha, r) for r in ((1.0, f.r_in) if f.r_in else (1.0,))]
+    return forms.MembershipReport(
+        labels=labels,
+        norms=norms,
+        inconclusive=inconclusive,
+        boundary_tangential_max=max(t for t, _ in traces),
+        boundary_normal_max=max(n for _, n in traces),
+        closedness_defect=series.coefficient_norm(forms.exterior_derivative(alpha).density),
+        coclosedness_defect=series.coefficient_norm(forms.codifferential(alpha).value),
+        coordinates=coordinates,
+    )
 
 
 def random_series(rng, degree):

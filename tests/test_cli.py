@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conformal_hodge import serialization as ser
@@ -417,7 +418,23 @@ class TestConfigAndFlags:
 class TestProcessDeterminism:
     """Identical inputs give byte-identical outputs in fresh processes whose
     string hashes differ (PYTHONHASHSEED), for the geodesic flow whose stages
-    run through BLAS matrix products."""
+    run through BLAS matrix products and for the classifier on both of its
+    domains."""
+
+    @staticmethod
+    def _run_twice(tmp_path, argv, outputs):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        procs = []
+        for seed in ("0", "1"):
+            cmd = [sys.executable, "-m", "conformal_hodge.cli", *argv,
+                   *(arg for name, flag in outputs for arg in (flag, name.format(seed)))]
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+            procs.append(subprocess.Popen(cmd, cwd=tmp_path, env=env, stderr=subprocess.PIPE))
+        for proc in procs:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err.decode()
+        for name, _ in outputs:
+            assert (tmp_path / name.format(0)).read_bytes() == (tmp_path / name.format(1)).read_bytes()
 
     @pytest.mark.parametrize("argv", [
         "geodesic --xi0 0.1 --dt 1e-3 --steps 1000",  # the README example
@@ -425,18 +442,21 @@ class TestProcessDeterminism:
     ], ids=["readme", "map"])
     def test_geodesic_outputs_match_across_hash_seeds(self, tmp_path, argv):
         ser.write_json(tmp_path / "map.json", {"coeffs": [[0.0, 0.0], [1.0, 0.0], [0.1, 0.05]]})
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        procs = []
-        for seed in ("0", "1"):
-            cmd = [sys.executable, "-m", "conformal_hodge.cli", *argv.split(),
-                   "--out", f"traj{seed}.csv", "--summary", f"summary{seed}.json"]
-            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
-            procs.append(subprocess.Popen(cmd, cwd=tmp_path, env=env, stderr=subprocess.PIPE))
-        for proc in procs:
-            _, err = proc.communicate(timeout=300)
-            assert proc.returncode == 0, err.decode()
-        for name in ("traj{}.csv", "summary{}.json"):
-            assert (tmp_path / name.format(0)).read_bytes() == (tmp_path / name.format(1)).read_bytes()
+        self._run_twice(tmp_path, argv.split(),
+                        [("traj{}.csv", "--out"), ("summary{}.json", "--summary")])
+
+    @pytest.mark.parametrize("argv", [
+        "classify --in field.json",
+        "classify --r-in 0.5 --in laurent.json",
+    ], ids=["disk", "annulus"])
+    def test_classify_outputs_match_across_hash_seeds(self, tmp_path, argv):
+        rng = np.random.default_rng(23)
+        write_field(tmp_path / "field.json", series.random_field(rng, 12))
+        band = range(-6, 7)
+        terms = [{"m": m, "n": n, "re": float(re), "im": float(im)}
+                 for m in band for n in band for re, im in [rng.standard_normal(2)]]
+        ser.write_json(tmp_path / "laurent.json", {"r_in": 0.5, "band_limit": 6, "terms": terms})
+        self._run_twice(tmp_path, argv.split(), [("out{}.json", "--out")])
 
 
 class TestDomainResolution:

@@ -76,6 +76,11 @@ REJECTED = [
     ("classify --r-in 0.5 --in bad.json",
      '{"r_in": 0.5, "band_limit": 6, "terms": [{"m": %d, "n": 0, "re": 1.0, "im": 0.0}]}'
      % 10**15),
+    # a declared bound past serialization.SIZE_LIMIT, refused before its table is allocated
+    ("project --domain torus --in bad.json", '{"band_limit": 100000000, %s}' % TORUS),
+    ("decompose --in bad.json",
+     '{"max_degree": %d, "terms": [{"m": %d, "n": 0, "re": 1.0, "im": 0.0}]}' % (10**15, 10**15)),
+    ("classify --r-in 0.5 --in bad.json", '{"r_in": 0.5, "band_limit": 513, "terms": []}'),
 ]
 
 

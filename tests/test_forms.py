@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conformal_hodge import series as s
 from conformal_hodge.annulus import LaurentField, laurent_monomial
-from conformal_hodge.disk import poisson_disk
+from conformal_hodge.disk import conformal_split, grad_bar, poisson_disk, sgrad_bar
 from conformal_hodge.forms import (
     OneForm,
     TwoForm,
@@ -137,42 +139,40 @@ class TestCalculus:
 class TestMembershipDisk:
     def test_gradient_of_dirichlet_potential_is_A1(self):
         F = BivariateField({(1, 1): 1.0, (0, 0): -1.0})
-        rep = hodge_membership(exterior_derivative(ZeroForm(F)))
+        f = sharp_map(exterior_derivative(ZeroForm(F)))
+        rep = hodge_membership(f)
         assert rep.labels == ("A1",)
         assert rep.boundary_tangential_max < 1e-12  # exact forms with normal potential
-        got_F = rep.potentials["A1"]
+        _, got_F, _, _, _ = conformal_split(f)
         assert s.coefficient_norm(s.subtract(got_F, F)) < 1e-12
 
     def test_flat_holomorphic_is_A6(self):
-        rep = hodge_membership(flat_map(monomial(1, 0)))
+        rep = hodge_membership(monomial(1, 0))
         assert rep.labels == ("A6",)
         assert rep.closedness_defect == 0
         assert rep.coclosedness_defect == 0
 
     def test_skew_gradient_is_A2(self):
-        from conformal_hodge.disk import sgrad_bar
-
         G = poisson_disk(monomial(0, 0, 2.0))
-        rep = hodge_membership(flat_map(sgrad_bar(G)))
+        rep = hodge_membership(sgrad_bar(G))
         assert rep.labels == ("A2",)
 
     def test_mixture_labels(self):
         f = s.add(monomial(0, 1), monomial(2, 0))  # gradient part + conformal part
-        rep = hodge_membership(flat_map(f))
+        rep = hodge_membership(f)
         assert "A6" in rep.labels and "A1" in rep.labels
         assert rep.norms["A4"] == 0.0
 
     def test_inconclusive_band_reported(self):
         f = s.add(monomial(0, 1), monomial(2, 0, 1e-10))
-        rep = hodge_membership(flat_map(f), tol=1e-10)
+        rep = hodge_membership(f, tol=1e-10)
         assert "A6" in rep.inconclusive
         assert "A6" not in rep.labels
 
 
 class TestMembershipAnnulus:
     def test_log_differential_is_A4(self):
-        alpha = flat_map(laurent_monomial(-1, 0, 2.0, r_in=R_IN))  # d ln(x^2+y^2)
-        rep = hodge_membership(alpha)
+        rep = hodge_membership(laurent_monomial(-1, 0, 2.0, r_in=R_IN))  # d ln(x^2+y^2)
         assert rep.labels == ("A4",)
         assert rep.coordinates["A4"] == pytest.approx(2.0)
         assert rep.coordinates["A5"] == pytest.approx(0.0)
@@ -180,13 +180,13 @@ class TestMembershipAnnulus:
 
     def test_star_log_differential_is_A5(self):
         alpha = star(flat_map(laurent_monomial(-1, 0, 2.0, r_in=R_IN)))
-        rep = hodge_membership(alpha)
+        rep = hodge_membership(sharp_map(alpha))
         assert rep.labels == ("A5",)
         assert rep.boundary_normal_max < 1e-12  # tangential harmonic field
 
     def test_mixed_field_resolves_components(self):
         f = LaurentField({(-1, 0): 3j, (1, 1): 2.0, (2, 0): 1.0}, r_in=R_IN)
-        rep = hodge_membership(flat_map(f))
+        rep = hodge_membership(f)
         assert set(rep.labels) >= {"A5", "A6"}
         assert rep.norms["A1"] > 0 and rep.norms["A2"] > 0
         assert rep.coordinates["A5"] == pytest.approx(3.0)
@@ -196,13 +196,75 @@ class TestBoundaryTraces:
     def test_radial_form_has_no_tangential_trace(self):
         # (x dx + y dy) restricted to the circle: purely normal
         alpha = OneForm(x_field(), y_field())
-        tang, norm_c = boundary_traces(alpha, radius=1.0)
+        tang, norm_c = boundary_traces(sharp_map(alpha), radius=1.0)
         assert tang < 1e-14
         assert norm_c == pytest.approx(1.0)
 
     def test_angular_form_has_no_normal_trace(self):
         # x dy - y dx: purely tangential on circles
         alpha = OneForm(s.scale(y_field(), -1), x_field())
-        tang, norm_c = boundary_traces(alpha, radius=0.7)
+        tang, norm_c = boundary_traces(sharp_map(alpha), radius=0.7)
         assert norm_c < 1e-14
         assert tang == pytest.approx(0.7)
+
+
+# -- the field route against the 1-form route ------------------------------------
+
+REL_TOL = 1e-12
+# a relative bound underflows for subnormal coefficients, where both routes
+# may differ by a few subnormal steps
+FLOOR = 64 * np.finfo(float).smallest_subnormal
+coefficient = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def disk_or_laurent_fields(draw):
+    """A disk field of degree <= 8, or a Laurent field of band <= 4 with r_in in [0.2, 0.8]."""
+    if draw(st.booleans()):
+        degree = draw(st.integers(0, 8))
+        slots = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
+        chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots)))
+        return BivariateField({idx: draw(coefficient) for idx in chosen}, max_degree=8)
+    band = draw(st.integers(0, 4))
+    r_in = draw(st.floats(0.2, 0.8))
+    slots = [(m, n) for m in range(-band, band + 1) for n in range(-band, band + 1)]
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots)))
+    return LaurentField({idx: draw(coefficient) for idx in chosen}, r_in=r_in, band_limit=band)
+
+
+def _scales(f):
+    """Bounds on the size of each reported quantity, from |c_mn| alone.
+
+    Norms and coordinates: the triangle bound on the norm of f.  Traces: the
+    largest sum of |c_mn| r^(m+n) over the boundary circles.  Defects: the
+    coefficient norms of 2 d_z f and 2 d_zbar f, which the form route adds.
+    """
+    terms = [(m, n, abs(c)) for (m, n), c in f.items()]
+    unit = (lambda m, n: laurent_monomial(m, n, 1.0, f.r_in)) if f.r_in else monomial
+    size = sum(a * s.norm(unit(m, n)) for m, n, a in terms)
+    radii = (1.0, f.r_in) if f.r_in else (1.0,)
+    trace = max(sum(a * r ** (m + n) for m, n, a in terms) for r in radii)
+    derivative = 2 * sum(s.coefficient_norm(s.wirtinger(f, w)) for w in ("d_z", "d_zbar"))
+    return size, trace, derivative
+
+
+@given(disk_or_laurent_fields())
+@example(grad_bar(BivariateField({(1, 1): 1.0, (0, 0): -1.0})))  # exact gradient
+@example(sgrad_bar(poisson_disk(monomial(0, 0, 2.0))))  # skew gradient
+@example(LaurentField({(-1, 0): 2.0 + 3.0j, (2, 0): 1.0}, r_in=R_IN))  # conformal: the a4/a5 branch
+@settings(max_examples=150, deadline=None)
+def test_field_route_matches_form_route(f):
+    got = hodge_membership(f, tol=1e-10)
+    ref = oracles.hodge_membership(flat_map(f), tol=1e-10)
+    assert got.labels == ref.labels
+    assert got.inconclusive == ref.inconclusive
+    size, trace, derivative = _scales(f)
+    assert got.norms.keys() == ref.norms.keys() and got.coordinates.keys() == ref.coordinates.keys()
+    for k in ref.norms:
+        assert abs(got.norms[k] - ref.norms[k]) <= REL_TOL * size + FLOOR, k
+    for k in ref.coordinates:
+        assert abs(got.coordinates[k] - ref.coordinates[k]) <= REL_TOL * size + FLOOR, k
+    for k in ("boundary_tangential_max", "boundary_normal_max"):
+        assert abs(getattr(got, k) - getattr(ref, k)) <= REL_TOL * trace + FLOOR, k
+    for k in ("closedness_defect", "coclosedness_defect"):
+        assert abs(getattr(got, k) - getattr(ref, k)) <= REL_TOL * derivative + FLOOR, k
