@@ -413,10 +413,23 @@ def cmd_check(args):
 # -- parser ------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument that starts with '-' and a digit, or '-.' and a digit, is a
+    value (a negative number in any spelling, such as -7.6e-05); argparse's
+    own pattern has no exponent.  No option name looks like a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process; parse_args leaves it unchanged."""
-    p = argparse.ArgumentParser(
+    """The argument parser, built once per process; parse_args leaves it unchanged.
+
+    The subparsers are of the same class as the parser.
+    """
+    p = _Parser(
         prog="conformal-hodge",
         description="Spectral calculus for conformal vector fields on planar domains",
     )

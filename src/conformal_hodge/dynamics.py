@@ -27,6 +27,7 @@ from .disk import (
 from .mapping import (
     ConformalMap,
     EmbeddingError,
+    _solve_gram,
     adjoint_dz_mapped,
     map_inner_product,
     map_norm,
@@ -39,6 +40,8 @@ from .series import (
     HolomorphicSeries,
     add,
     as_series,
+    coefficient_norm,
+    pair_constants,
     scale,
 )
 
@@ -97,35 +100,63 @@ class StationaryResult:
 def stationary_matrix(V: PotentialSpec, domain, n):
     """Matrix L of the residual on coefficient vectors of length n (m = n + 2 rows).
 
-    The residual is complex-linear in xi, so column k is the residual of z^k.
-    Every column is projected at the same degree n, so L x is the residual of
-    x at proj_degree=n.
+    The residual is complex-linear in xi and projected at degree n, so L x is
+    the residual of x at proj_degree=n.  On the disk column k is the residual
+    of z^k.  On a mapped disk the n columns share one Gram solve at degree n
+    and cap M = natural_cap(n), where z^k pulls back to phi^k exactly: the
+    adjoint right-hand side pairs the derivative of z^2 phi' (k phi^(k-1))
+    with the powers phi^j, and the projection right-hand side pairs
+    phi' phi^k with the frame phi' phi^j.
     """
     m = n + 2  # adjoint raises the degree by one; keep slack
-    return np.column_stack([
-        stationary_residual(HolomorphicSeries(e), V, domain=domain, proj_degree=n).to_array(m)
-        for e in np.eye(n)
-    ])
+    if domain == "disk" or domain is None:
+        return np.column_stack([
+            stationary_residual(HolomorphicSeries(e), V, domain=domain).to_array(m)
+            for e in np.eye(n)
+        ])
+    mapping: ConformalMap = domain
+    M = mapping.natural_cap(n)
+    P = mapping.phi.power_table(n, M)
+    B = mapping.basis_matrix(n, M)
+    w = pair_constants(M + 1)[:, None]
+    # a = A' for A = z^2 phi' (k phi^(k-1)) cut at degree M + 1; A' has no constant term
+    a = np.zeros((M + 1, n), dtype=complex)
+    k = np.arange(1, n)
+    a[1:, 1:] = np.arange(2, M + 2)[:, None] * (
+        mapping.phi_prime_operator(M + 1)[:M, :M] @ (P[: n - 1, :M].T * k))
+    rhs = P.conj() @ (a * w) + V.c * (B.conj() @ (B[:n].T * w))
+    L = np.zeros((m, n), dtype=complex)
+    L[: n + 1] = _solve_gram(mapping, rhs, n, M)
+    return L
 
 
 def stationary_solve(V: PotentialSpec, init, tol=1e-10, max_iter=50,
                      domain="disk", degree=None) -> StationaryResult:
-    """Least-squares steps x += lstsq(L, -L x) on the truncated coefficient vector.
+    """Least-squares steps x += lstsq(L, -r) on the truncated coefficient vector.
 
-    Non-convergence is a reported outcome, not an exception: the last iterate
-    comes back with converged=False.  An init above the degree is cut with a
-    TruncationWarning.  Multipliers are recovered afterwards by splitting the
-    unprojected residual (disk domain only).
+    r is the residual of the iterate itself (stationary_residual at
+    proj_degree n), so L only steers the step: convergence and residual_norm
+    are read from r, never from L x.  Non-convergence is a reported outcome,
+    not an exception: the last iterate comes back with converged=False.  An
+    init above the degree is cut with a TruncationWarning.  Multipliers are
+    recovered afterwards by splitting the unprojected residual (disk domain
+    only).
     """
     init = as_series(init)
     n = (degree if degree is not None else max(init.degree, 1)) + 1
+    m = n + 2
     L = stationary_matrix(V, domain, n)
     x = init.truncated(n - 1).to_array(n)
-    rnorm = float(np.linalg.norm(L @ x))
+
+    def residual(x):
+        r = stationary_residual(HolomorphicSeries(x), V, domain=domain, proj_degree=n)
+        return r.to_array(m), coefficient_norm(r)
+
+    r, rnorm = residual(x)
     iterations = 0
     while rnorm > tol and iterations < max_iter:
-        x = x + np.linalg.lstsq(L, -(L @ x), rcond=None)[0]
-        rnorm = float(np.linalg.norm(L @ x))
+        x = x + np.linalg.lstsq(L, -r, rcond=None)[0]
+        r, rnorm = residual(x)
         iterations += 1
     xi = HolomorphicSeries(x)
     multipliers = None

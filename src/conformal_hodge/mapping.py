@@ -174,7 +174,8 @@ def _solve_gram(mapping, rhs, degree, max_degree):
             GramConditionWarning,
             stacklevel=3,
         )
-    return V @ ((V.conj().T @ rhs) / w)
+    # w scales the rows of V^H rhs, whether rhs is one vector or a matrix of columns
+    return V @ ((V.conj().T @ rhs) / (w if rhs.ndim == 1 else w[:, None]))
 
 
 def project_con_mapped(mapping: ConformalMap, f, degree, max_degree=None) -> HolomorphicSeries:

@@ -5,7 +5,7 @@ Field JSON: {"max_degree": D, "terms": [{"m": int, "n": int, "re": float,
 duplicate indices.  Annulus fields add "r_in" and "band_limit"; torus
 fields carry separate theta/phi term lists with "band_limit".  Numbers are
 JSON numbers and integer fields JSON integers, and a declared max_degree
-or band_limit is at most SIZE_LIMIT; readers raise FormatError on anything
+or band_limit is from 0 to SIZE_LIMIT; readers raise FormatError on anything
 else, before any coefficient table is allocated.  Output JSON is byte for
 byte the text of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
 newline, with shortest round-trip floats; ``dumps`` writes that layout
@@ -53,9 +53,9 @@ def _number(value, what, integer):
 
 
 def _bound(value, what):
-    """A declared max_degree or band_limit: a JSON integer of at most SIZE_LIMIT."""
-    if _number(value, what, True) > SIZE_LIMIT:
-        raise FormatError(f"{what} must be at most {SIZE_LIMIT}, got {value}")
+    """A declared max_degree or band_limit: a JSON integer from 0 to SIZE_LIMIT."""
+    if not 0 <= _number(value, what, True) <= SIZE_LIMIT:
+        raise FormatError(f"{what} must be from 0 to {SIZE_LIMIT}, got {value}")
     return value
 
 
@@ -175,8 +175,7 @@ def torus_from_json(d: dict) -> TorusField:
         n, th_entries, ph_entries = d["band_limit"], d["theta_terms"], d["phi_terms"]
     except (KeyError, TypeError) as exc:
         raise FormatError("torus JSON needs 'band_limit' and component terms") from exc
-    if not _bound(n, "band_limit") >= 0:
-        raise FormatError(f"band_limit must be at least 0, got {n}")
+    n = _bound(n, "band_limit")
     side = 2 * n + 1
     th = np.zeros((side, side), dtype=complex)
     ph = np.zeros((side, side), dtype=complex)

@@ -5,10 +5,11 @@ evaluated by direct power sums, integrals are taken by quadrature, and the
 Dirichlet-Poisson problems are solved by second-order finite differences
 per angular mode on a fine radial grid.  The dict-loop kernels at the end
 are the term-by-term reference for the library's array kernels and its
-JSON term reader, and the forward-difference Jacobian is the reference for
-the stationary matrix.  The field-arithmetic routes of the mapped
-operators are the reference for their coefficient-vector forms, and the
-1-form route of the membership test is the reference for its field form.
+JSON term reader, and the forward-difference Jacobian and the residuals of
+the monomials, one column each, are the references for the stationary
+matrix.  The field-arithmetic routes of the mapped operators are the
+reference for their coefficient-vector forms, and the 1-form route of the
+membership test is the reference for its field form.
 The random series and the primitive at the very end are test inputs and
 a test-only inverse of the derivative.
 """
@@ -20,7 +21,7 @@ from collections import defaultdict
 import numpy as np
 from scipy.linalg import solve_banded
 
-from conformal_hodge import annulus, disk, forms, series
+from conformal_hodge import annulus, disk, dynamics, forms, series
 from conformal_hodge.mapping import _solve_gram, adjoint_dz_mapped, pullback
 from conformal_hodge.quadrature import boundary_points
 from conformal_hodge.series import HolomorphicSeries
@@ -222,6 +223,16 @@ def fd_jacobian(residual, x, h=1e-7):
             xp[k] += delta
             J[:, 2 * k + part] = (residual(xp) - r) / h
     return J
+
+
+def stationary_matrix(V, domain, n):
+    """The stationary matrix column by column: column k is the residual of z^k
+    at projection degree n, cut to n + 2 rows."""
+    return np.column_stack([
+        dynamics.stationary_residual(HolomorphicSeries(e), V, domain=domain,
+                                     proj_degree=n).to_array(n + 2)
+        for e in np.eye(n)
+    ])
 
 
 # -- field-arithmetic routes of the mapped operators ----------------------------

@@ -407,6 +407,20 @@ class TestConfigAndFlags:
         assert data["a4_coeff"] == 1.0
         assert data["labels"] == ["A5"]
 
+    @pytest.mark.parametrize("argv", [
+        "stationary --c -7.640463392677432e-05 --init 0.1",  # repr of a float in (-1e-4, 0)
+        "stationary --c -1e3 --init 0.1",
+        "wave --c -5E-05 --xi0 z --dt 1e-2 --steps 3",
+    ])
+    def test_negative_number_in_exponent_notation_is_a_value(self, argv, capsys):
+        args = argv.split()
+        assert build_parser().parse_args(args).c == float(args[2])
+        assert main(args) == 0
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    def test_negative_non_finite_value_still_rejected(self, value):
+        assert main(["stationary", "--c", value]) == 2
+
     def test_wave_csv_deterministic(self, tmp_path):
         o1, o2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (o1, o2):

@@ -81,6 +81,10 @@ REJECTED = [
     ("decompose --in bad.json",
      '{"max_degree": %d, "terms": [{"m": %d, "n": 0, "re": 1.0, "im": 0.0}]}' % (10**15, 10**15)),
     ("classify --r-in 0.5 --in bad.json", '{"r_in": 0.5, "band_limit": 513, "terms": []}'),
+    # a negative declared bound, which was read as 0
+    ("project --in bad.json", '{"max_degree": -1, "terms": []}'),
+    ("decompose --in bad.json", '{"max_degree": -1, "terms": []}'),
+    ("classify --r-in 0.5 --in bad.json", '{"r_in": 0.5, "band_limit": -1, "terms": []}'),
 ]
 
 

@@ -131,6 +131,14 @@ def random_gentle_map(seed):
     return ConformalMap(HolomorphicSeries([0.0, 1.0, *(0.1 * c / (np.arange(2, 5) * abs(c)))]))
 
 
+def scale_one_column(L):
+    L[:, 1] *= 1.01
+
+
+def move_null_space(L):
+    L[:, 0] -= L[:, 1]  # at c = 0 the null vector z^0 becomes z^0 + z^1
+
+
 class TestStationaryMatrix:
     @pytest.mark.parametrize("make_map", [probe_map, lambda: random_gentle_map(7)],
                              ids=["probe", "random"])
@@ -158,6 +166,29 @@ class TestStationaryMatrix:
             ref = stationary_residual(HolomorphicSeries(x), V, domain=domain,
                                       proj_degree=n).to_array(n + 2)
             assert np.linalg.norm(L @ x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("perturb", [scale_one_column, move_null_space])
+    def test_convergence_is_read_from_the_true_residual(self, monkeypatch, perturb):
+        # a wrong L may slow the steps, but the solver must not report
+        # convergence unless the residual of its own answer is within tol
+        exact = dynamics.stationary_matrix
+
+        def perturbed(V, domain, n):
+            L = exact(V, domain, n)
+            perturb(L)
+            return L
+
+        monkeypatch.setattr(dynamics, "stationary_matrix", perturbed)
+        # c = 0: the constants are stationary, and init keeps 1.5 of them
+        V, m, tol = PotentialSpec.quadratic(0.0), probe_map(), 1e-10
+        init = HolomorphicSeries([1.5, 0.3, -0.2])
+        runs = [stationary_solve(V, init, tol=tol, max_iter=k, domain=m) for k in (1, 50)]
+        for res in runs:
+            true = s.coefficient_norm(stationary_residual(res.xi, V, domain=m, proj_degree=3))
+            assert res.residual_norm == true
+            assert res.converged == (true <= tol)
+        assert not runs[0].converged and runs[0].residual_norm > 1e-3
+        assert runs[1].converged and runs[1].iterations > 1
 
     @pytest.mark.parametrize("c", [0.0, -2.0, 1.5])
     def test_disk_matrix_is_the_wave_operator(self, c):

@@ -9,6 +9,11 @@ relative to its scale; the two projections share the Gram solve, so their
 right-hand sides differ at roundoff times the Gram condition number.  Small
 max_degree cuts the pulled-back products, so the truncation of both routes
 is compared too.
+
+The stationary matrix is drawn on univalent maps z + sum b_k z^k with
+sum k |b_k| < 1 and compared to its column-by-column route; both carry the
+roundoff of one Gram solve per column, so above condition 1e3 the bound
+grows with the condition number.
 """
 
 import numpy as np
@@ -16,7 +21,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_hodge import series as s
-from conformal_hodge.dynamics import GeodesicState, geodesic_rhs
+from conformal_hodge.dynamics import (
+    GeodesicState,
+    PotentialSpec,
+    geodesic_rhs,
+    stationary_matrix,
+)
 from conformal_hodge.mapping import ConformalMap, project_con_mapped
 from conformal_hodge.series import BivariateField, HolomorphicSeries
 
@@ -97,3 +107,24 @@ def test_geodesic_rhs_matches_field_product_route(mapping, velocity):
     # xi_dot is quadratic in xi
     scale = np.linalg.norm(ref) + np.linalg.norm(xi.coeffs) ** 2
     assert np.linalg.norm(got - ref) <= REL_TOL * gram_condition(mapping, proj_degree, max_degree) * scale
+
+
+@st.composite
+def univalent_maps(draw):
+    """phi = z + sum b_k z^k of degree 1..4 with sum k |b_k| < 1, so Re phi' > 0."""
+    p = draw(st.integers(1, 4))
+    b = np.array([draw(coefficient) for _ in range(2, p + 1)], dtype=complex)
+    weight = np.abs(b) @ np.arange(2, p + 1)
+    if weight > 0:
+        b *= draw(st.floats(0, 0.99)) / weight
+    return ConformalMap(HolomorphicSeries([0, 1, *b]))
+
+
+@given(univalent_maps(), st.integers(2, 20), st.floats(-3, 1))
+@settings(max_examples=60, deadline=None)
+def test_stationary_matrix_matches_column_route(mapping, n, c):
+    V = PotentialSpec.quadratic(c)
+    ref = oracles.stationary_matrix(V, mapping, n)
+    got = stationary_matrix(V, mapping, n)
+    cond = gram_condition(mapping, n, mapping.natural_cap(n))
+    assert np.linalg.norm(got - ref) <= REL_TOL * max(1.0, cond / 1e3) * np.linalg.norm(ref)
