@@ -2,9 +2,11 @@
 
 Laurent fields share the coefficient table of the disk fields, with the
 index offset -band_limit, so the element-wise operations and the pairing
-of ``series`` serve them unchanged.  The Dirichlet Poisson solver augments
-the Laurent table with powers of ln(z zbar) for the z^-1 modes and the
-two-circle boundary matching; two such solves give ``conformal_split``.
+of ``series`` serve them unchanged.  The Dirichlet Poisson solution carries
+powers of ln(z zbar) for the z^-1 modes: a log-Laurent field stacks one
+Laurent level per power on a leading level axis of one array, and the
+two-circle boundary matching solves every angular mode at once in closed
+form.  Two such solves give ``conformal_split``.
 """
 
 from __future__ import annotations
@@ -16,16 +18,11 @@ import numpy as np
 
 from .series import (
     CoefficientField,
-    add,
-    angular_sums,
-    coefficient_norm,
     cr_residual,
     imag_part,
     pair_sums,
     real_part,
-    scale,
     subtract,
-    wirtinger,
 )
 
 
@@ -111,163 +108,146 @@ def annulus_classify(h: LaurentField) -> AnnulusClassification:
 # -- log-augmented fields and the Dirichlet-Poisson solve ------------------------
 
 
-def _over(f: LaurentField, which):
-    """f / z (which 'd_z') or f / zbar ('d_zbar'): one index drops by one."""
-    pad = ((0, 0), (1, 0)) if which == "d_z" else ((1, 0), (0, 0))
-    return LaurentField(np.pad(f.table, pad), r_in=f.r_in, band_limit=f.band_limit + 1)
-
-
 class LogLaurentField:
-    """sum_l L_l ln(z zbar)^l, one Laurent level L_l per power of the logarithm.
+    """sum_l L_l ln(z zbar)^l with every Laurent level L_l on one band B.
 
-    Closed under the annulus Laplace solve.
+    ``table[l, i, j]`` is the coefficient of ln(z zbar)^l z^(i-B) zbar^(j-B);
+    each level is a full square of side 2B + 1.  Closed under the annulus
+    Laplace solve.
     """
 
-    __slots__ = ("levels", "r_in")
+    __slots__ = ("table", "band_limit", "r_in")
 
-    def __init__(self, levels, r_in):
-        self.levels = tuple(levels)
+    def __init__(self, table, band_limit, r_in):
+        self.table = np.asarray(table, dtype=complex)
+        self.band_limit = int(band_limit)
         self.r_in = float(r_in)
 
     @staticmethod
     def from_laurent(f: LaurentField):
-        return LogLaurentField((f,), r_in=f.r_in)
-
-    def _level(self, ell):
-        return self.levels[ell] if ell < len(self.levels) else LaurentField(None, self.r_in)
+        table = np.zeros((1, 2 * f.band_limit + 1, 2 * f.band_limit + 1), dtype=complex)
+        table[0, : f.table.shape[0], : f.table.shape[1]] = f.table
+        return LogLaurentField(table, f.band_limit, f.r_in)
 
     def __add__(self, other):
-        count = max(len(self.levels), len(other.levels))
-        return LogLaurentField(
-            [add(self._level(ell), other._level(ell)) for ell in range(count)], r_in=self.r_in
-        )
+        levels = max(len(self.table), len(other.table))
+        band = max(self.band_limit, other.band_limit)
+        a, b = (np.pad(f.table, [(0, levels - len(f.table))] + 2 * [(band - f.band_limit,) * 2])
+                for f in (self, other))
+        return LogLaurentField(a + b, band, self.r_in)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def scaled(self, a):
-        return LogLaurentField([scale(f, a) for f in self.levels], r_in=self.r_in)
+        return LogLaurentField(self.table * complex(a), self.band_limit, self.r_in)
 
     def wirtinger(self, which):
-        # d/dz [L ln^l] = (d_z L) ln^l + l (L / z) ln^(l-1)
-        out = []
-        for ell, f in enumerate(self.levels):
-            term = wirtinger(f, which)
-            if ell + 1 < len(self.levels):
-                term = add(term, scale(_over(self.levels[ell + 1], which), ell + 1))
-            out.append(term)
-        return LogLaurentField(out, r_in=self.r_in)
+        """d_z (d_zbar likewise): level l is d_z L_l + (l + 1) L_(l+1) / z, band widened by one."""
+        t = self.table if which == "d_z" else self.table.transpose(0, 2, 1)
+        B = self.band_limit
+        out = np.zeros((len(t), 2 * B + 3, 2 * B + 3), dtype=complex)
+        out[:, :-2, 1:-1] = np.arange(-B, B + 1)[:, None] * t
+        out[:-1, :-2, 1:-1] += np.arange(1, len(t))[:, None, None] * t[1:]
+        return LogLaurentField(out if which == "d_z" else out.transpose(0, 2, 1), B + 1, self.r_in)
 
     def boundary_trace(self, radius):
-        """Angular-mode coefficients of the restriction to |z| = radius."""
-        modes = {}
-        ln_r2 = 2.0 * math.log(radius)
-        for ell, f in enumerate(self.levels):
-            i, j = np.indices(f.table.shape)
-            vals = f.table * float(radius) ** (i + j + 2 * f.offset) * ln_r2**ell
-            sums = list(enumerate(angular_sums(vals).tolist()))
-            sums += [(-k, v) for k, v in enumerate(angular_sums(vals.T).tolist()) if k]
-            for k, v in sums:
-                modes[k] = modes.get(k, 0j) + v
-        return modes
+        """Angular-mode coefficients of the restriction to |z| = radius, k = -2B..2B at k + 2B."""
+        B = self.band_limit
+        i, j = np.indices(self.table.shape[1:])
+        logs = (2.0 * math.log(radius)) ** np.arange(len(self.table))
+        vals = np.tensordot(logs, self.table, 1) * float(radius) ** (i + j - 2 * B)
+        k = (i - j + 2 * B).ravel()
+        return (np.bincount(k, vals.real.ravel(), 4 * B + 1)
+                + 1j * np.bincount(k, vals.imag.ravel(), 4 * B + 1))
 
     def laurent_part(self):
         """(pure Laurent component, coefficient norm of the leftover log terms)."""
-        leftover = math.sqrt(sum(coefficient_norm(f) ** 2 for f in self.levels[1:]))
-        return self._level(0), leftover
+        rest = LaurentField(self.table[0], r_in=self.r_in, band_limit=self.band_limit)
+        return rest, float(np.linalg.norm(self.table[1:]))
 
     def coefficient_norm(self):
-        return math.sqrt(sum(coefficient_norm(f) ** 2 for f in self.levels))
+        return float(np.linalg.norm(self.table))
 
     def inner(self, other) -> complex:
-        """Complex pairing using the log-weighted radial moments."""
-        total = 0j
-        for l1, f in enumerate(self.levels):
-            for l2, g in enumerate(other.levels):
-                start, sums = pair_sums(f, g)
-                moments = [_log_moment(start + a, l1 + l2, self.r_in) for a in range(len(sums))]
-                total += complex(sums @ np.array(moments))
-        return total
+        """Complex pairing: the level pair (l1, l2) weighted by the moments of ln^(l1+l2)."""
+        mine, theirs = ([_on_own_band(t, g.band_limit, g.r_in) for t in g.table]
+                        for g in (self, other))
+        pairs = [(l1 + l2, *pair_sums(f, g))
+                 for l1, f in enumerate(mine) for l2, g in enumerate(theirs)]
+        lo = min(start for _, start, _ in pairs)
+        count = max(start + len(sums) for _, start, sums in pairs) - lo
+        moments = _log_moments(lo, count, len(mine) + len(theirs) - 2, self.r_in)
+        return sum(complex(sums @ moments[L, start - lo : start - lo + len(sums)])
+                   for L, start, sums in pairs)
 
     def norm(self):
         return math.sqrt(max(self.inner(self).real, 0.0))
 
 
-def _radial_antiderivative(p, L, r):
-    """Antiderivative of r^p ln(r)^L evaluated at r (elementary recursion)."""
-    if p == -1:
-        return math.log(r) ** (L + 1) / (L + 1)
-    if L == 0:
-        return r ** (p + 1) / (p + 1)
-    return (
-        r ** (p + 1) * math.log(r) ** L / (p + 1)
-        - L / (p + 1) * _radial_antiderivative(p, L - 1, r)
-    )
+def _on_own_band(table, band, r_in):
+    """A Laurent table of band `band` as a LaurentField on the least band holding its terms."""
+    b = int(np.abs(np.concatenate(np.nonzero(table)) - band).max(initial=0))
+    return LaurentField(table[band - b : band + b + 1, band - b : band + b + 1], r_in, b)
 
 
-def _log_moment(a, L, r_in):
-    """Integral over the annulus of z^a zbar^a ln(z zbar)^L."""
-    upper = _radial_antiderivative(2 * a + 1, L, 1.0)
-    lower = _radial_antiderivative(2 * a + 1, L, r_in)
-    return 2 * math.pi * (2.0**L) * (upper - lower)
+@np.errstate(over="raise")  # an overflowing power is a numerical failure, not an infinite moment
+def _log_moments(start, count, L, r_in):
+    """Row l: integrals over the annulus of z^a zbar^a ln(z zbar)^l, a = start .. start+count-1.
+
+    2 pi 2^l I_l with I_l the integral of r^(q-1) ln(r)^l from r_in to 1 and q = 2a + 2:
+    I_0 = (1 - r_in^q) / q and I_l = -r_in^q ln(r_in)^l / q - l I_(l-1) / q, for l = 0..L;
+    at q = 0, I_l = -ln(r_in)^(l+1) / (l+1).
+    """
+    q = 2.0 * np.arange(start + 1, start + count + 1)
+    pole, ln = q == 0, math.log(r_in)
+    q = np.where(pole, 1.0, q)
+    rq, ells = r_in**q, np.arange(L + 1)[:, None]
+    rows = [(1.0 - rq) / q]
+    for ell in range(1, L + 1):
+        rows.append(-rq * ln**ell / q - ell / q * rows[-1])
+    return 2 * math.pi * 2.0**ells * np.where(pole, -(ln ** (ells + 1)) / (ells + 1), rows)
 
 
+@np.errstate(over="raise")
 def poisson_annulus(rhs: LaurentField) -> LogLaurentField:
     """Solve Laplace(F) = rhs with F = 0 on both boundary circles, exactly.
 
     Particular solutions lift indices by (1,1); the m = -1 / n = -1 cases
-    pick up a ln(z zbar) factor.  Boundary values are matched per angular
-    mode with the harmonic pairs {z^k, zbar^-k} (and {1, ln(z zbar)} for
-    the rotationally symmetric mode).
+    pick up a ln(z zbar) factor.  Boundary values are matched for every
+    angular mode at once, in closed form, with the harmonic pairs
+    {z^k, zbar^-k} (and {1, ln(z zbar)} for the rotationally symmetric mode).
     """
     size = max(rhs.coefficient_norm(), 1.0)
     if not rhs.is_real(tol=1e-12 * size):
         raise ValueError("poisson_annulus needs a real-valued right-hand side")
-    rhs = rhs.real_part()
-    r_in = rhs.r_in
+    rhs = _on_own_band(rhs.real_part().table, rhs.band_limit, rhs.r_in)
+    r_in, B = rhs.r_in, rhs.band_limit + 1
     # z^m zbar^n -> z^(m+1) zbar^(n+1) / (4 (m+1)(n+1)); a zero lifted power
     # takes the factor ln(z zbar) instead, and both zero take ln^2 / 8
-    i, j = np.indices(rhs.table.shape)
-    m1, n1 = i + 1 + rhs.offset, j + 1 + rhs.offset
-    den = 4.0 * np.where(m1 == 0, 1, m1) * np.where(n1 == 0, 1, n1)
-    den = den * np.where((m1 == 0) & (n1 == 0), 2, 1)
-    lifted = np.pad(rhs.table / den, ((2, 0), (2, 0)))
-    log_power = np.pad((m1 == 0).astype(int) + (n1 == 0), ((2, 0), (2, 0)))
-    part = LogLaurentField(
-        [LaurentField(np.where(log_power == ell, lifted, 0), r_in=r_in,
-                      band_limit=rhs.band_limit + 1) for ell in range(3)],
-        r_in=r_in,
-    )
-    outer = part.boundary_trace(1.0)
-    inner = part.boundary_trace(r_in)
-    plain, logs = {}, {}
-    for k in sorted(outer):  # both circles carry the same angular modes
-        t1, t2 = outer[k], inner[k]
-        if k == 0:
-            # basis {1, ln(z zbar)} with traces {1, 2 ln r}
-            plain[(0, 0)] = -t1
-            logs[(0, 0)] = (t1 - t2) / (2.0 * math.log(r_in))
-        else:
-            # basis {z^k, zbar^-k} (k > 0) traces r^k, r^-k on |z| = r
-            kk = abs(k)
-            mat = np.array(
-                [[1.0, 1.0], [r_in**kk, r_in ** (-kk)]], dtype=float
-            )
-            sol = np.linalg.solve(mat, np.array([-t1, -t2]))
-            if k > 0:
-                plain[(k, 0)] = sol[0]
-                plain[(0, -k)] = sol[1]
-            else:
-                plain[(0, kk)] = sol[0]
-                plain[(-kk, 0)] = sol[1]
-    correction = LogLaurentField(
-        [LaurentField(plain, r_in=r_in), LaurentField(logs, r_in=r_in)], r_in=r_in
-    )
-    return part + correction
+    m1, n1 = np.indices(rhs.table.shape) + 1 + rhs.offset
+    logs = (m1 == 0).astype(int) + (n1 == 0)
+    den = 4.0 * np.where(m1 == 0, 1, m1) * np.where(n1 == 0, 1, n1) * np.where(logs == 2, 2, 1)
+    lifted = np.zeros((3, 2 * B + 1, 2 * B + 1), dtype=complex)
+    lifted[logs, m1 + B, n1 + B] = rhs.table / den
+    part = LogLaurentField(lifted, B, r_in)
+    t1, t2 = part.boundary_trace(1.0), part.boundary_trace(r_in)
+    # mode k != 0: a on z^k (k > 0) or zbar^-k (k < 0) and b on the other
+    # member of the pair, with traces r^|k| and r^-|k| on |z| = r
+    k, c = np.arange(-2 * B, 2 * B + 1), 2 * B
+    rk = r_in ** np.abs(k)
+    b = (t1 * rk - t2) / np.where(k == 0, 1.0, r_in ** -np.abs(k) - rk)
+    a = -t1 - b
+    correction = np.zeros((2, 2 * c + 1, 2 * c + 1), dtype=complex)
+    correction[0, :, c] = np.where(k > 0, a, b)
+    correction[0, c, ::-1] = np.where(k > 0, b, a)
+    # mode 0: basis {1, ln(z zbar)} with traces {1, 2 ln r}
+    correction[:, c, c] = -t1[c], (t1[c] - t2[c]) / (2.0 * math.log(r_in))
+    return part + LogLaurentField(correction, c, r_in)
 
 
 def conformal_split(f: LaurentField):
-    """(h, F, G, grad_bar(F), sgrad_bar(G), stray): ``disk.conformal_split`` on the annulus.
+    """(h, F, G, grad_bar(F), sgrad_bar(G), stray, residue): the annulus ``disk.conformal_split``.
 
     F and G vanish on both circles, the gradients are log-augmented, and
     stray is the coefficient norm of the zbar and log terms that exact
@@ -282,4 +262,4 @@ def conformal_split(f: LaurentField):
     rest, log_defect = (LogLaurentField.from_laurent(f) - gF - sG).laurent_part()
     h = rest.holomorphic_part()
     stray = math.hypot(rest.antiholomorphic_norm(), log_defect)
-    return h, F, G, gF, sG, stray
+    return h, F, G, gF, sG, stray, residue

@@ -81,19 +81,19 @@ def parse_domain(spec):
     )
 
 
-def _split_top_level(s, sep="+"):
-    parts, depth, cur = [], 0, []
+def _split_top_level(s):
+    """Terms of a sum, cut before each + or - outside parentheses; each keeps its sign.
+
+    A sign right after an exponent's e (1e-3) belongs to the number.
+    """
+    parts, depth, cur = [], 0, ""
     for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
+        depth += (ch == "(") - (ch == ")")
+        if ch in "+-" and depth == 0 and cur and cur[-1] not in "eE":
+            parts.append(cur)
+            cur = ""
+        cur += ch
+    parts.append(cur)
     return parts
 
 
@@ -101,7 +101,7 @@ _TERM_RE = re.compile(r"^(?:(?P<coef>.+?)\*)?(?P<z>z(?:\^(?P<pow>\d+))?)$")
 
 
 def parse_series_spec(spec):
-    """A path ending in .json, or an expression like 'z', '0.5', '0.3*z^2 + 1'.
+    """A path ending in .json, or an expression like 'z', '0.5', '0.3*z^2 + 1', '1 - z'.
 
     Only a spec that does not parse as an expression is read as an existing path.
     """
@@ -123,6 +123,9 @@ def _parse_expression(spec):
     except ValueError:
         coeffs = {}
         for term in _split_top_level(text):
+            negative = term.startswith("-")
+            if term[:1] in ("+", "-"):
+                term = term[1:]
             if not term:
                 raise InputError(f"empty term in series expression {spec!r}")
             m = _TERM_RE.match(term)
@@ -141,7 +144,7 @@ def _parse_expression(spec):
                     coef = complex(term.strip("()"))
                 except ValueError as exc:
                     raise InputError(f"cannot parse term {term!r} in {spec!r}") from exc
-            coeffs[power] = coeffs.get(power, 0j) + coef
+            coeffs[power] = coeffs.get(power, 0j) + (-coef if negative else coef)
     if not all(cmath.isfinite(c) for c in coeffs.values()):
         raise InputError(f"non-finite coefficient in series expression {spec!r}")
     return HolomorphicSeries([coeffs.get(k, 0j) for k in range(max(coeffs) + 1)])

@@ -206,11 +206,11 @@ def _orthogonality_matrix(parts):
 
 
 def conformal_split(f):
-    """(h, F, G, grad_bar(F), sgrad_bar(G)) with f = h + grad_bar(F) + sgrad_bar(G).
+    """(h, F, G, grad_bar(F), sgrad_bar(G), residue) with f = h + grad_bar(F) + sgrad_bar(G).
 
-    F and G solve Laplace problems with right-hand sides Re/Im of 2 d_zbar f,
-    which makes f - grad_bar(F) - sgrad_bar(G) holomorphic in exact
-    arithmetic; h is its z-power part.
+    F and G solve Laplace problems with right-hand sides Re/Im of the
+    residue 2 d_zbar f, which makes f - grad_bar(F) - sgrad_bar(G)
+    holomorphic in exact arithmetic; h is its z-power part.
     """
     f = as_field(f)
     residue = cr_residual(f)
@@ -219,7 +219,7 @@ def conformal_split(f):
     gF = grad_bar(F)
     sG = sgrad_bar(G)
     h = HolomorphicSeries(subtract(subtract(f, gF), sG).table[:, :1])
-    return h, F, G, gF, sG
+    return h, F, G, gF, sG, residue
 
 
 def conformal_decompose(f) -> DecompositionResult:
@@ -229,7 +229,7 @@ def conformal_decompose(f) -> DecompositionResult:
     reconstruction residual rather than by trusting the derivation.
     """
     f = as_field(f)
-    h, F, G, gF, sG = conformal_split(f)
+    h, F, G, gF, sG, _ = conformal_split(f)
     recon = add(add(h.to_field(), gF), sG)
     residual_norm = norm(subtract(f, recon))
     parts = [h.to_field(), gF, sG]
@@ -270,14 +270,9 @@ def symplectic_decompose(f) -> DecompositionResult:
     to 1e-12 of the size of that part.
     """
     result = helmholtz_decompose(f)
-    from . import forms  # local import; forms also uses this module
-
     vol = result.divergence_free
-    contraction = forms.OneForm(
-        u_dx=scale(imag_part(vol), -1), v_dy=real_part(vol)
-    )  # i_xi (dx ^ dy) = u dy - v dx
-    d_contraction = forms.exterior_derivative(contraction)
-    defect = coefficient_norm(d_contraction.density)
+    # d of the contraction u dy - v dx is div(vol) dx^dy
+    defect = coefficient_norm(real_part(div_curl(vol)))
     scale_ = max(coefficient_norm(vol), 1.0)
     if defect > 1e-12 * scale_:
         raise AssertionError(

@@ -162,7 +162,7 @@ def stationary_solve(V: PotentialSpec, init, tol=1e-10, max_iter=50,
     multipliers = None
     if domain == "disk" or domain is None:
         unprojected = add(adjoint_dz_disk(xi.derivative()).to_field(), scale(xi.to_field(), V.c))
-        _, F, G, _, _ = conformal_split(unprojected)
+        _, F, G, _, _, _ = conformal_split(unprojected)
         multipliers = MultiplierPair(F, G)
     return StationaryResult(
         xi=xi,

@@ -21,7 +21,6 @@ from .series import (
     add,
     as_field,
     coefficient_norm,
-    cr_residual,
     evaluate_grid,
     imag_part,
     inner_product,
@@ -185,13 +184,12 @@ def hodge_membership(f, tol=1e-10) -> MembershipReport:
     than guessed.  The (co-)closedness defect is the coefficient norm of the
     imaginary (real) part of 2 d_zbar f, and each circle is one evaluation.
     """
-    norms, stray, coordinates = _split(f)
+    norms, stray, coordinates, residue = _split(f)
     total = norm(f)
     labels, inconclusive = _labels_from_norms(norms, total, tol)
     if stray > tol * max(total, 1.0):
         inconclusive = tuple(sorted(set(inconclusive) | {"unresolved"}))
     traces = [boundary_traces(f, radius=r) for r in ((1.0, f.r_in) if f.r_in else (1.0,))]
-    residue = cr_residual(f)
     return MembershipReport(
         labels=labels,
         norms=norms,
@@ -205,13 +203,13 @@ def hodge_membership(f, tol=1e-10) -> MembershipReport:
 
 
 def _split(f):
-    """(norms, stray, coordinates) from the conformal split of f's domain."""
+    """(norms, stray, coordinates, 2 d_zbar f) from the conformal split of f's domain."""
     if not f.r_in:
-        h, _, _, gF, sG = disk_mod.conformal_split(f)
+        h, _, _, gF, sG, residue = disk_mod.conformal_split(f)
         norms = {"A1": norm(gF), "A2": norm(sG), "A3": 0.0, "A4": 0.0, "A5": 0.0,
                  "A6": norm(h.to_field())}
-        return norms, 0.0, {}
-    h, _, _, gF, sG, stray = annulus_mod.conformal_split(f)
+        return norms, 0.0, {}, residue
+    h, _, _, gF, sG, stray, residue = annulus_mod.conformal_split(f)
     # Under the reflected flat map 1/z is the d ln(x^2+y^2) direction
     # (normal harmonic, exact) and i/z is its star image.
     cls = annulus_classify(h)
@@ -224,4 +222,4 @@ def _split(f):
         "A5": abs(cls.a4_coeff) * basis_norm,
         "A6": norm(cls.a6_part),
     }
-    return norms, stray, {"A4": cls.a5_coeff, "A5": cls.a4_coeff}
+    return norms, stray, {"A4": cls.a5_coeff, "A5": cls.a4_coeff}, residue

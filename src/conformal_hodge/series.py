@@ -13,6 +13,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -557,12 +558,17 @@ def inner_product(f, g) -> complex:
 
     Closed form: <<z^m zbar^n, z^p zbar^q>> is the moment of |z|^(2(m+q))
     when m - n == p - q, else 0; extended bilinearly.  On the disk this is
-    pi/(m+q+1); on the annulus the moment over r_in <= |z| <= 1.
+    pi/(m+q+1); on the annulus the moment over r_in <= |z| <= 1.  A moment
+    or product past the float range raises FloatingPointError (an infinite
+    moment times a zero sum would otherwise be a silent NaN).
     """
     f, g = as_field(f), as_field(g)
     _check_domain(f, g)
     start, sums = pair_sums(f, g)
-    return complex(sums @ pair_constants(len(sums), f.r_in, start))
+    value = complex(sums @ pair_constants(len(sums), f.r_in, start))
+    if not cmath.isfinite(value):
+        raise FloatingPointError("the pairing overflows the float range")
+    return value
 
 
 def norm(f) -> float:

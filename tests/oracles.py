@@ -8,8 +8,10 @@ are the term-by-term reference for the library's array kernels and its
 JSON term reader, and the forward-difference Jacobian and the residuals of
 the monomials, one column each, are the references for the stationary
 matrix.  The field-arithmetic routes of the mapped operators are the
-reference for their coefficient-vector forms, and the 1-form route of the
-membership test is the reference for its field form.
+reference for their coefficient-vector forms, the 1-form route of the
+membership test is the reference for its field form, and the tuple of
+Laurent levels with a 2x2 solve per angular mode is the reference for the
+level-stacked annulus Poisson solve.
 The random series and the primitive at the very end are test inputs and
 a test-only inverse of the derivative.
 """
@@ -40,7 +42,9 @@ def eval_terms(terms, pts):
 def eval_log_laurent(F, pts):
     """Direct evaluation of a LogLaurentField sum_l L_l ln(z zbar)^l at complex points."""
     ln = np.log(np.abs(pts) ** 2)
-    return sum(eval_terms(f.terms(), pts) * ln**ell for ell, f in enumerate(F.levels))
+    B = F.band_limit
+    return sum(eval_terms({(i - B, j - B): c for (i, j), c in np.ndenumerate(level) if c}, pts)
+               * ln**ell for ell, level in enumerate(F.table))
 
 
 def polar_quad_nodes(n_radial=64, n_angular=256, r_inner=0.0, r_outer=1.0):
@@ -310,7 +314,7 @@ def hodge_membership(alpha, tol):
     """MembershipReport of the 1-form alpha through its sharp image and the form calculus."""
     f = forms.sharp_map(alpha)
     if not f.r_in:
-        h, F, G, gF, sG = disk.conformal_split(f)
+        h, F, G, gF, sG, _ = disk.conformal_split(f)
         norms = {"A1": series.norm(gF), "A2": series.norm(sG), "A3": 0.0, "A4": 0.0,
                  "A5": 0.0, "A6": series.norm(h.to_field())}
         stray, coordinates = 0.0, {}
@@ -338,6 +342,157 @@ def hodge_membership(alpha, tol):
         coordinates=coordinates,
     )
 
+
+
+# -- the tuple-of-levels route of the annulus Poisson solve --------------------------
+# Log-Laurent fields as a tuple of LaurentField levels, boundary traces as
+# {k: c} dicts, one 2x2 solve per angular mode and the log-weighted moments
+# by a scalar recursion: the annulus calculus before its level-stacked table.
+
+
+def _level_over(f, which):
+    """f / z (which 'd_z') or f / zbar ('d_zbar'): one index drops by one."""
+    pad = ((0, 0), (1, 0)) if which == "d_z" else ((1, 0), (0, 0))
+    return annulus.LaurentField(np.pad(f.table, pad), r_in=f.r_in, band_limit=f.band_limit + 1)
+
+
+class LevelsLogLaurentField:
+    """sum_l L_l ln(z zbar)^l, one LaurentField level L_l per power of the logarithm."""
+
+    def __init__(self, levels, r_in):
+        self.levels = tuple(levels)
+        self.r_in = float(r_in)
+
+    @staticmethod
+    def from_laurent(f):
+        return LevelsLogLaurentField((f,), r_in=f.r_in)
+
+    def _level(self, ell):
+        return self.levels[ell] if ell < len(self.levels) else annulus.LaurentField(None, self.r_in)
+
+    def __add__(self, other):
+        count = max(len(self.levels), len(other.levels))
+        return LevelsLogLaurentField(
+            [series.add(self._level(ell), other._level(ell)) for ell in range(count)], self.r_in)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, a):
+        return LevelsLogLaurentField([series.scale(f, a) for f in self.levels], self.r_in)
+
+    def wirtinger(self, which):
+        # d/dz [L ln^l] = (d_z L) ln^l + l (L / z) ln^(l-1)
+        out = []
+        for ell, f in enumerate(self.levels):
+            term = series.wirtinger(f, which)
+            if ell + 1 < len(self.levels):
+                over = _level_over(self.levels[ell + 1], which)
+                term = series.add(term, series.scale(over, ell + 1))
+            out.append(term)
+        return LevelsLogLaurentField(out, self.r_in)
+
+    def boundary_trace(self, radius):
+        """{k: c}: angular-mode coefficients of the restriction to |z| = radius."""
+        modes = {}
+        ln_r2 = 2.0 * math.log(radius)
+        for ell, f in enumerate(self.levels):
+            for (m, n), c in f.items():
+                modes[m - n] = modes.get(m - n, 0j) + c * float(radius) ** (m + n) * ln_r2**ell
+        return modes
+
+    def laurent_part(self):
+        """(pure Laurent component, coefficient norm of the leftover log terms)."""
+        leftover = math.sqrt(sum(series.coefficient_norm(f) ** 2 for f in self.levels[1:]))
+        return self._level(0), leftover
+
+    def inner(self, other) -> complex:
+        """Complex pairing: level pairs weighted by the scalar log moments."""
+        total = 0j
+        for l1, f in enumerate(self.levels):
+            for l2, g in enumerate(other.levels):
+                start, sums = series.pair_sums(f, g)
+                moments = [log_moment(start + a, l1 + l2, self.r_in) for a in range(len(sums))]
+                total += complex(sums @ np.array(moments))
+        return total
+
+    def norm(self):
+        return math.sqrt(max(self.inner(self).real, 0.0))
+
+
+def _radial_antiderivative(p, L, r):
+    """Antiderivative of r^p ln(r)^L evaluated at r (elementary recursion)."""
+    if p == -1:
+        return math.log(r) ** (L + 1) / (L + 1)
+    if L == 0:
+        return r ** (p + 1) / (p + 1)
+    return (
+        r ** (p + 1) * math.log(r) ** L / (p + 1)
+        - L / (p + 1) * _radial_antiderivative(p, L - 1, r)
+    )
+
+
+def log_moment(a, L, r_in):
+    """Integral over the annulus of z^a zbar^a ln(z zbar)^L."""
+    upper = _radial_antiderivative(2 * a + 1, L, 1.0)
+    lower = _radial_antiderivative(2 * a + 1, L, r_in)
+    return 2 * math.pi * (2.0**L) * (upper - lower)
+
+
+def levels_poisson_annulus(rhs):
+    """Laplace(F) = rhs with F = 0 on both circles: dict lift and a 2x2 solve per mode."""
+    rhs = rhs.real_part()
+    r_in = rhs.r_in
+    levels = [{}, {}, {}]
+    for (m, n), c in rhs.items():
+        # z^m zbar^n -> z^(m+1) zbar^(n+1) / (4 (m+1)(n+1)); a zero lifted power
+        # takes the factor ln(z zbar) instead, and both zero take ln^2 / 8
+        m1, n1 = m + 1, n + 1
+        den = 4.0 * (m1 or 1) * (n1 or 1) * (2 if m1 == n1 == 0 else 1)
+        levels[(m1 == 0) + (n1 == 0)][(m1, n1)] = c / den
+    part = LevelsLogLaurentField(
+        [annulus.LaurentField(t, r_in=r_in, band_limit=rhs.band_limit + 1) for t in levels], r_in)
+    outer = part.boundary_trace(1.0)
+    inner = part.boundary_trace(r_in)
+    plain, logs = {}, {}
+    for k in sorted(set(outer) | set(inner)):
+        t1, t2 = outer.get(k, 0j), inner.get(k, 0j)
+        if k == 0:
+            # basis {1, ln(z zbar)} with traces {1, 2 ln r}
+            plain[(0, 0)] = -t1
+            logs[(0, 0)] = (t1 - t2) / (2.0 * math.log(r_in))
+        else:
+            # basis {z^k, zbar^-k} (k > 0) traces r^k, r^-k on |z| = r
+            kk = abs(k)
+            mat = np.array([[1.0, 1.0], [r_in**kk, r_in ** (-kk)]], dtype=float)
+            sol = np.linalg.solve(mat, np.array([-t1, -t2]))
+            if k > 0:
+                plain[(k, 0)], plain[(0, -k)] = sol
+            else:
+                plain[(0, kk)], plain[(-kk, 0)] = sol
+    correction = LevelsLogLaurentField(
+        [annulus.LaurentField(plain, r_in=r_in), annulus.LaurentField(logs, r_in=r_in)], r_in)
+    return part + correction
+
+
+def levels_conformal_split(f):
+    """(F, G, grad_bar(F), sgrad_bar(G), stray) of the annulus split on the tuple route."""
+    residue = series.cr_residual(f)
+    F = levels_poisson_annulus(series.real_part(residue))
+    G = levels_poisson_annulus(series.imag_part(residue))
+    gF = F.wirtinger("d_z").scaled(2)
+    sG = G.wirtinger("d_z").scaled(2j)
+    rest, log_defect = (LevelsLogLaurentField.from_laurent(f) - gF - sG).laurent_part()
+    return F, G, gF, sG, math.hypot(rest.antiholomorphic_norm(), log_defect)
+
+
+def levels_table(F, band):
+    """The levels of F as one array: [l, i, j] holds ln^l z^(i-band) zbar^(j-band)."""
+    out = np.zeros((len(F.levels), 2 * band + 1, 2 * band + 1), dtype=complex)
+    for ell, f in enumerate(F.levels):
+        for (m, n), c in f.items():
+            out[ell, m + band, n + band] = c
+    return out
 
 def random_series(rng, degree):
     return HolomorphicSeries(

@@ -13,7 +13,7 @@ import pytest
 
 from conformal_hodge import serialization as ser
 from conformal_hodge import series
-from conformal_hodge.cli import build_parser, main, parse_series_spec
+from conformal_hodge.cli import InputError, build_parser, main, parse_series_spec
 from conformal_hodge.mapping import GramConditionWarning
 from conformal_hodge.series import BivariateField, HolomorphicSeries, TruncationWarning, monomial
 
@@ -39,6 +39,33 @@ class TestSeriesSpecParser:
         assert got == HolomorphicSeries([1.0, 0, 0.5])
         got2 = parse_series_spec("(0.3+0.1j)*z")
         assert got2 == HolomorphicSeries([0, 0.3 + 0.1j])
+
+    @pytest.mark.parametrize("spec, coeffs", [
+        ("1 - z", [1, -1]),
+        ("z - z^2", [0, 1, -1]),
+        ("0.1-z", [0.1, -1]),
+        ("-z", [0, -1]),
+        ("-z^2 + 1e-3*z - 2", [-2, 1e-3, -1]),
+        ("1e-3*z", [0, 1e-3]),
+        ("2E+1*z", [0, 20]),
+        ("(0.1-0.2j)*z", [0, 0.1 - 0.2j]),
+        ("z - (0.1-0.2j)*z", [0, 0.9 + 0.2j]),
+        ("1-2j", [1 - 2j]),
+        ("-0.5", [-0.5]),
+        ("-1*z", [0, -1]),
+    ])
+    def test_signed_terms(self, spec, coeffs):
+        assert parse_series_spec(spec) == HolomorphicSeries(coeffs)
+
+    @pytest.mark.parametrize("spec", ["1 - - z", "z -", "1 + -", "z--z"])
+    def test_dangling_sign_rejected(self, spec):
+        with pytest.raises(InputError, match="empty term"):
+            parse_series_spec(spec)
+
+    def test_leading_minus_through_the_cli(self, capsys):
+        assert main(["stationary", "--c", "-2", "--init=-z"]) == 0
+        xi = json.loads(capsys.readouterr().out)["xi"]
+        assert xi["terms"] == [{"m": 1, "n": 0, "re": -1.0, "im": 0.0}]
 
     def test_json_path(self, tmp_path):
         p = tmp_path / "xi.json"
@@ -635,10 +662,13 @@ ANNULUS_OVERFLOW = [
               "terms": [{"m": 0, "n": 1, "re": 1.0, "im": 0.0}]}),
     (0.01, {"r_in": 0.01, "band_limit": 60,
             "terms": [{"m": -60, "n": 3, "re": 1.0, "im": 0.0}]}),
+    # few terms on a wide declared band: the pairing moments of that band overflow
+    (0.01, {"r_in": 0.01, "band_limit": 80,
+            "terms": [{"m": 1, "n": 2, "re": 1.0, "im": 0.0}]}),
 ]
 
 
-@pytest.mark.parametrize("r_in, field", ANNULUS_OVERFLOW, ids=["poisson", "moment"])
+@pytest.mark.parametrize("r_in, field", ANNULUS_OVERFLOW, ids=["poisson", "moment", "declared"])
 def test_annulus_overflow_exits_3_without_output(tmp_path, monkeypatch, capsys, r_in, field):
     monkeypatch.chdir(tmp_path)
     ser.write_json("laurent.json", field)

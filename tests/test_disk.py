@@ -1,11 +1,12 @@
 """Projection routes, adjoint, Poisson solve, and decompositions on the disk."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conformal_hodge import series as s
+from conformal_hodge import disk, series as s
 from conformal_hodge.disk import (
     NonvanishingCheckError,
     adjoint_dz_disk,
@@ -288,6 +289,14 @@ class TestSymplectic:
     def test_zbar(self):
         dec = symplectic_decompose(monomial(0, 1))
         assert dec.divergence_free == monomial(0, 1)
+
+    def test_part_with_divergence_fails_the_closedness_check(self, monkeypatch):
+        # z = x + iy has divergence 2, so its contraction u dy - v dx is not closed
+        real = disk.helmholtz_decompose(monomial(1, 0, 1j))
+        monkeypatch.setattr(disk, "helmholtz_decompose",
+                            lambda f: dataclasses.replace(real, divergence_free=monomial(1, 0)))
+        with pytest.raises(AssertionError, match="not closed"):
+            symplectic_decompose(monomial(1, 0, 1j))
 
     def test_matches_helmholtz_parts(self):
         rng = np.random.default_rng(30)

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conformal_hodge.annulus import (
     LaurentField,
     LogLaurentField,
     NonConformalInputError,
     annulus_classify,
+    conformal_split,
     laurent_monomial,
     poisson_annulus,
 )
@@ -129,9 +132,7 @@ class TestAnnulusPoisson:
         F = poisson_annulus(rhs)
         for radius in (1.0, R_IN):
             trace = F.boundary_trace(radius)
-            assert max(abs(v) for v in trace.values()) < 1e-12 * max(
-                rhs.coefficient_norm(), 1
-            )
+            assert np.abs(trace).max() < 1e-12 * max(rhs.coefficient_norm(), 1)
 
     def test_vs_fd_oracle(self):
         rhs_terms = {(0, 0): 2.0, (1, 0): 0.5, (0, 1): 0.5, (-1, -1): 1.0}
@@ -141,9 +142,57 @@ class TestAnnulusPoisson:
         ours = oracles.eval_log_laurent(F, pts)
         assert np.max(np.abs(ours - vals)) < 1e-5
 
+    def test_size_follows_the_terms_not_the_declared_band(self):
+        F = poisson_annulus(LaurentField({(1, 1): 1.0}, r_in=R_IN, band_limit=60))
+        assert F.band_limit == 4 and F.table.shape == (3, 9, 9)  # the correction has band 2(1 + 1)
+
     def test_complex_rhs_rejected(self):
         with pytest.raises(ValueError):
             poisson_annulus(laurent_monomial(1, 0, 1.0, r_in=R_IN))
+
+
+@st.composite
+def laurent_fields(draw):
+    """Dense complex Laurent fields of band 0..8 on r_in in [0.1, 0.9]."""
+    band = draw(st.integers(0, 8))
+    r_in = draw(st.floats(0.1, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = range(-band, band + 1)
+    return LaurentField({(m, n): complex(*rng.standard_normal(2)) for m in idx for n in idx},
+                        r_in=r_in)
+
+
+def trace_bound(F, radius):
+    """Sum of the moduli of the terms of F on |z| = radius: the scale of its trace's roundoff."""
+    B = F.band_limit
+    i, j = np.indices(F.table.shape[1:])
+    logs = abs(2.0 * math.log(radius)) ** np.arange(len(F.table))[:, None, None]
+    return float((np.abs(F.table) * logs * radius ** (i + j - 2.0 * B)).sum())
+
+
+@given(laurent_fields())
+@example(LaurentField({(0, 0): 1.5 + 0.5j}, r_in=0.3))  # band-0 right-hand side
+@example(LaurentField({(-1, -1): 1.0, (1, 0): 0.5j}, r_in=0.7))  # the ln^2 term
+@settings(max_examples=60, deadline=None)
+def test_level_stack_matches_tuple_of_levels_route(f):
+    """The level-stacked Poisson solve and split agree with the tuple-of-levels route."""
+    rhs = f.real_part()
+    F, ref = poisson_annulus(rhs), oracles.levels_poisson_annulus(rhs)
+    ref_table = oracles.levels_table(ref, F.band_limit)
+    assert F.table.shape == ref_table.shape
+    assert np.abs(F.table - ref_table).max() <= 1e-12 * np.abs(ref_table).max()
+    for radius in (1.0, f.r_in):
+        ref_trace = ref.boundary_trace(radius)
+        trace = F.boundary_trace(radius)
+        k = np.arange(len(trace)) - 2 * F.band_limit
+        assert set(ref_trace) <= set(k.tolist())
+        want = np.array([ref_trace.get(m, 0j) for m in k.tolist()])
+        assert np.abs(trace - want).max() <= 1e-12 * max(trace_bound(F, radius), 1e-300)
+    _, _, _, gF, sG, stray, _ = conformal_split(f)
+    _, _, ref_gF, ref_sG, ref_stray = oracles.levels_conformal_split(f)
+    for got, want in ((gF.norm(), ref_gF.norm()), (sG.norm(), ref_sG.norm())):
+        assert abs(got - want) <= 1e-12 * want
+    assert abs(stray - ref_stray) <= 1e-12 * max(gF.coefficient_norm(), sG.coefficient_norm(), 1.0)
 
 
 class TestTorus:

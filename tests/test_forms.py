@@ -143,7 +143,7 @@ class TestMembershipDisk:
         rep = hodge_membership(f)
         assert rep.labels == ("A1",)
         assert rep.boundary_tangential_max < 1e-12  # exact forms with normal potential
-        _, got_F, _, _, _ = conformal_split(f)
+        _, got_F, _, _, _, _ = conformal_split(f)
         assert s.coefficient_norm(s.subtract(got_F, F)) < 1e-12
 
     def test_flat_holomorphic_is_A6(self):
