@@ -309,8 +309,8 @@ def geodesic_rhs(state: GeodesicState, proj_degree, max_degree):
 
 
 def geodesic_energy(state: GeodesicState) -> float:
-    xi_pull = pullback(state.phi, state.xi)
-    return 0.5 * map_inner_product(state.phi, xi_pull.to_field(), xi_pull.to_field()).real
+    field = pullback(state.phi, state.xi).to_field()
+    return 0.5 * map_inner_product(state.phi, field, field).real
 
 
 @dataclass(frozen=True)

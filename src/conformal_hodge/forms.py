@@ -189,13 +189,15 @@ def hodge_membership(f, tol=1e-10) -> MembershipReport:
     labels, inconclusive = _labels_from_norms(norms, total, tol)
     if stray > tol * max(total, 1.0):
         inconclusive = tuple(sorted(set(inconclusive) | {"unresolved"}))
-    traces = [boundary_traces(f, radius=r) for r in ((1.0, f.r_in) if f.r_in else (1.0,))]
+    radii = (1.0, f.r_in) if f.r_in else (1.0,)
+    # np.max, not max: Python's max keeps an earlier value over a later NaN
+    tangential, normal = np.max([boundary_traces(f, radius=r) for r in radii], axis=0).tolist()
     return MembershipReport(
         labels=labels,
         norms=norms,
         inconclusive=inconclusive,
-        boundary_tangential_max=max(t for t, _ in traces),
-        boundary_normal_max=max(n for _, n in traces),
+        boundary_tangential_max=tangential,
+        boundary_normal_max=normal,
         closedness_defect=coefficient_norm(imag_part(residue)),
         coclosedness_defect=coefficient_norm(real_part(residue)),
         coordinates=coordinates,

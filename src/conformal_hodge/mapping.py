@@ -44,6 +44,16 @@ def _boundary_samples(n):
     return boundary_points(n), np.minimum(gap, n - gap) > 1
 
 
+@functools.lru_cache(maxsize=8)
+def _toeplitz_gaps(size):
+    """Index array gap[i, j] = i - j on and below the diagonal, size above it (read-only)."""
+    k = np.arange(size)
+    gap = k[:, None] - k[None, :]
+    gap[gap < 0] = size
+    gap.flags.writeable = False
+    return gap
+
+
 class ConformalMap:
     """Holomorphic embedding of the unit disk given by a truncated series."""
 
@@ -103,32 +113,37 @@ class ConformalMap:
         """Lower-triangular Toeplitz matrix T of phi' (cached, read-only).
 
         T @ v is the coefficient vector of phi' v cut at degree size - 1, for
-        a coefficient vector v of length size.
+        a coefficient vector v of length size.  T[i, j] is coefficient i - j
+        of phi', gathered through the shared index array of _toeplitz_gaps.
         """
         key = ("phi_prime", size)
         if key not in self._caches:
-            d = self.phi_prime.to_array(size)
-            k = np.arange(size)
-            gap = k[:, None] - k[None, :]
-            T = np.where(gap >= 0, d[gap], 0)  # negative gaps index from the end, masked
+            d = self.phi_prime.to_array(size + 1)
+            d[size] = 0  # the entry that every negative gap reads
+            T = d[_toeplitz_gaps(size)]
             T.flags.writeable = False
             self._caches[key] = T
         return self._caches[key]
 
     def basis_matrix(self, degree, max_degree):
-        """Rows are the coefficient vectors of phi' phi^k, the pulled-back monomial frame."""
+        """Rows are the coefficient vectors of phi' phi^k, the pulled-back monomial frame
+        (cached, read-only)."""
         key = ("basis", degree, max_degree)
         if key not in self._caches:
             powers = self.phi.power_table(degree, max_degree)
-            self._caches[key] = powers @ self.phi_prime_operator(max_degree + 1).T
+            B = powers @ self.phi_prime_operator(max_degree + 1).T
+            B.flags.writeable = False
+            self._caches[key] = B
         return self._caches[key]
 
     def gram(self, degree, max_degree):
-        """Eigendecomposition (w, V) of the Hermitian Gram matrix (cached).
+        """Eigendecomposition (w, V) of the Hermitian Gram matrix (cached, read-only).
 
         G[j,k] = <<phi' phi^k, phi' phi^j>> on the disk equals V diag(w) V^H,
         with the eigenvalues w in ascending order.  Raises FloatingPointError
-        when G overflows, which a finite but huge phi can cause.
+        when G overflows, which a finite but huge phi can cause, and warns
+        GramConditionWarning once per factorisation when w[-1] / w[0] exceeds
+        GRAM_CONDITION_LIMIT.
         """
         key = ("gram", degree, max_degree)
         if key not in self._caches:
@@ -137,7 +152,19 @@ class ConformalMap:
             if not np.isfinite(G).all():
                 raise FloatingPointError(f"the weighted Gram matrix of degree {degree} "
                                          "is not finite")
-            self._caches[key] = np.linalg.eigh(G)
+            eig = np.linalg.eigh(G)
+            for a in eig:
+                a.flags.writeable = False
+            w = eig[0]
+            cond = w[-1] / w[0] if w[0] > 0 else math.inf
+            if cond > GRAM_CONDITION_LIMIT:
+                warnings.warn(
+                    f"weighted Gram system condition estimate {cond:.3e} exceeds "
+                    f"{GRAM_CONDITION_LIMIT:.0e}",
+                    GramConditionWarning,
+                    stacklevel=4,  # the caller of the operator that solves with G
+                )
+            self._caches[key] = eig
         return self._caches[key]
 
     def natural_cap(self, degree):
@@ -150,14 +177,18 @@ class ConformalMap:
 
 
 def map_inner_product(mapping: ConformalMap, f, g) -> complex:
-    """Weighted pairing <<phi' f, phi' g>> for fields given in pulled-back coordinates."""
-    f, g = as_field(f), as_field(g)
+    """Weighted pairing <<phi' f, phi' g>> for fields given in pulled-back coordinates.
+
+    When g is f (a norm or an energy), the product phi' f is formed once.
+    """
+    same = g is f
+    f = as_field(f)
     dphi = mapping.phi_prime.to_field()
-    cap_f = f.max_degree + dphi.max_degree
-    cap_g = g.max_degree + dphi.max_degree
-    return inner_product(
-        multiply(dphi, f, max_degree=cap_f), multiply(dphi, g, max_degree=cap_g)
-    )
+    wf = multiply(dphi, f, max_degree=f.max_degree + dphi.max_degree)
+    if same:
+        return inner_product(wf, wf)
+    g = as_field(g)
+    return inner_product(wf, multiply(dphi, g, max_degree=g.max_degree + dphi.max_degree))
 
 
 def map_norm(mapping: ConformalMap, f) -> float:
@@ -166,14 +197,6 @@ def map_norm(mapping: ConformalMap, f) -> float:
 
 def _solve_gram(mapping, rhs, degree, max_degree):
     w, V = mapping.gram(degree, max_degree)
-    cond = w[-1] / w[0] if w[0] > 0 else math.inf
-    if cond > GRAM_CONDITION_LIMIT:
-        warnings.warn(
-            f"weighted Gram system condition estimate {cond:.3e} exceeds "
-            f"{GRAM_CONDITION_LIMIT:.0e}",
-            GramConditionWarning,
-            stacklevel=3,
-        )
     # w scales the rows of V^H rhs, whether rhs is one vector or a matrix of columns
     return V @ ((V.conj().T @ rhs) / (w if rhs.ndim == 1 else w[:, None]))
 

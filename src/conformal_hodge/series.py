@@ -14,6 +14,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -236,8 +237,9 @@ class HolomorphicSeries:
 
     def __init__(self, coeffs=()):
         cs = np.array(coeffs, dtype=complex).reshape(-1)
-        nz = np.flatnonzero(cs)
-        cs = cs[: nz[-1] + 1] if nz.size else cs[:0]
+        if not (cs.size and cs[-1]):
+            nz = np.flatnonzero(cs)
+            cs = cs[: nz[-1] + 1] if nz.size else cs[:0]
         cs.flags.writeable = False
         self.coeffs = cs
 
@@ -503,11 +505,28 @@ def pair_constants(count, r_in=0.0, start=0):
     """Moments of |z|^(2a) over r_in <= |z| <= 1 for a = start .. start+count-1.
 
     pi (1 - r_in^(2a+2)) / (a+1), and 2 pi ln(1/r_in) at a = -1; at r_in = 0
-    this is exactly the disk moment pi/(a+1).
+    this is exactly the disk moment pi/(a+1).  Finite moments are cached per
+    argument triple as a read-only array; an overflowing power is computed
+    afresh, so it warns, raises or turns infinite under the caller's errstate.
     """
+    try:
+        return _finite_moments(count, r_in, start)
+    except FloatingPointError:
+        return _moments(count, r_in, start)
+
+
+def _moments(count, r_in, start):
     d = np.arange(start + 1, start + count + 1, dtype=float)  # a + 1
     w = math.pi * (1.0 - r_in ** (2.0 * d)) / np.where(d == 0, 1.0, d)
-    return np.where(d == 0, -2 * math.pi * math.log(r_in or 1.0), w)
+    w = np.where(d == 0, -2 * math.pi * math.log(r_in or 1.0), w)
+    w.flags.writeable = False
+    return w
+
+
+@functools.lru_cache(maxsize=256)
+def _finite_moments(count, r_in, start):
+    with np.errstate(over="raise", divide="raise"):
+        return _moments(count, r_in, start)
 
 
 def _diagonals(table, ks):

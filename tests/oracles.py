@@ -11,7 +11,9 @@ matrix.  The field-arithmetic routes of the mapped operators are the
 reference for their coefficient-vector forms, the 1-form route of the
 membership test is the reference for its field form, and the tuple of
 Laurent levels with a 2x2 solve per angular mode is the reference for the
-level-stacked annulus Poisson solve.
+level-stacked annulus Poisson solve.  The uncached forms of the disk
+moments, the trailing-zero trim and the Toeplitz matrix of phi' pin their
+cached replacements bit for bit.
 The random series and the primitive at the very end are test inputs and
 a test-only inverse of the derivative.
 """
@@ -210,6 +212,30 @@ def horner_compose(outer, inner, max_degree):
         acc = prod[: max_degree + 1]
         acc[0] += c
     return acc
+
+
+# -- uncached forms of the cached kernels --------------------------------------
+
+
+def closed_form_moments(count, r_in=0.0, start=0):
+    """Moments of |z|^(2a) over r_in <= |z| <= 1, a = start .. start+count-1, recomputed."""
+    d = np.arange(start + 1, start + count + 1, dtype=float)  # a + 1
+    w = math.pi * (1.0 - r_in ** (2.0 * d)) / np.where(d == 0, 1.0, d)
+    return np.where(d == 0, -2 * math.pi * math.log(r_in or 1.0), w)
+
+
+def flatnonzero_trim(coeffs):
+    """Coefficient vector cut after its last nonzero entry, found by np.flatnonzero."""
+    cs = np.array(coeffs, dtype=complex).reshape(-1)
+    nz = np.flatnonzero(cs)
+    return cs[: nz[-1] + 1] if nz.size else cs[:0]
+
+
+def where_toeplitz(d):
+    """Lower-triangular Toeplitz matrix T[i, j] = d[i - j], built with np.where."""
+    k = np.arange(len(d))
+    gap = k[:, None] - k[None, :]
+    return np.where(gap >= 0, d[gap], 0)  # negative gaps index from the end, masked
 
 
 def fd_jacobian(residual, x, h=1e-7):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conformal_hodge import serialization as ser
-from conformal_hodge import series
+from conformal_hodge import forms, series
 from conformal_hodge.cli import InputError, build_parser, main, parse_series_spec
 from conformal_hodge.mapping import GramConditionWarning
 from conformal_hodge.series import BivariateField, HolomorphicSeries, TruncationWarning, monomial
@@ -666,6 +666,20 @@ ANNULUS_OVERFLOW = [
     (0.01, {"r_in": 0.01, "band_limit": 80,
             "terms": [{"m": 1, "n": 2, "re": 1.0, "im": 0.0}]}),
 ]
+
+
+def test_nan_inner_circle_trace_exits_3_without_output(tmp_path, monkeypatch, capsys):
+    # the outer circle's trace was reported over the inner circle's NaN, with exit 0
+    clean = forms.boundary_traces
+    monkeypatch.setattr(forms, "boundary_traces", lambda f, radius: (
+        clean(f, radius) if radius == 1.0 else (math.nan, math.nan)))
+    monkeypatch.chdir(tmp_path)
+    ser.write_json("laurent.json", {"band_limit": 1, "r_in": 0.5,
+                                    "terms": [{"m": -1, "n": 0, "re": 1.0, "im": 0.0}]})
+    assert main(["classify", "--r-in", "0.5", "--in", "laurent.json", "--out", "out.json"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure"), err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("r_in, field", ANNULUS_OVERFLOW, ids=["poisson", "moment", "declared"])

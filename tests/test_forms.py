@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conformal_hodge import series as s
+from conformal_hodge import forms, series as s
 from conformal_hodge.annulus import LaurentField, laurent_monomial
 from conformal_hodge.disk import conformal_split, grad_bar, poisson_disk, sgrad_bar
 from conformal_hodge.forms import (
@@ -190,6 +190,14 @@ class TestMembershipAnnulus:
         assert set(rep.labels) >= {"A5", "A6"}
         assert rep.norms["A1"] > 0 and rep.norms["A2"] > 0
         assert rep.coordinates["A5"] == pytest.approx(3.0)
+
+    def test_nan_inner_trace_reaches_the_report(self, monkeypatch):
+        # Python's max kept the outer circle's value over the inner circle's NaN
+        clean = forms.boundary_traces
+        monkeypatch.setattr(forms, "boundary_traces", lambda f, radius: (
+            clean(f, radius) if radius == 1.0 else (math.nan, math.nan)))
+        rep = hodge_membership(laurent_monomial(-1, 0, 2.0, r_in=R_IN))
+        assert math.isnan(rep.boundary_tangential_max) and math.isnan(rep.boundary_normal_max)
 
 
 class TestBoundaryTraces:

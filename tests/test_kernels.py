@@ -9,6 +9,7 @@ holomorphic-only fields, and Laurent fields with negative indices.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -127,3 +128,59 @@ def test_compose_with_cached_table_matches_horner_loop(first, second, inner, max
         width = max(len(ref), len(got.coeffs))
         assert np.max(np.abs(got.to_array(width) - np.pad(ref, (0, width - len(ref)))),
                       initial=0.0) <= tol
+
+
+# -- cached kernels against their uncached forms, bit for bit ------------------
+
+
+def _same_bits(a, b):
+    """np.array_equal that also tells -0.0 from 0.0 and compares NaN payloads."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+radius = st.one_of(st.just(0.0), st.floats(0.001, 0.999))
+
+
+@given(st.integers(0, 200), radius, st.integers(-10, 10))
+@example(5, 0.5, -3)  # a = -1 inside the range: the log moment 2 pi ln(1/r_in)
+@example(1, 0.25, -1)  # the log moment alone
+@settings(max_examples=100, deadline=None)
+def test_pair_constants_match_closed_form(count, r_in, start):
+    if r_in == 0.0:
+        start = max(start, 0)  # negative powers of |z| are not integrable on the disk
+    first = s.pair_constants(count, r_in, start)
+    again = s.pair_constants(count, r_in, start)  # served from the cache
+    ref = oracles.closed_form_moments(count, r_in, start)
+    assert np.array_equal(first, ref) and _same_bits(first, ref) and _same_bits(again, ref)
+
+
+def test_overflowing_moments_follow_the_callers_errstate():
+    # a cached infinite moment would skip the raise that numerical failures rely on
+    with np.errstate(over="ignore"):
+        assert np.isinf(s.pair_constants(200, 0.001, -150)).any()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        s.pair_constants(200, 0.001, -150)
+
+
+trailing = st.lists(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                                     complex(-0.0, -0.0)]), max_size=40)
+
+
+@given(st.lists(coefficient, max_size=6), trailing,
+       st.sampled_from([None, complex(math.nan, 0.0), complex(0.0, math.nan), 1.0]))
+@example([], [0j] * 40, None)  # all zeros: the empty series
+@example([1.0, complex(-0.0, 0.0)], [], None)  # a trailing -0.0 is a zero
+@example([2.0], [0j], complex(math.nan, 0.0))  # a NaN last entry is kept
+@settings(max_examples=100, deadline=None)
+def test_series_trim_matches_flatnonzero(head, zeros, last):
+    coeffs = head + zeros + ([] if last is None else [last])
+    got = HolomorphicSeries(coeffs).coeffs
+    ref = oracles.flatnonzero_trim(coeffs)
+    assert np.array_equal(got, ref, equal_nan=True) and _same_bits(got, ref)
+
+
+def test_cached_arrays_are_read_only():
+    for arr in (s.pair_constants(8), s.pair_constants(8, 0.5, -2),
+                HolomorphicSeries([1.0, 2.0]).coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0

@@ -1,14 +1,18 @@
 """Conformal map validation, weighted inner products, mapped projection/adjoint."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conformal_hodge import series as s
 from conformal_hodge.disk import project_con_gram_oracle
 from conformal_hodge.mapping import (
     ConformalMap,
+    _toeplitz_gaps,
     EmbeddingError,
     GramConditionWarning,
     _solve_gram,
@@ -17,11 +21,13 @@ from conformal_hodge.mapping import (
     project_con_mapped,
     pullback,
 )
-from conformal_hodge.series import HolomorphicSeries, monomial
+from conformal_hodge.series import BivariateField, HolomorphicSeries, monomial
 
 import oracles
 
 PI = math.pi
+
+coefficient = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
 
 
 def gentle_map():
@@ -126,6 +132,20 @@ class TestMapInnerProduct:
         assert abs(got - oracle) < 1e-8 * (1 + abs(oracle))
 
 
+    @given(st.integers(0, 4), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_same_field_in_both_slots_matches_a_copy(self, degree, seed, as_series):
+        # the pairing of f with itself forms phi' f once; the value is the same bits
+        rng = np.random.default_rng(seed)
+        m = ConformalMap(oracles.random_series(rng, 3), validate=False)
+        f = oracles.random_series(rng, degree) if as_series else s.random_field(rng, degree)
+        copy = (HolomorphicSeries(f.coeffs.copy()) if as_series
+                else BivariateField(f.table.copy(), f.max_degree))
+        assert copy is not f
+        same, other = map_inner_product(m, f, f), map_inner_product(m, f, copy)
+        assert same == other and math.copysign(1, same.imag) == math.copysign(1, other.imag)
+
+
 class TestMappedProjection:
     def test_identity_equals_gram_oracle(self):
         rng = np.random.default_rng(15)
@@ -167,6 +187,19 @@ class TestMappedProjection:
         m = ConformalMap(HolomorphicSeries([0.0, 2.0]))
         with pytest.warns(GramConditionWarning):
             project_con_mapped(m, monomial(1, 1), degree=30, max_degree=34)
+
+    def test_condition_warned_once_per_factorisation(self):
+        # the projection and the adjoint share the cached Gram of one map
+        m = ConformalMap(HolomorphicSeries([0.0, 2.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            project_con_mapped(m, monomial(1, 1), degree=30, max_degree=34)
+            project_con_mapped(m, monomial(2, 1), degree=30, max_degree=34)
+            adjoint_dz_mapped(m, HolomorphicSeries([0.0, 1.0]), degree=30, max_degree=34)
+            assert len(caught) == 1 and caught[0].category is GramConditionWarning
+            project_con_mapped(ConformalMap(HolomorphicSeries([0.0, 2.0])), monomial(1, 1),
+                               degree=30, max_degree=34)
+        assert len(caught) == 2
 
     def test_gram_overflow_raises(self):
         # phi' phi^3 = 1e240 z^3 is finite; its squared norm in the Gram matrix is not
@@ -254,3 +287,24 @@ class TestMappedAdjoint:
                 ).real
                 worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-8
+
+
+class TestPhiPrimeOperator:
+    @given(st.lists(coefficient, max_size=45), st.integers(1, 40))
+    @example([0j, 1.0, 0.5], 40)  # deg phi' below the size
+    @example([0j] + [1.0] * 44, 3)  # deg phi' above the size
+    @example([], 1)  # phi' = 0
+    @settings(max_examples=100, deadline=None)
+    def test_gathered_toeplitz_matches_where_construction(self, phi, size):
+        m = ConformalMap(HolomorphicSeries(phi), validate=False)
+        got = m.phi_prime_operator(size)
+        ref = oracles.where_toeplitz(m.phi_prime.to_array(size))
+        assert np.array_equal(got, ref)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_cached_operators_are_read_only(self):
+        m = gentle_map()
+        for arr in (m.phi_prime_operator(5), _toeplitz_gaps(5), m.basis_matrix(3, 8),
+                    *m.gram(3, 8)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
