@@ -2,11 +2,13 @@
 
 Laurent fields share the coefficient table of the disk fields, with the
 index offset -band_limit, so the element-wise operations and the pairing
-of ``series`` serve them unchanged.  The Dirichlet Poisson solution carries
-powers of ln(z zbar) for the z^-1 modes: a log-Laurent field stacks one
-Laurent level per power on a leading level axis of one array, and the
-two-circle boundary matching solves every angular mode at once in closed
-form.  Two such solves give ``conformal_split``.
+of ``series`` serve them unchanged.  A field's band is the largest |power|
+of its terms, whatever band its input declared, so no pairing, evaluation
+or solve reaches past the powers the field holds.  The Dirichlet Poisson
+solution carries powers of ln(z zbar) for the z^-1 modes: a log-Laurent
+field stacks one Laurent level per power on a leading level axis of one
+array, and the two-circle boundary matching solves every angular mode at
+once in closed form.  Two such solves give ``conformal_split``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .series import (
     CoefficientField,
+    _columns,
     cr_residual,
     imag_part,
     pair_sums,
@@ -31,12 +34,13 @@ class NonConformalInputError(ValueError):
 
 
 class LaurentField(CoefficientField):
-    """Polynomial in z, zbar, 1/z, 1/zbar with a band limit on the indices.
+    """Polynomial in z, zbar, 1/z, 1/zbar on the least band that holds its terms.
 
-    ``table[i, j]`` is the coefficient of z^(i-band_limit) zbar^(j-band_limit).
-    ``terms`` is a {(m, n): c} mapping, or a tuple (m, n, c) of index and
-    coefficient arrays or a 2-D complex array used as the table itself (then
-    band_limit is required).
+    ``table[i, j]`` is the coefficient of z^(i-band_limit) zbar^(j-band_limit),
+    with ``band_limit`` the largest |power| of a term.  ``terms`` is a
+    {(m, n): c} mapping or a tuple (m, n, c) of index and coefficient arrays,
+    whose indices a declared band_limit bounds before any allocation; or a
+    2-D complex array, a table on the band ``band_limit`` (then required).
     """
 
     __slots__ = ("band_limit", "r_in")
@@ -44,19 +48,23 @@ class LaurentField(CoefficientField):
     def __init__(self, terms, r_in, band_limit=None):
         if not 0.0 < r_in < 1.0:
             raise ValueError("r_in must lie strictly between 0 and 1")
-        if band_limit is None:
-            band_limit = max((max(abs(int(m)), abs(int(n)))
-                              for (m, n), c in (terms or {}).items() if c != 0), default=0)
-        super().__init__(terms, -int(band_limit), int(band_limit))
-        if max(self.table.shape) > 2 * band_limit + 1:
-            raise ValueError(f"index outside band limit {band_limit}")
-        self.band_limit = int(band_limit)
+        if not isinstance(terms, np.ndarray):
+            m, n, c = terms if isinstance(terms, tuple) else _columns(terms or {})
+            terms = m, n, c = m[c != 0], n[c != 0], c[c != 0]
+            powers = np.abs(np.concatenate((m, n))).astype(np.uint64)  # |int64 min| fits here
+            band = int(powers.max(initial=0))
+            if band_limit is not None and band > band_limit:  # before any table is allocated
+                raise ValueError(f"index outside band limit {band_limit}")
+            band_limit = band
+        super().__init__(terms, -band_limit, None)
+        t, b = self.table, int(band_limit)
+        if max(t.shape) > 2 * b + 1:
+            raise ValueError(f"index outside band limit {b}")
+        if max(t.shape) < 2 * b + 1 and not (t[:1].any() or t[:, :1].any()):  # no edge term
+            b = int(np.abs(np.concatenate(np.nonzero(t)) - band_limit).max(initial=0))
+            self.table = t[band_limit - b :, band_limit - b :]
+        self.band_limit = b
         self.r_in = float(r_in)
-
-    @staticmethod
-    def _check_indices(i, j, band_limit):
-        if max(i.max(), j.max()) > 2 * band_limit:
-            raise ValueError(f"index outside band limit {band_limit}")
 
     @property
     def offset(self):
@@ -171,7 +179,7 @@ class LogLaurentField:
 
     def inner(self, other) -> complex:
         """Complex pairing: the level pair (l1, l2) weighted by the moments of ln^(l1+l2)."""
-        mine, theirs = ([_on_own_band(t, g.band_limit, g.r_in) for t in g.table]
+        mine, theirs = ([LaurentField(t, g.r_in, g.band_limit) for t in g.table]
                         for g in (self, other))
         pairs = [(l1 + l2, *pair_sums(f, g))
                  for l1, f in enumerate(mine) for l2, g in enumerate(theirs)]
@@ -183,12 +191,6 @@ class LogLaurentField:
 
     def norm(self):
         return math.sqrt(max(self.inner(self).real, 0.0))
-
-
-def _on_own_band(table, band, r_in):
-    """A Laurent table of band `band` as a LaurentField on the least band holding its terms."""
-    b = int(np.abs(np.concatenate(np.nonzero(table)) - band).max(initial=0))
-    return LaurentField(table[band - b : band + b + 1, band - b : band + b + 1], r_in, b)
 
 
 @np.errstate(over="raise")  # an overflowing power is a numerical failure, not an infinite moment
@@ -221,7 +223,7 @@ def poisson_annulus(rhs: LaurentField) -> LogLaurentField:
     size = max(rhs.coefficient_norm(), 1.0)
     if not rhs.is_real(tol=1e-12 * size):
         raise ValueError("poisson_annulus needs a real-valued right-hand side")
-    rhs = _on_own_band(rhs.real_part().table, rhs.band_limit, rhs.r_in)
+    rhs = rhs.real_part()
     r_in, B = rhs.r_in, rhs.band_limit + 1
     # z^m zbar^n -> z^(m+1) zbar^(n+1) / (4 (m+1)(n+1)); a zero lifted power
     # takes the factor ln(z zbar) instead, and both zero take ln^2 / 8

@@ -101,19 +101,17 @@ def stationary_matrix(V: PotentialSpec, domain, n):
     """Matrix L of the residual on coefficient vectors of length n (m = n + 2 rows).
 
     The residual is complex-linear in xi and projected at degree n, so L x is
-    the residual of x at proj_degree=n.  On the disk column k is the residual
-    of z^k.  On a mapped disk the n columns share one Gram solve at degree n
-    and cap M = natural_cap(n), where z^k pulls back to phi^k exactly: the
-    adjoint right-hand side pairs the derivative of z^2 phi' (k phi^(k-1))
-    with the powers phi^j, and the projection right-hand side pairs
-    phi' phi^k with the frame phi' phi^j.
+    the residual of x at proj_degree=n.  On the disk it maps z^k to
+    (k(k+1) + c) z^k.  On a mapped disk the n columns share one Gram solve at
+    degree n and cap M = natural_cap(n), where z^k pulls back to phi^k
+    exactly: the adjoint right-hand side pairs the derivative of
+    z^2 phi' (k phi^(k-1)) with the powers phi^j, and the projection
+    right-hand side pairs phi' phi^k with the frame phi' phi^j.
     """
-    m = n + 2  # adjoint raises the degree by one; keep slack
+    L = np.zeros((n + 2, n), dtype=complex)  # adjoint raises the degree by one; keep slack
     if domain == "disk" or domain is None:
-        return np.column_stack([
-            stationary_residual(HolomorphicSeries(e), V, domain=domain).to_array(m)
-            for e in np.eye(n)
-        ])
+        np.fill_diagonal(L, np.arange(n) * np.arange(1, n + 1) + V.c)
+        return L
     mapping: ConformalMap = domain
     M = mapping.natural_cap(n)
     P = mapping.phi.power_table(n, M)
@@ -125,7 +123,6 @@ def stationary_matrix(V: PotentialSpec, domain, n):
     a[1:, 1:] = np.arange(2, M + 2)[:, None] * (
         mapping.phi_prime_operator(M + 1)[:M, :M] @ (P[: n - 1, :M].T * k))
     rhs = P.conj() @ (a * w) + V.c * (B.conj() @ (B[:n].T * w))
-    L = np.zeros((m, n), dtype=complex)
     L[: n + 1] = _solve_gram(mapping, rhs, n, M)
     return L
 

@@ -4,8 +4,9 @@ A field is a finite sum ``sum c_{mn} z^m zbar^n`` identified with the
 complex-valued function it evaluates to, and hence with a planar vector
 field ``u + i v``.  Its coefficients live in one dense complex array,
 ``table[i, j] = c_{i+offset, j+offset}``: offset 0 for polynomials on the
-disk, ``-band_limit`` for Laurent fields on an annulus.  Every operation
-below is one array expression on that table and serves both domains.
+disk, ``-b`` for Laurent fields on an annulus, with b the largest |power|
+of a term, so a table depends on the terms alone.  Every operation below
+is one array expression on that table and serves both domains.
 All values are immutable after construction and every operation is a pure
 function; reductions run in a fixed index order so results are
 bit-reproducible.
@@ -65,7 +66,7 @@ class CoefficientField:
     ``table[i, j]`` multiplies ``z^(i+offset) zbar^(j+offset)``; the table is
     trimmed to the rows and columns that hold a nonzero term.  Subclasses
     fix the offset, the domain radius ``r_in`` and the truncation bound;
-    listed terms are checked against that bound before their table is
+    listed terms are checked against a given bound before their table is
     allocated.
     """
 
@@ -122,10 +123,8 @@ class CoefficientField:
     def __eq__(self, other):
         if not isinstance(other, CoefficientField):
             return NotImplemented
-        if type(self) is not type(other) or self.r_in != other.r_in:
-            return False
-        a, b = _aligned(self, other)
-        return bool(np.array_equal(a, b))
+        return (type(self) is type(other) and self.r_in == other.r_in
+                and self.offset == other.offset and bool(np.array_equal(self.table, other.table)))
 
     def __hash__(self):
         return hash(tuple(self.items()))

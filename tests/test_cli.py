@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conformal_hodge import serialization as ser
 from conformal_hodge import forms, series
@@ -664,8 +666,31 @@ ANNULUS_OVERFLOW = [
             "terms": [{"m": -60, "n": 3, "re": 1.0, "im": 0.0}]}),
     # few terms on a wide declared band: the pairing moments of that band overflow
     (0.01, {"r_in": 0.01, "band_limit": 80,
-            "terms": [{"m": 1, "n": 2, "re": 1.0, "im": 0.0}]}),
+            "terms": [{"m": -80, "n": 0, "re": 1.0, "im": 0.0},
+                      {"m": 1, "n": 2, "re": 1.0, "im": 0.0}]}),
 ]
+
+
+@given(st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                       st.complex_numbers(min_magnitude=0.1, max_magnitude=10, allow_nan=False,
+                                          allow_infinity=False), min_size=1, max_size=3),
+       st.sampled_from([0.01, 0.1, 0.5, 0.9]), st.integers(0, 512))
+@example({(1, 2): 1.0}, 0.01, 80)
+@settings(max_examples=25, deadline=None)
+def test_classify_report_does_not_depend_on_the_declared_band(tmp_path_factory, terms, r_in,
+                                                              declared):
+    # the declared band only bounds the indices: the field lives on its own band
+    work = tmp_path_factory.mktemp("band")
+    own = max(abs(k) for mn in terms for k in mn)
+    reports = []
+    for band in (own, max(own, declared)):
+        ser.write_json(work / "f.json", {"r_in": r_in, "band_limit": band, "terms": [
+            {"m": m, "n": n, "re": c.real, "im": c.imag} for (m, n), c in terms.items()]})
+        out = work / f"{band}.json"
+        argv = ["classify", "--r-in", repr(r_in), "--in", str(work / "f.json"), "--out", str(out)]
+        assert main(argv) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_nan_inner_circle_trace_exits_3_without_output(tmp_path, monkeypatch, capsys):

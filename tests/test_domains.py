@@ -26,6 +26,37 @@ PI = math.pi
 R_IN = 0.5
 
 
+class TestLaurentTable:
+    def test_tuple_and_dict_give_equal_fields(self):
+        terms = {(-2, 1): 1.5 - 0.5j, (0, 0): 2.0, (3, -1): 0.25j}
+        m, n = (np.array(k) for k in zip(*terms))
+        arrays = (m, n, np.array(list(terms.values())))
+        for band in (None, 3, 40):
+            assert LaurentField(arrays, R_IN, band) == LaurentField(terms, R_IN, band)
+        assert LaurentField(arrays, R_IN).band_limit == 3
+
+    def test_declared_band_bounds_the_input_only(self):
+        f = LaurentField({(1, 2): 1.0}, r_in=0.01, band_limit=512)
+        assert f.band_limit == 2 and f.table.shape == (4, 5)
+        with pytest.raises(ValueError, match="outside band limit 1"):
+            LaurentField({(1, 2): 1.0}, r_in=0.01, band_limit=1)
+
+    @given(st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                           st.complex_numbers(max_magnitude=10, allow_nan=False), max_size=4),
+           st.integers(0, 512))
+    @settings(max_examples=60, deadline=None)
+    def test_table_is_a_function_of_the_terms(self, terms, pad):
+        own = LaurentField(terms, r_in=R_IN)
+        declared = LaurentField(terms, r_in=R_IN, band_limit=own.band_limit + pad)
+        padded = LaurentField(np.pad(own.table, ((pad, 0), (pad, 0))), R_IN,
+                              own.band_limit + pad)
+        powers = [abs(k) for mn, c in terms.items() if c for k in mn]
+        assert own.band_limit == max(powers, default=0)
+        for f in (declared, padded):
+            assert f == own and f.band_limit == own.band_limit
+            assert f.table.tobytes() == own.table.tobytes()
+
+
 class TestAnnulusInner:
     def test_log_moment_for_pole(self):
         f = laurent_monomial(-1, 0, 1.0, r_in=R_IN)

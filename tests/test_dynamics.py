@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conformal_hodge import dynamics
 from conformal_hodge import series as s
@@ -198,6 +200,14 @@ class TestStationaryMatrix:
         k = np.arange(n)
         expect = np.vstack([np.diag(k * k + k + c), np.zeros((2, n))])
         assert np.max(np.abs(L - expect)) <= 1e-12
+
+    @given(st.integers(1, 39), st.one_of(st.sampled_from([0.0, -0.0, -2.0, -6.0]),
+                                         st.floats(-10, 10)))
+    @settings(max_examples=60, deadline=None)
+    def test_disk_closed_form_matches_column_route(self, n, c):
+        V = PotentialSpec.quadratic(c)
+        got, ref = stationary_matrix(V, "disk", n), oracles.stationary_matrix(V, "disk", n)
+        assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
 
 
 class TestModeSolution:
