@@ -39,7 +39,7 @@ from .dynamics import (
 from .mapping import ConformalMap, EmbeddingError, adjoint_dz_mapped, project_con_mapped
 from .quadrature import QuadratureSpec
 from .selftest import format_report, run_self_test
-from .series import HolomorphicSeries
+from .series import DEFAULT_MAX_DEGREE, HolomorphicSeries
 from .torus import torus_project_con
 
 EXIT_OK = 0
@@ -130,7 +130,11 @@ def _parse_expression(spec):
                 raise InputError(f"empty term in series expression {spec!r}")
             m = _TERM_RE.match(term)
             if m and m.group("z"):
-                power = int(m.group("pow") or 1)
+                digits = (m.group("pow") or "1").lstrip("0") or "0"
+                # compare lengths first: no int() of a long digit string, no list of that size
+                if len(digits) > len(str(ser.SIZE_LIMIT)) or int(digits) > ser.SIZE_LIMIT:
+                    raise InputError(f"powers in {spec!r} must be from 0 to {ser.SIZE_LIMIT}")
+                power = int(digits)
                 coef_text = m.group("coef")
                 coef = 1.0 + 0j
                 if coef_text:
@@ -176,7 +180,7 @@ def _apply_config(args):
             val = ser._number(val, f"config value {key!r}", key in _INTEGER_CONFIG_KEYS)
             if getattr(args, key) is None:
                 setattr(args, key, val)
-    for key, default in (("degree", 16), ("tol", 1e-10)):
+    for key, default in (("degree", DEFAULT_MAX_DEGREE), ("tol", 1e-10)):
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, default)
     for key in ("dt", "steps"):
@@ -200,8 +204,8 @@ def _check_numeric(args):
         if getattr(args, key, 0) < 0:
             raise InputError(f"{key.replace('_', '-')} must be non-negative")
     degree = getattr(args, "degree", None)
-    if degree is not None and not 1 <= degree <= 64:
-        raise InputError("degree must lie in [1, 64]")
+    if degree is not None and not 1 <= degree <= ser.DEGREE_CAP:
+        raise InputError(f"degree must lie in [1, {ser.DEGREE_CAP}]")
     tol = getattr(args, "tol", None)
     if tol is not None and tol <= 0:
         raise InputError("tol must be positive")

@@ -70,11 +70,6 @@ def project_con_gram_oracle(f) -> HolomorphicSeries:
     return HolomorphicSeries(out)
 
 
-def bergman_kernel_disk(z, zeta):
-    """Reproducing kernel of square-integrable holomorphic functions on the disk."""
-    return 1.0 / (math.pi * (1.0 - np.conj(z) * zeta) ** 2)
-
-
 def project_con_bergman(f, quadrature=QuadratureSpec()) -> HolomorphicSeries:
     """Kernel-quadrature projection onto span{1, z, ..., z^d}, d = f.degree().
 
@@ -304,7 +299,7 @@ def projection_property_check(f, psi, tol) -> ProjectionPropertyReport:
     """
     f = as_field(f)
     psi = series.as_series(psi)
-    _, why = series.disk_min_modulus(psi, boundary_points(8 * max(psi.degree, 16)))
+    _, why = series.disk_min_modulus(psi, boundary_points(series.certificate_samples(psi.degree)))
     if why:
         raise NonvanishingCheckError(f"psi {why}")
     weighted = multiply(

@@ -27,7 +27,6 @@ from .disk import (
 from .mapping import (
     ConformalMap,
     EmbeddingError,
-    _solve_gram,
     adjoint_dz_mapped,
     map_inner_product,
     map_norm,
@@ -41,7 +40,6 @@ from .series import (
     add,
     as_series,
     coefficient_norm,
-    pair_constants,
     scale,
 )
 
@@ -100,30 +98,22 @@ class StationaryResult:
 def stationary_matrix(V: PotentialSpec, domain, n):
     """Matrix L of the residual on coefficient vectors of length n (m = n + 2 rows).
 
-    The residual is complex-linear in xi and projected at degree n, so L x is
-    the residual of x at proj_degree=n.  On the disk it maps z^k to
-    (k(k+1) + c) z^k.  On a mapped disk the n columns share one Gram solve at
-    degree n and cap M = natural_cap(n), where z^k pulls back to phi^k
-    exactly: the adjoint right-hand side pairs the derivative of
-    z^2 phi' (k phi^(k-1)) with the powers phi^j, and the projection
-    right-hand side pairs phi' phi^k with the frame phi' phi^j.
+    L x is the residual of x at proj_degree=n, which is complex-linear in xi.
+    On the disk L maps z^k to (k(k+1) + c) z^k.  On a mapped disk U it is the
+    Galerkin form G^-1 K + c I of D*D xi + c xi on z^0 ... z^n: G is the Gram
+    matrix of the monomials in L^2(U), read off the map's cached factor at
+    degree n and cap natural_cap(n), and K[j, k] = j k G[j-1, k-1].
     """
     L = np.zeros((n + 2, n), dtype=complex)  # adjoint raises the degree by one; keep slack
     if domain == "disk" or domain is None:
         np.fill_diagonal(L, np.arange(n) * np.arange(1, n + 1) + V.c)
         return L
-    mapping: ConformalMap = domain
-    M = mapping.natural_cap(n)
-    P = mapping.phi.power_table(n, M)
-    B = mapping.basis_matrix(n, M)
-    w = pair_constants(M + 1)[:, None]
-    # a = A' for A = z^2 phi' (k phi^(k-1)) cut at degree M + 1; A' has no constant term
-    a = np.zeros((M + 1, n), dtype=complex)
-    k = np.arange(1, n)
-    a[1:, 1:] = np.arange(2, M + 2)[:, None] * (
-        mapping.phi_prime_operator(M + 1)[:M, :M] @ (P[: n - 1, :M].T * k))
-    rhs = P.conj() @ (a * w) + V.c * (B.conj() @ (B[:n].T * w))
-    L[: n + 1] = _solve_gram(mapping, rhs, n, M)
+    w, Q = domain.gram(n, domain.natural_cap(n))
+    G = (Q * w) @ Q.conj().T
+    K = np.zeros((n + 1, n), dtype=complex)
+    K[1:, 1:] = np.outer(np.arange(1, n + 1), np.arange(1, n)) * G[:n, : n - 1]
+    L[: n + 1] = Q @ ((Q.conj().T @ K) / w[:, None])
+    L[:n] += V.c * np.eye(n)
     return L
 
 

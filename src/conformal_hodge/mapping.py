@@ -67,8 +67,7 @@ class ConformalMap:
             self.check_boundary_injectivity()
 
     def _samples(self):
-        # 8 samples per degree resolve the boundary curve and the phase of phi'
-        return _boundary_samples(8 * max(self.phi.degree, 16))
+        return _boundary_samples(series.certificate_samples(self.phi.degree))
 
     @property
     def min_deriv(self):

@@ -34,6 +34,7 @@ _TERM_KEYS = {"im", "m", "n", "re"}
 _NUMBER = {int, float}
 _INT64 = range(-2**63, 2**63)
 SIZE_LIMIT = 512  # largest declared max_degree or band_limit
+DEGREE_CAP = 64  # largest map degree and --degree
 
 
 class FormatError(ValueError):
@@ -202,7 +203,10 @@ def map_from_json(d: dict) -> ConformalMap:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("map JSON needs 'coeffs' as [[re, im], ...]") from exc
     coeffs = [complex(*(_number(x, "map coefficient", False) for x in pair)) for pair in pairs]
-    return ConformalMap(HolomorphicSeries(coeffs))
+    phi = HolomorphicSeries(coeffs)
+    if phi.degree > DEGREE_CAP:
+        raise FormatError(f"map degree must be at most {DEGREE_CAP}, got {phi.degree}")
+    return ConformalMap(phi)
 
 
 def decomposition_to_json(result: DecompositionResult) -> dict:

@@ -622,6 +622,12 @@ def evaluate_grid(f, points):
     return acc.reshape(points.shape)[()]  # a scalar for a scalar point
 
 
+def certificate_samples(degree):
+    """Circle samples that certify a series of this degree (disk_min_modulus, the
+    boundary check): 8 per degree resolve the curve and the phase of its derivative."""
+    return 8 * max(degree, 16)
+
+
 def disk_min_modulus(s, points):
     """(min |s| over the closed unit disk, None), or (0.0, why) when s vanishes there.
 

@@ -615,6 +615,16 @@ class TestErrorPaths:
         fin = write_field(tmp_path / "f.json", monomial(0, 0))
         assert main(["project", "--in", fin, "--degree", "65"]) == 2
 
+    @pytest.mark.parametrize("degree, zeros, code", [(64, 0, 0), (64, 40, 0), (65, 0, 2)])
+    def test_map_degree_cap(self, tmp_path, degree, zeros, code):
+        # the cap on the trimmed degree is the --degree cap, checked before any samples
+        mp = tmp_path / "map.json"
+        ser.write_json(mp, {"coeffs": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * (degree - 2)
+                            + [[1e-3, 0.0]] + [[0.0, 0.0]] * zeros})
+        fin = write_field(tmp_path / "f.json", monomial(1, 1))
+        argv = ["project", "--map", str(mp), "--in", fin, "--out", str(tmp_path / "o.json")]
+        assert main(argv) == code
+
     def test_argparse_error_code(self):
         assert main(["definitely-not-a-command"]) == 2
 

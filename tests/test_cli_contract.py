@@ -9,8 +9,9 @@ write a NaN or infinity token to stdout or to an output file, and each
 JSON document they write is laid out exactly as
 ``json.dumps(..., sort_keys=True, indent=2)`` writes it.
 
-Each REJECTED invocation reads a malformed interchange file ``bad.json``
-and must exit 2 with a single ``error:`` line, writing nothing.
+Each REJECTED invocation reads a malformed interchange file ``bad.json``,
+or passes a series expression with a power above ``SIZE_LIMIT``, and must
+exit 2 with a single ``error:`` line, writing nothing.
 """
 
 import json
@@ -41,6 +42,7 @@ ACCEPTED = [
     "stationary --c -6 --init 0.3*z^2+0.1*z^5 --degree 3",
     "geodesic --map wiggly_map --xi0 0.01 --dt 1e-3 --steps 1 --degree 4",
     "wave --xi0 z^70 --max-m 70 --dt 1e-6 --steps 3",
+    "wave --xi0 z^512 --dt 1e-6 --steps 3",  # the power at serialization.SIZE_LIMIT
     "project --map map.json --in field.json --degree 30",
     "wave --xi0 z --dt 1e-2 --steps 3",  # beside an empty file named z
 ]
@@ -85,6 +87,9 @@ REJECTED = [
     ("project --in bad.json", '{"max_degree": -1, "terms": []}'),
     ("decompose --in bad.json", '{"max_degree": -1, "terms": []}'),
     ("classify --r-in 0.5 --in bad.json", '{"r_in": 0.5, "band_limit": -1, "terms": []}'),
+    # an expression power past SIZE_LIMIT, refused before its coefficient list is built
+    ("wave --xi0 z^513 --dt 1e-6 --steps 3", "{}"),
+    ("wave --xi0 0*z^1000000000000 --dt 1e-6 --steps 3", "{}"),
 ]
 
 

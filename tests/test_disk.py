@@ -10,7 +10,6 @@ from conformal_hodge import disk, series as s
 from conformal_hodge.disk import (
     NonvanishingCheckError,
     adjoint_dz_disk,
-    bergman_kernel_disk,
     conformal_decompose,
     grad_bar,
     helmholtz_decompose,
@@ -88,10 +87,6 @@ class TestGramOracle:
 
 
 class TestBergman:
-    def test_kernel_at_origin_is_constant(self):
-        for zeta in (0.0, 0.3 + 0.4j, -0.9j):
-            assert bergman_kernel_disk(0.0, zeta) == pytest.approx(1 / PI)
-
     def test_quadrature_projection_examples(self):
         got = project_con_bergman(monomial(1, 1))
         assert abs(got.coefficient(0) - 0.5) < 1e-6

@@ -209,6 +209,14 @@ class TestStationaryMatrix:
         got, ref = stationary_matrix(V, "disk", n), oracles.stationary_matrix(V, "disk", n)
         assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("c", [0.0, -2.0, 1.3])
+    def test_identity_map_gives_the_disk_closed_form(self, c):
+        # on phi(z) = z the Gram route G^-1 K + c I must reproduce diag(k(k+1) + c)
+        V, identity = PotentialSpec.quadratic(c), ConformalMap.identity()
+        for n in range(1, 41):
+            got, ref = stationary_matrix(V, identity, n), stationary_matrix(V, "disk", n)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), n
+
 
 class TestModeSolution:
     def test_frequencies(self):

@@ -11,9 +11,10 @@ max_degree cuts the pulled-back products, so the truncation of both routes
 is compared too.
 
 The stationary matrix is drawn on univalent maps z + sum b_k z^k with
-sum k |b_k| < 1 and compared to its column-by-column route; both carry the
-roundoff of one Gram solve per column, so above condition 1e3 the bound
-grows with the condition number.
+sum k |b_k| < 1 and compared to its column-by-column route: the matrix is
+G^-1 K + c I, read off the cached Gram factor, and the route solves with
+that factor once per column, so both carry Gram roundoff and above
+condition 1e3 the bound grows with the condition number.
 """
 
 import numpy as np
