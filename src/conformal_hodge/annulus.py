@@ -23,7 +23,7 @@ from .series import (
     _columns,
     cr_residual,
     imag_part,
-    pair_sums,
+    pair_tables,
     real_part,
     subtract,
 )
@@ -178,16 +178,15 @@ class LogLaurentField:
         return float(np.linalg.norm(self.table))
 
     def inner(self, other) -> complex:
-        """Complex pairing: the level pair (l1, l2) weighted by the moments of ln^(l1+l2)."""
+        """Complex pairing: ``pair_tables`` of levels l1, l2 with row l1 + l2 of the log moments."""
         mine, theirs = ([LaurentField(t, g.r_in, g.band_limit) for t in g.table]
                         for g in (self, other))
-        pairs = [(l1 + l2, *pair_sums(f, g))
+        pairs = [(l1 + l2, f.offset + g.offset, f.table, g.table)
                  for l1, f in enumerate(mine) for l2, g in enumerate(theirs)]
-        lo = min(start for _, start, _ in pairs)
-        count = max(start + len(sums) for _, start, sums in pairs) - lo
+        lo = min(start for _, start, _, _ in pairs)
+        count = max(start + len(a) + b.shape[1] - 1 for _, start, a, b in pairs) - lo
         moments = _log_moments(lo, count, len(mine) + len(theirs) - 2, self.r_in)
-        return sum(complex(sums @ moments[L, start - lo : start - lo + len(sums)])
-                   for L, start, sums in pairs)
+        return sum(pair_tables(a, b, moments[L, start - lo :]) for L, start, a, b in pairs)
 
     def norm(self):
         return math.sqrt(max(self.inner(self).real, 0.0))

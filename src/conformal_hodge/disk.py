@@ -197,7 +197,10 @@ class DecompositionResult:
 
 
 def _orthogonality_matrix(parts):
-    return tuple(tuple(inner_product(p, q).real for q in parts) for p in parts)
+    """Re <<p, q>> over the parts, one pairing per unordered pair: exactly symmetric."""
+    n = len(parts)
+    re = {(i, j): inner_product(parts[i], parts[j]).real for i in range(n) for j in range(i, n)}
+    return tuple(tuple(re[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
 
 
 def conformal_split(f):

@@ -8,8 +8,8 @@ disk, ``-b`` for Laurent fields on an annulus, with b the largest |power|
 of a term, so a table depends on the terms alone.  Every operation below
 is one array expression on that table and serves both domains.
 All values are immutable after construction and every operation is a pure
-function; reductions run in a fixed index order so results are
-bit-reproducible.
+function; reductions run in a fixed index order, BLAS contractions in fixed
+row blocks, so results are bit-reproducible whatever the thread count.
 """
 
 from __future__ import annotations
@@ -543,31 +543,37 @@ def angular_sums(table):
     return _diagonals(table, np.arange(table.shape[0])).sum(axis=1)
 
 
-def pair_sums(f, g):
-    """(a0, s): s[a - a0] sums f_mn conj(g_pq) over the pairs with m - n = p - q, m + q = a.
+_BLOCK = 32  # contraction rows per BLAS call: fixed and short, so the bits ignore the thread count
 
-    These are the diagonal entries of the product f * conj(g), so the
-    pairing of f and g is s weighted by the moments of |z|^(2a).  Terms
-    are grouped by angular index into rows, and the rows are convolved
-    by direct shift-add summation.
-    """
-    a, b = f.table, g.table
-    start = f.offset + g.offset
-    kmin = 1 - min(a.shape[1], b.shape[1])
-    kmax = min(a.shape[0], b.shape[0]) - 1
-    if kmax < kmin:
-        return start, np.zeros(0, dtype=complex)
-    ks = np.arange(kmin, kmax + 1)
-    A, B = _diagonals(a, ks), np.conj(_diagonals(b, ks))
-    if A.shape[1] > B.shape[1]:
-        A, B = B, A
-    width = B.shape[1]
-    C = np.zeros((len(ks), A.shape[1] + width - 1), dtype=complex)
-    for r in range(A.shape[1]):
-        C[:, r : r + width] += A[:, r : r + 1] * B
-    idx = (np.abs(ks)[:, None] + np.arange(C.shape[1])).ravel()
-    sums = np.bincount(idx, C.real.ravel()) + 1j * np.bincount(idx, C.imag.ravel())
-    return start, sums
+
+@functools.lru_cache(maxsize=32)
+def _diagonal_index(rows, cols):
+    """Flat index of t[i, i - k] at [i, k + cols - 1], k = 1 - cols .. rows - 1, for a (rows, cols)
+    table t; rows * cols, a zero appended to t, where that entry lies off the table."""
+    i = np.arange(rows)[:, None]
+    j = i - np.arange(1 - cols, rows)
+    idx = np.where((0 <= j) & (j < cols), i * cols + j, rows * cols)
+    idx.flags.writeable = False
+    return idx
+
+
+def pair_tables(a, b, w):
+    """sum a[i, j] conj(b[p, q]) w[i + q] over i - j = p - q, len(w) >= rows(a) + cols(b) - 1:
+    sum conj(Gd) (W^T Fd) with the Hankel matrix W[i, q] = w[i + q], Fd[i, k] = a[i, i - k] and
+    Gd[q, k] = b[q + k, q], contracted over i in fixed row blocks (one-column pairs: termwise)."""
+    (R, C), (P, Q) = a.shape, b.shape
+    if C == Q == 1:
+        n = min(R, P)
+        return complex((a[:n, 0] * np.conj(b[:n, 0])) @ w[:n])
+    m, n = min(C, Q), min(R, P)  # k = 1 - m .. n - 1
+    if not (m and n):
+        return 0j
+    Fd = np.append(a, 0)[_diagonal_index(R, C)[:, C - m : C + n - 1]]
+    Gd = np.append(b.T, 0)[_diagonal_index(Q, P)[:, P - n : P + m - 1][:, ::-1]]
+    W = np.ndarray((R, Q), float, w, strides=w.strides * 2)  # a view; raises if w is short
+    Fr = Fd.view(float)  # W is real: one real matrix product per block
+    acc = sum(W[s : s + _BLOCK].T @ Fr[s : s + _BLOCK] for s in range(0, R, _BLOCK))
+    return complex((np.conj(Gd) * acc.view(complex)).sum())
 
 
 def inner_product(f, g) -> complex:
@@ -576,14 +582,15 @@ def inner_product(f, g) -> complex:
 
     Closed form: <<z^m zbar^n, z^p zbar^q>> is the moment of |z|^(2(m+q))
     when m - n == p - q, else 0; extended bilinearly.  On the disk this is
-    pi/(m+q+1); on the annulus the moment over r_in <= |z| <= 1.  A moment
-    or product past the float range raises FloatingPointError (an infinite
+    pi/(m+q+1); on the annulus the moment over r_in <= |z| <= 1.  The sum
+    is one Hankel-weighted matrix product (``pair_tables``).  A moment or
+    product past the float range raises FloatingPointError (an infinite
     moment times a zero sum would otherwise be a silent NaN).
     """
     f, g = as_field(f), as_field(g)
     _check_domain(f, g)
-    start, sums = pair_sums(f, g)
-    value = complex(sums @ pair_constants(len(sums), f.r_in, start))
+    count = len(f.table) + g.table.shape[1] - 1
+    value = pair_tables(f.table, g.table, pair_constants(count, f.r_in, f.offset + g.offset))
     if not cmath.isfinite(value):
         raise FloatingPointError("the pairing overflows the float range")
     return value

@@ -5,11 +5,12 @@ evaluated by direct power sums, integrals are taken by quadrature, and the
 Dirichlet-Poisson problems are solved by second-order finite differences
 per angular mode on a fine radial grid.  The dict-loop kernels at the end
 are the term-by-term reference for the library's array kernels and its
-JSON term reader, and the forward-difference Jacobian and the residuals of
-the monomials, one column each, are the references for the stationary
-matrix.  The field-arithmetic routes of the mapped operators are the
-reference for their coefficient-vector forms, the 1-form route of the
-membership test is the reference for its field form, and the tuple of
+JSON term reader, the shift-add diagonal sums are the reference for the
+Hankel-weighted pairing, and the forward-difference Jacobian and the
+residuals of the monomials, one column each, are the references for the
+stationary matrix.  The field-arithmetic routes of the mapped operators
+are the reference for their coefficient-vector forms, the 1-form route of
+the membership test is the reference for its field form, and the tuple of
 Laurent levels with a 2x2 solve per angular mode is the reference for the
 level-stacked annulus Poisson solve.  The uncached forms of the disk
 moments, the trailing-zero trim and the Toeplitz matrix of phi' pin their
@@ -199,6 +200,33 @@ def dict_inner_product(ft, gt, r_in=0.0):
         for p, q, d in buckets.get(m - n, ()):
             total += c * d.conjugate() * annulus_moment(m + q, r_in)
     return total
+
+
+def pair_sums(f, g):
+    """(a0, s): s[a - a0] sums f_mn conj(g_pq) over the pairs with m - n = p - q, m + q = a.
+
+    The shift-add form of the pairing: these are the diagonal entries of the
+    product f * conj(g), so the pairing of f and g is s weighted by the
+    moments of |z|^(2a).  Terms are grouped by angular index into rows, and
+    the rows are convolved by direct shift-add summation.
+    """
+    a, b = f.table, g.table
+    start = f.offset + g.offset
+    kmin = 1 - min(a.shape[1], b.shape[1])
+    kmax = min(a.shape[0], b.shape[0]) - 1
+    if kmax < kmin:
+        return start, np.zeros(0, dtype=complex)
+    ks = np.arange(kmin, kmax + 1)
+    A, B = series._diagonals(a, ks), np.conj(series._diagonals(b, ks))
+    if A.shape[1] > B.shape[1]:
+        A, B = B, A
+    width = B.shape[1]
+    C = np.zeros((len(ks), A.shape[1] + width - 1), dtype=complex)
+    for r in range(A.shape[1]):
+        C[:, r : r + width] += A[:, r : r + 1] * B
+    idx = (np.abs(ks)[:, None] + np.arange(C.shape[1])).ravel()
+    sums = np.bincount(idx, C.real.ravel()) + 1j * np.bincount(idx, C.imag.ravel())
+    return start, sums
 
 
 def horner_compose(outer, inner, max_degree):
@@ -437,7 +465,7 @@ class LevelsLogLaurentField:
         total = 0j
         for l1, f in enumerate(self.levels):
             for l2, g in enumerate(other.levels):
-                start, sums = series.pair_sums(f, g)
+                start, sums = pair_sums(f, g)
                 moments = [log_moment(start + a, l1 + l2, self.r_in) for a in range(len(sums))]
                 total += complex(sums @ np.array(moments))
         return total

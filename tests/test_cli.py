@@ -460,18 +460,20 @@ class TestConfigAndFlags:
 
 class TestProcessDeterminism:
     """Identical inputs give byte-identical outputs in fresh processes whose
-    string hashes differ (PYTHONHASHSEED), for the geodesic flow whose stages
-    run through BLAS matrix products and for the classifier on both of its
-    domains."""
+    string hashes (PYTHONHASHSEED) and BLAS thread counts (OPENBLAS_NUM_THREADS)
+    differ, for the geodesic flow whose stages run through BLAS matrix
+    products, for the classifier on both of its domains, and for pairings
+    whose contractions span many rows."""
 
     @staticmethod
     def _run_twice(tmp_path, argv, outputs):
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         procs = []
-        for seed in ("0", "1"):
+        for seed, threads in (("0", "1"), ("1", "2")):
             cmd = [sys.executable, "-m", "conformal_hodge.cli", *argv,
                    *(arg for name, flag in outputs for arg in (flag, name.format(seed)))]
-            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed,
+                       OPENBLAS_NUM_THREADS=threads)
             procs.append(subprocess.Popen(cmd, cwd=tmp_path, env=env, stderr=subprocess.PIPE))
         for proc in procs:
             _, err = proc.communicate(timeout=300)
@@ -499,6 +501,21 @@ class TestProcessDeterminism:
         terms = [{"m": m, "n": n, "re": float(re), "im": float(im)}
                  for m in band for n in band for re, im in [rng.standard_normal(2)]]
         ser.write_json(tmp_path / "laurent.json", {"r_in": 0.5, "band_limit": 6, "terms": terms})
+        self._run_twice(tmp_path, argv.split(), [("out{}.json", "--out")])
+
+    @pytest.mark.parametrize("argv", [
+        "decompose --in field.json",
+        "classify --r-in 0.7 --in laurent.json",
+    ], ids=["degree-128", "band-20"])
+    def test_wide_pairings_match_across_thread_counts(self, tmp_path, argv):
+        # a plain BLAS product over all 129 rows of the degree-128 table changes
+        # its last bits with the thread count
+        rng = np.random.default_rng(128)
+        write_field(tmp_path / "field.json", series.random_field(rng, 128))
+        band = range(-20, 21)
+        terms = [{"m": m, "n": n, "re": float(re), "im": float(im)}
+                 for m in band for n in band for re, im in [rng.standard_normal(2)]]
+        ser.write_json(tmp_path / "laurent.json", {"r_in": 0.7, "band_limit": 20, "terms": terms})
         self._run_twice(tmp_path, argv.split(), [("out{}.json", "--out")])
 
 

@@ -239,6 +239,15 @@ class TestConformalDecompose:
                     if ni > 1e-14 and nj > 1e-14:
                         assert ip <= 1e-10 * ni * nj
 
+    def test_orthogonality_matrix_is_exactly_symmetric(self):
+        # Re <<p, q>> = Re <<q, p>>: the reported matrix must agree with that bit for bit
+        rng = np.random.default_rng(11)
+        for degree in (3, 8, 20):
+            f = s.random_field(rng, degree)
+            for dec in (conformal_decompose(f), helmholtz_decompose(f)):
+                M = np.array(dec.orthogonality)
+                assert M.tobytes() == M.T.copy().tobytes()
+
 
 class TestHelmholtz:
     def test_identity_field_is_pure_gradient(self):

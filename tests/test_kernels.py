@@ -2,8 +2,13 @@
 
 The tolerance is fixed in advance: 1e-12 times the product of the
 coefficient norms of the operands, which bounds every coefficient of a
-product and every pairing.  Inputs cover dense and sparse tables,
-holomorphic-only fields, and Laurent fields with negative indices.
+product; a pairing is held to 1e-12 times the pairing of the moduli,
+sum |f_mn| |g_pq| w_(m+q), since the annulus moments of negative powers
+exceed any norm product.  Inputs cover dense and sparse tables,
+holomorphic-only fields, and Laurent fields with negative indices; the
+pairing examples add tables that span several blocks of its contraction,
+rectangular, one-row, one-column and empty tables, and a band-20 Laurent
+field.
 """
 
 import math
@@ -76,22 +81,56 @@ def test_convolve_matches_dict_loop(ft, gt, max_degree):
     assert got.max_degree == max_degree
 
 
+def _pairing_tol(ft, gt, r_in=0.0):
+    """REL_TOL times sum |f_mn| |g_pq| w_(m+q) over the matched pairs, the scale of a
+    pairing's roundoff.  The kernel weights a coefficient before it multiplies the
+    other one, so where the relative bound underflows to 0 for subnormal
+    coefficients each product may also differ by a couple of subnormal steps."""
+    moduli = ({k: abs(c) for k, c in t.items()} for t in (ft, gt))
+    scale = oracles.dict_inner_product(*moduli, r_in=r_in).real
+    return REL_TOL * scale + 2 * SUBNORMAL * len(ft) * len(gt)
+
+
+def _random_terms(seed, slots):
+    rng = np.random.default_rng(seed)
+    return {idx: complex(*rng.standard_normal(2)) for idx in slots}
+
+
+def _block(rows, cols):
+    return [(m, n) for m in range(rows) for n in range(cols)]
+
+
+# degree 70 spans three 32-row blocks of the pairing's contraction
+DEGREE_70 = [_random_terms(seed, [(m, n) for m in range(71) for n in range(71 - m)])
+             for seed in (70, 71)]
+BAND_20 = [_random_terms(seed, [(m, n) for m in range(-20, 21) for n in range(-20, 21)])
+           for seed in (20, 21)]
+
+
 @given(disk_terms(), disk_terms())
+@example(*DEGREE_70)
+@example(_random_terms(1, _block(41, 3)), _random_terms(2, _block(5, 38)))  # rectangular
+@example(_random_terms(3, _block(1, 10)), DEGREE_70[0])  # one row
+@example(_random_terms(4, _block(40, 1)), _random_terms(5, _block(9, 1)))  # one column each
+@example(_random_terms(6, _block(40, 1)), _random_terms(7, _block(6, 6)))
+@example({}, DEGREE_70[1])  # empty
+@example({}, {})
 @settings(max_examples=100, deadline=None)
 def test_inner_product_matches_dict_loop(ft, gt):
     f, g = BivariateField(ft), BivariateField(gt)
     got = s.inner_product(f, g)
     ref = oracles.dict_inner_product(f.terms(), g.terms())
-    assert abs(got - ref) <= REL_TOL * _norm(ft) * _norm(gt)
+    assert abs(got - ref) <= _pairing_tol(ft, gt)
 
 
 @given(laurent_terms(), laurent_terms(), st.floats(0.5, 0.9))
+@example(*BAND_20, 0.7)
 @settings(max_examples=100, deadline=None)
 def test_annulus_inner_matches_dict_loop(ft, gt, r_in):
-    f, g = LaurentField(ft, r_in=r_in), LaurentField(gt, r_in=r_in, band_limit=3)
+    f, g = LaurentField(ft, r_in=r_in), LaurentField(gt, r_in=r_in, band_limit=20)
     got = s.inner_product(f, g)
     ref = oracles.dict_inner_product(f.terms(), g.terms(), r_in=r_in)
-    assert abs(got - ref) <= REL_TOL * _norm(ft) * _norm(gt)
+    assert abs(got - ref) <= _pairing_tol(ft, gt, r_in)
 
 
 @given(st.lists(coefficient, max_size=6), st.lists(coefficient, max_size=4),
