@@ -42,7 +42,8 @@ from .quadrature import QuadratureSpec, boundary_points, check_resolution, polar
 
 
 class NonvanishingCheckError(ValueError):
-    """The multiplier field psi vanishes somewhere in the closed disk."""
+    """The multiplier field psi vanishes somewhere in the closed disk, or cannot be
+    certified not to."""
 
 
 # -- projections --------------------------------------------------------------
@@ -297,12 +298,14 @@ def projection_property_check(f, psi, tol) -> ProjectionPropertyReport:
     """Check that Pr(f) and Pr(conj(psi) f) vanish together, for nonvanishing psi.
 
     psi is certified nonvanishing on the closed disk first, from
-    8 max(deg psi, 16) samples of the circle (series.disk_min_modulus); a
-    zero violates the hypothesis and raises.
+    8 max(deg psi, 16) samples of the circle, doubled while the sampling
+    margin is not positive (series.disk_min_modulus).  A zero violates the
+    hypothesis and raises, and so does a margin that stays at or below 0.
     """
     f = as_field(f)
     psi = series.as_series(psi)
-    _, why = series.disk_min_modulus(psi, boundary_points(series.certificate_samples(psi.degree)))
+    samples = boundary_points(series.certificate_samples(psi.degree))
+    _, why = series.disk_min_modulus(psi, evaluate_grid(psi, samples))
     if why:
         raise NonvanishingCheckError(f"psi {why}")
     weighted = multiply(

@@ -315,7 +315,8 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
 
     The velocity stays a holomorphic series by construction (every stage
     output passes through the conformal projection).  Each accepted step the
-    map is revalidated: min |phi'| under MIN_DERIV_FLOOR or a boundary
+    map is revalidated: min |phi'| under MIN_DERIV_FLOOR (the message names
+    the certification failure when min |phi'| is 0) or a boundary
     self-intersection aborts the run, as does a stage whose Gram matrix
     overflows (GeodesicDegeneracyError naming the step); numpy's overflow
     warnings on the way there are muted.  A map or velocity above its degree
@@ -360,9 +361,10 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
             xi_arr = xi_arr + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
             mapping = ConformalMap(HolomorphicSeries(phi_arr), validate=False)
             if mapping.min_deriv < MIN_DERIV_FLOOR:
+                why = mapping.deriv_failure
                 raise GeodesicDegeneracyError(
                     f"min |phi'| = {mapping.min_deriv:.3e} fell below the floor "
-                    f"{MIN_DERIV_FLOOR:g} at step {step}"
+                    f"{MIN_DERIV_FLOOR:g} at step {step}" + (f": {why}" if why else "")
                 )
             try:
                 mapping.check_boundary_injectivity()

@@ -38,7 +38,12 @@ GRAM_CONDITION_LIMIT = 1e12
 @functools.cache
 def _boundary_samples(n):
     """n equispaced points of the unit circle and the mask of the pairs of
-    edges of the closed polygon through them that share no vertex."""
+    edges of the closed polygon through them that share no vertex.
+
+    Called with the base count of series.certificate_samples only: the
+    n x n mask would reach 1 GiB at the largest count disk_min_modulus
+    doubles to.
+    """
     idx = np.arange(n)
     gap = np.abs(idx[:, None] - idx[None, :])
     return boundary_points(n), np.minimum(gap, n - gap) > 1
@@ -63,36 +68,84 @@ class ConformalMap:
         self._caches = {}
         if validate:
             if self.min_deriv <= 0.0:
-                raise EmbeddingError(self._caches["deriv_zeros"])
+                raise EmbeddingError(self.deriv_failure)
             self.check_boundary_injectivity()
 
     def _samples(self):
         return _boundary_samples(series.certificate_samples(self.phi.degree))
 
+    def _deriv_samples(self):
+        """phi' on the base circle samples (cached): the one evaluation of phi'
+        that both certificates read."""
+        if "deriv_samples" not in self._caches:
+            self._caches["deriv_samples"] = series.evaluate_grid(self.phi_prime,
+                                                                 self._samples()[0])
+        return self._caches["deriv_samples"]
+
+    def _immersion(self):
+        """(min_deriv, deriv_failure), cached."""
+        if "immersion" not in self._caches:
+            low, why = series.disk_min_modulus(self.phi_prime, self._deriv_samples())
+            self._caches["immersion"] = low, why and f"phi' {why}"
+        return self._caches["immersion"]
+
     @property
     def min_deriv(self):
-        """min |phi'| over the closed disk, or 0.0 when phi' vanishes there (cached).
+        """min |phi'| over the closed disk, or 0.0 when phi' vanishes there or
+        cannot be certified not to (cached).
 
-        Certified from the boundary samples by series.disk_min_modulus.
+        Certified by series.disk_min_modulus from the base samples of phi',
+        doubled while its sampling margin is not positive; deriv_failure says
+        why the value is 0.0.
         """
-        if "min_deriv" not in self._caches:
-            low, why = series.disk_min_modulus(self.phi_prime, self._samples()[0])
-            self._caches["deriv_zeros"] = why and f"phi' {why}"
-            self._caches["min_deriv"] = low
-        return self._caches["min_deriv"]
+        return self._immersion()[0]
+
+    @property
+    def deriv_failure(self):
+        """Why min_deriv is 0.0: phi' vanishes on the circle, has zeros in the
+        disk, or cannot be certified; None when min_deriv is positive."""
+        return self._immersion()[1]
 
     @staticmethod
     def identity():
         return ConformalMap(HolomorphicSeries([0.0, 1.0]), validate=False)
 
     def check_boundary_injectivity(self):
-        """Raise EmbeddingError when two edges of the sampled boundary polygon
-        that share no vertex cross or touch.
+        """Return True, or raise EmbeddingError when two edges of the sampled
+        boundary polygon that share no vertex cross or touch.
 
-        Edges i and j meet when the endpoints of each lie on opposite sides
-        of (or on) the line through the other.  A map holomorphic on the
-        closed disk and injective on the circle is univalent (Darboux-Picard).
+        The certificate comes first, read off the cached samples of phi'
+        (Noshiro-Warschawski): a map with Re(e^{i alpha} phi') > 0 on a convex
+        domain is univalent.  With alpha = -arg phi'(0) that real part is
+        harmonic, so its minimum over the closed disk is on the circle, at
+        least its sample minimum less series.sampling_slack.  When that bound
+        is not positive (or phi'(0) = 0), the polygon test runs on the base
+        samples of phi: edges i and j meet when the endpoints of each lie on
+        opposite sides of (or on) the line through the other.  A map
+        holomorphic on the closed disk and injective on the circle is
+        univalent (Darboux-Picard), but a loop finer than the sample spacing
+        can escape the polygon test.
         """
+        if self._univalence_margin() > 0:
+            return True
+        crossing = self._polygon_crossing()
+        if crossing:
+            raise EmbeddingError(f"boundary polygon edges {crossing[0]} and {crossing[1]} "
+                                 "cross or touch")
+        return True
+
+    def _univalence_margin(self):
+        """min Re(e^{i alpha} phi') on the base samples less series.sampling_slack,
+        alpha = -arg phi'(0); -inf when phi'(0) = 0.  Positive certifies phi univalent."""
+        b = self.phi_prime.coeffs
+        if not (b.size and b[0]):
+            return -math.inf
+        turned = (np.conj(b[0]) / abs(b[0]) * self._deriv_samples()).real
+        return turned.min() - series.sampling_slack(b, len(turned))
+
+    def _polygon_crossing(self):
+        """The first pair (i, j) of edges of the boundary polygon on the base
+        samples that share no vertex and cross or touch, or None."""
         pts, nonadjacent = self._samples()
         img = series.evaluate_grid(self.phi.to_field(), pts)
         x, y = img.real, img.imag
@@ -101,10 +154,7 @@ class ConformalMap:
         side = np.outer(dx, y) - np.outer(dy, x) - (dx * y - dy * x)[:, None]
         straddle = side * np.roll(side, -1, axis=1) <= 0.0
         meet = straddle & straddle.T & nonadjacent
-        if np.any(meet):
-            i, j = np.argwhere(meet)[0]
-            raise EmbeddingError(f"boundary polygon edges {i} and {j} cross or touch")
-        return True
+        return tuple(np.argwhere(meet)[0]) if np.any(meet) else None
 
     # -- cached series helpers ------------------------------------------------
 

@@ -630,28 +630,59 @@ def evaluate_grid(f, points):
 
 
 def certificate_samples(degree):
-    """Circle samples that certify a series of this degree (disk_min_modulus, the
-    boundary check): 8 per degree resolve the curve and the phase of its derivative."""
+    """Base count of circle samples for a series of this degree: 8 per degree, at
+    least 128.  disk_min_modulus doubles it when the sampling margin is not
+    positive; the boundary polygon of a map stays at this count."""
     return 8 * max(degree, 16)
 
 
-def disk_min_modulus(s, points):
-    """(min |s| over the closed unit disk, None), or (0.0, why) when s vanishes there.
+CERTIFY_DOUBLINGS = 8  # disk_min_modulus tries 2^k times the base samples, k <= this
+_ROUNDING = 1e-12  # allowance for the rounding of sampled values, per unit of sum |b_k|
 
-    Reads the series s on `points`, equispaced samples of the unit circle.
-    By the argument principle the winding number of s around 0 counts its
-    zeros in the disk; when there are none, the minimum modulus principle
-    puts the minimum over the closed disk on the circle.  |s| at or below
-    VANISHING_TOL times its maximum on the samples counts as a zero.
+
+def sampling_slack(coeffs, n):
+    """How far the minimum of |s| (or of Re(c s), |c| = 1) over the unit circle
+    may lie below its minimum on n equispaced samples, for s = sum b_k z^k.
+
+    Every point of the circle lies within pi/n of a sample and
+    |d/dtheta s(e^{i theta})| <= sum k |b_k|; the rounding allowance scales
+    with sum |b_k|, which bounds |s| on the circle.
     """
-    vals = evaluate_grid(s.to_field(), points)
-    mod = np.abs(vals)
-    if not mod.min() > VANISHING_TOL * mod.max():  # NaN lands here too
-        return 0.0, f"vanishes or is not finite on the circle (min modulus {mod.min():.3e})"
-    winding = round(np.angle(np.roll(vals, -1) / vals).sum() / (2 * math.pi))
-    if winding:
-        return 0.0, f"has {winding} zero(s) in the unit disk (argument principle)"
-    return float(mod.min()), None
+    a = np.abs(coeffs)
+    return math.pi / n * float(np.arange(len(a)) @ a) + _ROUNDING * float(a.sum())
+
+
+def disk_min_modulus(s, vals):
+    """(min |s| over the closed unit disk, None), or (0.0, why) when s vanishes
+    there or that minimum cannot be certified positive.
+
+    vals are s on boundary_points(n).  By the argument principle the winding
+    number of s around 0 counts its zeros in the disk, and when there are
+    none the minimum modulus principle puts the minimum over the closed disk
+    on the circle.  Both read the samples, so they hold once the margin
+    min |s(samples)| - sampling_slack(b, n) is positive: then s has no zero
+    on the circle and the sampled winding number is exact.  The reported
+    minimum is the sample minimum at the first n with a positive margin.
+    Otherwise n doubles, at most CERTIFY_DOUBLINGS times, before the answer
+    is "cannot certify".  A sample at or below VANISHING_TOL times the
+    largest one, or a nonzero sampled winding number, rejects at once.
+    """
+    n, cap = len(vals), len(vals) << CERTIFY_DOUBLINGS
+    while True:
+        mod = np.abs(vals)
+        if not mod.min() > VANISHING_TOL * mod.max():  # NaN lands here too
+            return 0.0, f"vanishes or is not finite on the circle (min modulus {mod.min():.3e})"
+        winding = round(np.angle(np.roll(vals, -1) / vals).sum() / (2 * math.pi))
+        if winding:
+            return 0.0, f"has {winding} zero(s) in the unit disk (argument principle)"
+        margin = mod.min() - sampling_slack(s.coeffs, n)
+        if margin > 0:
+            return float(mod.min()), None
+        if n >= cap:
+            return 0.0, (f"has a sampling margin of {margin:.3e} at {n} samples: cannot "
+                         "certify that it has no zero in the closed disk")
+        n *= 2
+        vals = evaluate_grid(s, boundary_points(n))
 
 
 def boundary_max(f):

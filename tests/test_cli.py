@@ -303,6 +303,24 @@ class TestDynamicsCommands:
         assert main(["geodesic", "--map", str(mp), "--xi0", "0.01", "--dt", "1e-3",
                      "--steps", "2", "--degree", "24"]) == 3
 
+    @pytest.mark.parametrize("command", [
+        "project --map map.json --in f.json --degree 3",
+        "geodesic --map map.json --xi0 0.01 --dt 1e-3 --steps 1",
+    ], ids=["project", "geodesic"])
+    def test_critical_point_between_samples_exits_3(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        # phi = -z0 z + z^2/2: phi' vanishes at z0, 1e-4 inside the circle and half a
+        # spacing from the nearest of the 128 samples; both commands exited 0
+        monkeypatch.chdir(tmp_path)
+        z0 = 0.9999 * complex(math.cos(math.pi / 128), math.sin(math.pi / 128))
+        ser.write_json("map.json", {"coeffs": [[0.0, 0.0], [-z0.real, -z0.imag], [0.5, 0.0]]})
+        write_field(tmp_path / "f.json", monomial(1, 1))
+        assert main(command.split()) == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: phi' has 1 zero"), err
+        assert captured.out == ""
+
     def test_geodesic_gram_overflow_exits_3(self, capsys):
         # the stage map stays finite, but its Gram matrix overflows; this
         # ended in LinAlgError from eigh with exit 1, the "failed check" code

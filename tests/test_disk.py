@@ -339,6 +339,15 @@ class TestProjectionProperty:
         with pytest.raises(NonvanishingCheckError, match="1 zero"):
             projection_property_check(monomial(0, 1), HolomorphicSeries([-z0, 1.0]), tol=1e-8)
 
+    @pytest.mark.parametrize("radius, reason", [(0.9999, "1 zero"), (1 + 1e-7, "cannot certify")])
+    def test_zero_near_the_circle_between_samples(self, radius, reason):
+        # psi = z - z0 with z0 half a spacing from the nearest of the 128 samples: the
+        # margin |psi(samples)| - pi/n is not positive at n = 128; a zero 1e-4 inside
+        # shows at 256 samples, one 1e-7 outside is never certified nonvanishing
+        z0 = radius * complex(math.cos(PI / 128), math.sin(PI / 128))
+        with pytest.raises(NonvanishingCheckError, match=reason):
+            projection_property_check(monomial(0, 1), HolomorphicSeries([-z0, 1.0]), tol=1e-8)
+
     def test_random_pairs_consistent(self):
         rng = np.random.default_rng(77)
         for trial in range(20):

@@ -381,6 +381,15 @@ class TestGeodesic:
         with pytest.raises(GeodesicDegeneracyError):
             geodesic_integrate(st, 1e-2, 5, degree=6, proj_degree=3)
 
+    def test_degeneracy_abort_names_the_certification_failure(self):
+        # phi' = 1 + 1.2 z vanishes at -1/1.2 inside the disk; the message said only
+        # "min |phi'| = 0.000e+00 fell below the floor 0.001 at step 1"
+        st = GeodesicState(ConformalMap(HolomorphicSeries([0.0, 1.0, 0.6]), validate=False),
+                           HolomorphicSeries([0.01]))
+        with pytest.raises(GeodesicDegeneracyError,
+                           match=r"floor 0\.001 at step 1: phi' has 1 zero\(s\) in the unit disk"):
+            geodesic_integrate(st, 1e-3, 2, degree=6, proj_degree=3)
+
     def test_gram_overflow_abort(self):
         # the stage maps stay finite while their Gram matrices overflow
         st = GeodesicState(ConformalMap.identity(), HolomorphicSeries([0.0, 5.0]))

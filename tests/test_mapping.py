@@ -1,5 +1,6 @@
 """Conformal map validation, weighted inner products, mapped projection/adjoint."""
 
+import cmath
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conformal_hodge import mapping
 from conformal_hodge import series as s
 from conformal_hodge.disk import project_con_gram_oracle
 from conformal_hodge.mapping import (
@@ -39,6 +41,16 @@ def exp_series(a, scale=1.0, degree=24):
     return HolomorphicSeries([0.0] + [scale * a**k / math.factorial(k) for k in range(1, degree + 1)])
 
 
+def critical_point_map(z0, c=0.0):
+    """phi with phi' = (z - z0)(1 + c z) and phi(0) = 0."""
+    return HolomorphicSeries([0.0, -z0, (1 - c * z0) / 2, c / 3])
+
+
+# phi' = z - Z0 vanishes 1e-4 inside the circle, half a spacing from the nearest
+# of the 128 samples; the sampled tests alone accepted phi (min_deriv 0.0245)
+Z0 = 0.9999 * cmath.exp(1j * PI / 128)
+
+
 class TestConformalMapValidation:
     def test_identity_passes(self):
         m = ConformalMap.identity()
@@ -68,7 +80,10 @@ class TestConformalMapValidation:
         # phi' = 1 + 1.02 z^2 vanishes at +-i / sqrt(1.02), |z| = 0.99
         (HolomorphicSeries([0.0, 1.0, 0.0, 0.34]), "2 zero"),
         (HolomorphicSeries([0.0, 1.0, math.nan]), "not finite"),
-    ], ids=["exp4z", "exp3.3z", "cusp", "two-critical-points", "nan"])
+        # the zero shows in the winding number once the samples double to 256
+        (critical_point_map(Z0), "1 zero"),
+    ], ids=["exp4z", "exp3.3z", "cusp", "two-critical-points", "nan",
+            "critical-point-between-samples"])
     def test_non_embeddings_rejected(self, phi, reason):
         with pytest.raises(EmbeddingError, match=reason):
             ConformalMap(phi)
@@ -95,6 +110,94 @@ class TestConformalMapValidation:
         with pytest.raises(EmbeddingError):
             m.check_boundary_injectivity()
         gentle_map().check_boundary_injectivity()
+
+    @given(st.floats(1e-6, 1e-2), st.integers(0, 127), st.floats(0.01, 0.99),
+           st.floats(0, 0.5), st.floats(-PI, PI))
+    @example(1e-4, 0, 0.5, 0.0, 0.0)  # Z0
+    @example(1e-6, 77, 0.5, 0.5, 1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_zero_between_samples_is_rejected(self, eps, j, t, c_abs, c_arg):
+        # a zero of phi' at radius 1 - eps, strictly between samples j and j + 1
+        z0 = (1 - eps) * cmath.exp(2j * PI * (j + t) / 128)
+        phi = critical_point_map(z0, c_abs * cmath.exp(1j * c_arg))
+        assert ConformalMap(phi, validate=False).min_deriv == 0.0
+        with pytest.raises(EmbeddingError, match="zero|cannot certify"):
+            ConformalMap(phi)
+
+    def test_zero_just_outside_cannot_be_certified(self):
+        # phi' = z - z0 with |z0| = 1 + 1e-7 has no zero in the closed disk (phi is
+        # even univalent), but no sampling margin at up to 32768 samples shows it
+        m = ConformalMap(critical_point_map((1 + 1e-7) * Z0 / abs(Z0)), validate=False)
+        assert m.min_deriv == 0.0
+        assert "at 32768 samples: cannot certify" in m.deriv_failure
+        with pytest.raises(EmbeddingError, match="cannot certify"):
+            ConformalMap(m.phi)
+
+    @given(st.floats(0, 0.1), st.floats(-PI, PI), st.floats(0, 0.03), st.floats(-PI, PI))
+    @example(0.1, PI, 0.03, 0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_certified_maps_pass_the_polygon_test(self, a_abs, a_arg, b_abs, b_arg):
+        phi = HolomorphicSeries([0.0, 1.0, a_abs * cmath.exp(1j * a_arg),
+                                 b_abs * cmath.exp(1j * b_arg)])
+        m = ConformalMap(phi)
+        # Re phi' >= 1 - 2|a| - 3|b| on the disk: every such map certifies
+        assert m._univalence_margin() > 0
+        assert m._polygon_crossing() is None
+
+    @pytest.mark.parametrize("phi, reason", [
+        (HolomorphicSeries([0.0, 0.0, 1.0]), "cross or touch"),  # phi'(0) = 0
+        (HolomorphicSeries([0.0, 1.0, 0.499]), None),
+        (exp_series(4.0), "cross or touch"),
+        (exp_series(3.3, 1 / 3.3), "cross or touch"),
+    ], ids=["z^2", "near-cusp", "exp4z", "exp3.3z"])
+    def test_maps_without_the_certificate_take_the_polygon_path(self, phi, reason):
+        m = ConformalMap(phi, validate=False)
+        assert not m._univalence_margin() > 0
+        if reason:
+            with pytest.raises(EmbeddingError, match=reason):
+                m.check_boundary_injectivity()
+        else:
+            assert m.check_boundary_injectivity() and m._polygon_crossing() is None
+
+
+class TestCertificateCost:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Record (evaluated object, sample count) of every series.evaluate_grid call
+        and the sample count of every mapping._boundary_samples call."""
+        log = {"grid": [], "boundary": []}
+        grid, boundary = s.evaluate_grid, mapping._boundary_samples
+
+        def counted_grid(f, points):
+            log["grid"].append((f, np.size(points)))
+            return grid(f, points)
+
+        def counted_boundary(n):
+            log["boundary"].append(n)
+            return boundary(n)
+
+        monkeypatch.setattr(s, "evaluate_grid", counted_grid)
+        monkeypatch.setattr(mapping, "_boundary_samples", counted_boundary)
+        return log
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0, 0.1], [0.0, 1.0, 0.05 - 0.1j, 0.03j]])
+    def test_certifiable_map_evaluates_phi_prime_once(self, calls, coeffs):
+        m = ConformalMap(HolomorphicSeries(coeffs))
+        assert calls["grid"] == [(m.phi_prime, 128)]
+        assert m._univalence_margin() > 0
+        assert calls["boundary"] and set(calls["boundary"]) == {128}
+
+    def test_near_cusp_doubles_the_samples_without_a_larger_mask(self, calls):
+        # phi' = 1 + 0.998 z: the sampling margin 0.002 - 0.998 pi / n first turns
+        # positive at n = 2048; the polygon test stays at the base 128 samples
+        phi = HolomorphicSeries([0.0, 1.0, 0.499])
+        b = phi.derivative().coeffs
+        assert 0.002 - s.sampling_slack(b, 1024) < 0 < 0.002 - s.sampling_slack(b, 2048)
+        m = ConformalMap(phi)
+        assert m.min_deriv == pytest.approx(0.002, abs=1e-12)
+        assert [n for f, n in calls["grid"]] == [128, 256, 512, 1024, 2048, 128]
+        assert calls["grid"][-1][0] == phi.to_field()
+        assert set(calls["boundary"]) == {128}
 
 
 class TestMapInnerProduct:
