@@ -314,9 +314,8 @@ def _relative_drifts(traj):
             for m in range(len(i0))]
 
 
-def _observed_order(final_state):
-    """log2(e1/e2) from the final states at dt/k for k = 1, 2, 4, or None when e2 = 0."""
-    finals = [final_state(k) for k in (1, 2, 4)]
+def _observed_order(finals):
+    """log2(e1/e2) from the final states at dt, dt/2 and dt/4, or None when e2 = 0."""
     e1 = float(np.linalg.norm(finals[0] - finals[1]))
     e2 = float(np.linalg.norm(finals[1] - finals[2]))
     return math.log2(e1 / e2) if e2 > 0 else None
@@ -327,7 +326,8 @@ def _write_trajectory(args, run, table, final_state):
 
     run(dt, steps, stride) integrates; table(traj) gives the CSV header, its
     rows and the command's own summary entries.  --halve-dt reruns at dt/2
-    and dt/4 and adds the observed order of final_state(traj).  Both texts
+    and dt/4 and adds the observed order of final_state(traj), the run at dt
+    being the one written.  Both texts
     are built before either is written, so a non-finite value writes nothing.
     """
     traj = run(args.dt, args.steps, args.sample_stride or max(args.steps // 1000, 1))
@@ -335,9 +335,9 @@ def _write_trajectory(args, run, table, final_state):
     csv_text = ser.format_csv(header, rows)
     summary.update(dt=args.dt, steps=args.steps, final_time=traj.times[-1])
     if args.halve_dt:
-        summary["order"] = _observed_order(
-            lambda k: final_state(run(args.dt / k, args.steps * k, args.steps * k))
-        )
+        summary["order"] = _observed_order([final_state(traj)] + [
+            final_state(run(args.dt / k, args.steps * k, args.steps * k)) for k in (2, 4)
+        ])
     summary_text = ser.dumps(summary)
     for path, text in ((args.out, csv_text), (args.summary, summary_text)):
         if path:

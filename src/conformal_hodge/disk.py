@@ -26,12 +26,12 @@ from .series import (
     boundary_max,
     coefficient_norm,
     conjugate,
+    convolve,
     cr_residual,
     div_curl,
     evaluate_grid,
     imag_part,
     inner_product,
-    multiply,
     norm,
     real_part,
     scale,
@@ -308,9 +308,7 @@ def projection_property_check(f, psi, tol) -> ProjectionPropertyReport:
     _, why = series.disk_min_modulus(psi, evaluate_grid(psi, samples))
     if why:
         raise NonvanishingCheckError(f"psi {why}")
-    weighted = multiply(
-        conjugate(psi.to_field()), f, max_degree=f.max_degree + psi.degree
-    )
+    weighted = convolve(conjugate(psi.to_field()), f)
     p_plain = norm(project_con_rule(f).to_field())
     p_weighted = norm(project_con_rule(weighted).to_field())
     return ProjectionPropertyReport(norm_plain=p_plain, norm_weighted=p_weighted, tol=tol)

@@ -348,7 +348,9 @@ def geodesic_integrate(state0: GeodesicState, dt, steps, sample_stride=1,
         derivs.append(mapping.min_deriv)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        record(0, ConformalMap(HolomorphicSeries(phi_arr), validate=False))
+        # the given map serves step 0 unless the degree cuts it: its min |phi'| may be known
+        record(0, state0.phi if state0.phi.phi.degree <= degree
+               else ConformalMap(HolomorphicSeries(phi_arr), validate=False))
         for step in range(1, steps + 1):
             try:
                 k1p, k1x = rhs(phi_arr, xi_arr)

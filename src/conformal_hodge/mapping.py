@@ -18,8 +18,8 @@ from .series import (
     HolomorphicSeries,
     as_field,
     as_series,
+    convolve,
     inner_product,
-    multiply,
 )
 from .quadrature import boundary_points
 
@@ -159,20 +159,17 @@ class ConformalMap:
     # -- cached series helpers ------------------------------------------------
 
     def phi_prime_operator(self, size):
-        """Lower-triangular Toeplitz matrix T of phi' (cached, read-only).
+        """Lower-triangular Toeplitz matrix T of phi' (read-only, gathered per call).
 
         T @ v is the coefficient vector of phi' v cut at degree size - 1, for
         a coefficient vector v of length size.  T[i, j] is coefficient i - j
         of phi', gathered through the shared index array of _toeplitz_gaps.
         """
-        key = ("phi_prime", size)
-        if key not in self._caches:
-            d = self.phi_prime.to_array(size + 1)
-            d[size] = 0  # the entry that every negative gap reads
-            T = d[_toeplitz_gaps(size)]
-            T.flags.writeable = False
-            self._caches[key] = T
-        return self._caches[key]
+        d = self.phi_prime.to_array(size + 1)
+        d[size] = 0  # the entry that every negative gap reads
+        T = d[_toeplitz_gaps(size)]
+        T.flags.writeable = False
+        return T
 
     def basis_matrix(self, degree, max_degree):
         """Rows are the coefficient vectors of phi' phi^k, the pulled-back monomial frame
@@ -230,14 +227,9 @@ def map_inner_product(mapping: ConformalMap, f, g) -> complex:
 
     When g is f (a norm or an energy), the product phi' f is formed once.
     """
-    same = g is f
-    f = as_field(f)
     dphi = mapping.phi_prime.to_field()
-    wf = multiply(dphi, f, max_degree=f.max_degree + dphi.max_degree)
-    if same:
-        return inner_product(wf, wf)
-    g = as_field(g)
-    return inner_product(wf, multiply(dphi, g, max_degree=g.max_degree + dphi.max_degree))
+    wf = convolve(dphi, f)
+    return inner_product(wf, wf if g is f else convolve(dphi, g))
 
 
 def map_norm(mapping: ConformalMap, f) -> float:

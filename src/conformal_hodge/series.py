@@ -25,22 +25,11 @@ from .quadrature import boundary_points
 
 DEFAULT_MAX_DEGREE = 16
 DROP_TOLERANCE = 1e-300
-TRUNCATION_WARN_TOL = 1e-12
 VANISHING_TOL = 1e-12
 
 
 class TruncationWarning(UserWarning):
-    """Dropped-mass norm of a truncated operation exceeded its tolerance."""
-
-
-def _warn_truncation(op, dropped, total, warn_tol):
-    if total > 0 and dropped > warn_tol * total:
-        warnings.warn(
-            f"{op}: truncation dropped coefficient mass {dropped:.3e} "
-            f"({dropped / total:.3e} relative)",
-            TruncationWarning,
-            stacklevel=3,
-        )
+    """A truncation dropped coefficient mass of nonzero norm."""
 
 
 def _columns(terms):
@@ -151,12 +140,12 @@ class CoefficientField:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return scale(self, other)
-        return multiply(self, as_field(other))
+        return convolve(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
             return scale(self, other)
-        return multiply(as_field(other), self)
+        return convolve(other, self)
 
     def __call__(self, point):
         return evaluate_grid(self, point)
@@ -305,7 +294,13 @@ class HolomorphicSeries:
         if warn:
             dropped = float(np.linalg.norm(self.coeffs[max_degree + 1 :]))
             total = float(np.linalg.norm(self.coeffs))
-            _warn_truncation("HolomorphicSeries.truncated", dropped, total, 0.0)
+            if dropped > 0:
+                warnings.warn(
+                    f"HolomorphicSeries.truncated: truncation dropped coefficient mass "
+                    f"{dropped:.3e} ({dropped / total:.3e} relative)",
+                    TruncationWarning,
+                    stacklevel=2,
+                )
         return HolomorphicSeries(self.coeffs[: max_degree + 1])
 
     @staticmethod
@@ -419,8 +414,8 @@ def conjugate(f):
     return f._like(f.table.T.conj(), f._bound)
 
 
-def convolve(f, g, max_degree=None):
-    """Full product of disk fields with truncation; returns (field, dropped_mass_norm).
+def convolve(f, g):
+    """Exact product of disk fields, of max_degree f.max_degree + g.max_degree.
 
     Direct shift-add summation: each nonzero term of the sparser factor adds
     a shifted copy of the other factor's table.
@@ -428,8 +423,6 @@ def convolve(f, g, max_degree=None):
     f, g = as_field(f), as_field(g)
     if not (isinstance(f, BivariateField) and isinstance(g, BivariateField)):
         raise TypeError("products are defined for disk fields only")
-    if max_degree is None:
-        max_degree = min(f.max_degree + g.max_degree, DEFAULT_MAX_DEGREE)
     a, b = f.table, g.table
     if np.count_nonzero(a) > np.count_nonzero(b):
         a, b = b, a
@@ -438,20 +431,7 @@ def convolve(f, g, max_degree=None):
     i, j = np.nonzero(a)
     for m, n, c in zip(i.tolist(), j.tolist(), a[i, j].tolist()):
         out[m : m + rows, n : n + cols] += c * b
-    dropped = 0.0
-    if sum(out.shape) - 2 > max_degree:
-        # entries with m + n > max_degree sit above a diagonal of the row-flipped table
-        k = max_degree - out.shape[0] + 2
-        dropped = float(np.hypot.reduce(np.abs(np.triu(out[::-1], k)), axis=None))  # no underflow
-        out = np.tril(out[::-1], k - 1)[::-1]
-    return BivariateField(out, max_degree), dropped
-
-
-def multiply(f, g, max_degree=None):
-    result, dropped = convolve(f, g, max_degree=max_degree)
-    total = coefficient_norm(result) + dropped
-    _warn_truncation("multiply", dropped, total, TRUNCATION_WARN_TOL)
-    return result
+    return BivariateField(out, f.max_degree + g.max_degree)
 
 
 def wirtinger(f, which):
@@ -528,21 +508,6 @@ def _finite_moments(count, r_in, start):
         return _moments(count, r_in, start)
 
 
-def _diagonals(table, ks):
-    """Row k - ks[0] lists the entries of `table` with i - j = k, in increasing i."""
-    rows, cols = table.shape
-    width = min(rows, cols)
-    pad = np.zeros((rows + width, cols + width), dtype=complex)
-    pad[:rows, :cols] = table
-    r = np.arange(width)
-    return pad[r + np.maximum(ks, 0)[:, None], r + np.maximum(-ks, 0)[:, None]]
-
-
-def angular_sums(table):
-    """Sums of a coefficient table along its diagonals m - n = k, for k = 0..rows-1."""
-    return _diagonals(table, np.arange(table.shape[0])).sum(axis=1)
-
-
 _BLOCK = 32  # contraction rows per BLAS call: fixed and short, so the bits ignore the thread count
 
 
@@ -555,6 +520,15 @@ def _diagonal_index(rows, cols):
     idx = np.where((0 <= j) & (j < cols), i * cols + j, rows * cols)
     idx.flags.writeable = False
     return idx
+
+
+def angular_sums(table):
+    """Sums of a coefficient table along its diagonals m - n = k, for k = 0..rows-1,
+    each in increasing m."""
+    R, C = table.shape
+    if not C:
+        return np.zeros(R, dtype=complex)
+    return np.append(table, 0)[_diagonal_index(R, C)[:, C - 1 :]].sum(axis=0)
 
 
 def pair_tables(a, b, w):

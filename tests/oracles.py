@@ -6,9 +6,9 @@ Dirichlet-Poisson problems are solved by second-order finite differences
 per angular mode on a fine radial grid.  The dict-loop kernels at the end
 are the term-by-term reference for the library's array kernels and its
 JSON term reader, the shift-add diagonal sums are the reference for the
-Hankel-weighted pairing, and the forward-difference Jacobian and the
-residuals of the monomials, one column each, are the references for the
-stationary matrix.  The field-arithmetic routes of the mapped operators
+Hankel-weighted pairing and their padded diagonals for the angular sums,
+and the forward-difference Jacobian and the residuals of the monomials,
+one column each, are the references for the stationary matrix.  The field-arithmetic routes of the mapped operators
 are the reference for their coefficient-vector forms, the 1-form route of
 the membership test is the reference for its field form, and the tuple of
 Laurent levels with a 2x2 solve per angular mode is the reference for the
@@ -146,21 +146,13 @@ def fd_poisson_annulus_values(rhs_terms, r_in, n=4096):
 # runs over the stored terms one pair at a time.
 
 
-def dict_convolve(ft, gt, max_degree):
-    """Product truncated at total degree max_degree: (kept terms, dropped mass norm)."""
+def dict_convolve(ft, gt):
+    """Exact product: the nonzero terms of sum c d z^(m+p) zbar^(n+q)."""
     terms = defaultdict(complex)
     for (m, n), c in ft.items():
         for (p, q), d in gt.items():
             terms[(m + p, n + q)] += c * d
-    kept, dropped = {}, []
-    for (m, n), c in terms.items():
-        if c == 0:
-            continue
-        if m + n <= max_degree:
-            kept[(m, n)] = c
-        else:
-            dropped.append(abs(c))
-    return kept, math.hypot(*dropped)  # squares of tiny terms would underflow
+    return {k: c for k, c in terms.items() if c != 0}
 
 
 def dict_terms(entries):
@@ -202,6 +194,16 @@ def dict_inner_product(ft, gt, r_in=0.0):
     return total
 
 
+def diagonals(table, ks):
+    """Row k - ks[0] lists the entries of `table` with i - j = k, in increasing i."""
+    rows, cols = table.shape
+    width = min(rows, cols)
+    pad = np.zeros((rows + width, cols + width), dtype=complex)
+    pad[:rows, :cols] = table
+    r = np.arange(width)
+    return pad[r + np.maximum(ks, 0)[:, None], r + np.maximum(-ks, 0)[:, None]]
+
+
 def pair_sums(f, g):
     """(a0, s): s[a - a0] sums f_mn conj(g_pq) over the pairs with m - n = p - q, m + q = a.
 
@@ -217,7 +219,7 @@ def pair_sums(f, g):
     if kmax < kmin:
         return start, np.zeros(0, dtype=complex)
     ks = np.arange(kmin, kmax + 1)
-    A, B = series._diagonals(a, ks), np.conj(series._diagonals(b, ks))
+    A, B = diagonals(a, ks), np.conj(diagonals(b, ks))
     if A.shape[1] > B.shape[1]:
         A, B = B, A
     width = B.shape[1]
@@ -311,12 +313,18 @@ def basis_matrix(mapping, degree, max_degree):
 def project_con_mapped(mapping, f, degree, max_degree):
     """Mapped projection whose weighted field phi' f is a field product."""
     dphi = mapping.phi_prime.to_field()
-    wf = series.multiply(dphi, f, max_degree=f.max_degree + dphi.max_degree)
+    wf = series.convolve(dphi, f)
     B = basis_matrix(mapping, degree, max_degree)
     moments = series.angular_sums(wf.table * series.pair_constants(len(wf.table))[:, None])
     width = min(len(moments), B.shape[1])
     rhs = B[:, :width].conj() @ moments[:width]
     return HolomorphicSeries(_solve_gram(mapping, rhs, degree, max_degree))
+
+
+def cut(f, max_degree):
+    """f without its terms of total degree m + n > max_degree, of that max_degree."""
+    m, n = np.indices(f.table.shape)
+    return series.BivariateField(np.where(m + n > max_degree, 0, f.table), max_degree)
 
 
 def geodesic_rhs(mapping, xi, proj_degree, max_degree):
@@ -326,11 +334,9 @@ def geodesic_rhs(mapping, xi, proj_degree, max_degree):
     aT_pull = pullback(mapping, aT, max_degree)
     xi_prime_pull = pullback(mapping, xi.derivative(), max_degree)
     div_pull = series.add(xi_prime_pull.to_field(), series.conjugate(xi_prime_pull.to_field()))
-    term1, _ = series.convolve(
-        series.conjugate(xi_pull.to_field()), aT_pull.to_field(), max_degree=max_degree
-    )
-    term2, _ = series.convolve(div_pull, xi_pull.to_field(), max_degree=max_degree)
-    B = series.subtract(term1, series.scale(term2, 2))
+    term1 = series.convolve(series.conjugate(xi_pull.to_field()), aT_pull.to_field())
+    term2 = series.convolve(div_pull, xi_pull.to_field())
+    B = cut(series.subtract(term1, series.scale(term2, 2)), max_degree)
     return xi_pull, project_con_mapped(mapping, B, proj_degree, max_degree)
 
 

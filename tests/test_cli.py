@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_hodge import serialization as ser
-from conformal_hodge import forms, series
+from conformal_hodge import dynamics, forms, series
 from conformal_hodge.cli import InputError, build_parser, main, parse_series_spec
-from conformal_hodge.mapping import GramConditionWarning
+from conformal_hodge.dynamics import GeodesicState, geodesic_energy
+from conformal_hodge.mapping import ConformalMap, GramConditionWarning
 from conformal_hodge.series import BivariateField, HolomorphicSeries, TruncationWarning, monomial
 
 
@@ -394,6 +395,48 @@ class TestDynamicsCommands:
         assert code == 0
         order = json.loads(summary.read_text())["order"]
         assert 3.5 <= order <= 4.5
+
+    @pytest.mark.parametrize("argv, integrator", [
+        ("wave --c 1 --xi0 z --xidot0 0.3 --dt 2e-3 --steps 500", "wave_integrate"),
+        ("geodesic --xi0 0.05+0.08*z --dt 0.1 --steps 10 --degree 10", "geodesic_integrate"),
+    ], ids=["wave", "geodesic"])
+    def test_halve_dt_reuses_the_written_run(self, tmp_path, monkeypatch, argv, integrator):
+        real, runs = getattr(dynamics, integrator), []
+
+        def counted(*args, **kw):
+            runs.append((args, kw, real(*args, **kw)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(dynamics, integrator, counted)
+        assert main(argv.split() + ["--halve-dt", "--out", str(tmp_path / "t.csv"),
+                                    "--summary", str(tmp_path / "s.json")]) == 0
+        assert len(runs) == 3  # dt, dt/2 and dt/4: the written run serves dt
+        # sampled at the end only, the run at dt ends bit for bit where the written one does
+        args, kw, written = runs[0]
+        alone = real(*args, **{**kw, "sample_stride": args[-1]})
+        for name in ("phi", "xi"):
+            if hasattr(written, name):
+                assert np.array_equal(getattr(alone, name)[-1], getattr(written, name)[-1])
+
+    def test_geodesic_certifies_the_initial_map_once(self, tmp_path, monkeypatch):
+        # a benchmark geodesic op: phi' is evaluated once for the --map check and
+        # once per step, as step 0 reads the checked map
+        mp, out = tmp_path / "map.json", tmp_path / "g.csv"
+        coeffs = [0j, 1 + 0j, 0.05 - 0.03j]
+        ser.write_json(mp, {"coeffs": [[c.real, c.imag] for c in coeffs]})
+        xi = "0.08+0.05*z-0.02j*z^2+0.01*z^3"
+        grid, calls = series.evaluate_grid, []
+        monkeypatch.setattr(series, "evaluate_grid",
+                            lambda f, points: calls.append(f) or grid(f, points))
+        assert main(["geodesic", "--map", str(mp), "--xi0", xi, "--dt", "1e-3",
+                     "--steps", "10", "--degree", "16", "--out", str(out),
+                     "--summary", str(tmp_path / "g.json")]) == 0
+        assert len(calls) == 11
+        # step 0 reads as it does off a fresh map of the same coefficients
+        first = [float(v) for v in out.read_text().splitlines()[1].split(",")]
+        fresh = ConformalMap(HolomorphicSeries(coeffs), validate=False)
+        energy = geodesic_energy(GeodesicState(fresh, parse_series_spec(xi)))
+        assert first[-2:] == [energy, fresh.min_deriv]
 
 
 class TestConfigAndFlags:

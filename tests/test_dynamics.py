@@ -423,8 +423,8 @@ class TestGeodesic:
         xi_f = xi.to_field()
         div = s.add(xi.derivative().to_field(), s.conjugate(xi.derivative().to_field()))
         B = s.subtract(
-            s.multiply(s.conjugate(xi_f), aT.to_field(), max_degree=8),
-            s.scale(s.multiply(div, xi_f, max_degree=8), 2),
+            s.convolve(s.conjugate(xi_f), aT.to_field()),
+            s.scale(s.convolve(div, xi_f), 2),
         )
         dec = conformal_decompose(B)
         scale = max(s.norm(B), 1e-30)

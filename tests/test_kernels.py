@@ -8,10 +8,13 @@ exceed any norm product.  Inputs cover dense and sparse tables,
 holomorphic-only fields, and Laurent fields with negative indices; the
 pairing examples add tables that span several blocks of its contraction,
 rectangular, one-row, one-column and empty tables, and a band-20 Laurent
-field.
+field.  The angular diagonal sums are held bit for bit to the oracle's
+diagonals added in increasing m, and to their pairwise sum within the
+a-priori bound of a reordered sum.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,20 +68,54 @@ def laurent_terms(draw, band=2):
     return {idx: draw(coefficient) for idx in slots}
 
 
-@given(disk_terms(), disk_terms(), st.integers(0, 16))
-# the dropped term has modulus 8.6e-158; summing squares loses 1e-10 of it
-@example({(0, 0): 2.630918044623808e-158 + 0j}, {(0, 0): 0j, (1, 0): 2.5730615956419283 + 2j}, 0)
+def _degree(terms):
+    return max((m + n for m, n in terms), default=0)
+
+
+@given(disk_terms(12), disk_terms(12), st.integers(0, 3), st.integers(0, 3))
+@example({(9, 0): 1.0}, {(8, 1): 2.0j}, 0, 0)  # total degree 18, above DEFAULT_MAX_DEGREE
 @settings(max_examples=100, deadline=None)
-def test_convolve_matches_dict_loop(ft, gt, max_degree):
-    f = BivariateField(ft, max_degree=8)
-    g = BivariateField(gt, max_degree=8)
-    got, dropped = s.convolve(f, g, max_degree=max_degree)
-    kept, dropped_ref = oracles.dict_convolve(f.terms(), g.terms(), max_degree)
+def test_convolve_matches_dict_loop(ft, gt, f_slack, g_slack):
+    f = BivariateField(ft, max_degree=_degree(ft) + f_slack)
+    g = BivariateField(gt, max_degree=_degree(gt) + g_slack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exact: nothing to warn about
+        got = s.convolve(f, g)
+    ref = oracles.dict_convolve(f.terms(), g.terms())
     tol = REL_TOL * _norm(ft) * _norm(gt)
-    keys = set(kept) | set(got.terms())
-    assert max((abs(got.coefficient(*k) - kept.get(k, 0j)) for k in keys), default=0.0) <= tol
-    assert abs(dropped - dropped_ref) <= tol
-    assert got.max_degree == max_degree
+    keys = set(ref) | set(got.terms())
+    assert max((abs(got.coefficient(*k) - ref.get(k, 0j)) for k in keys), default=0.0) <= tol
+    assert got.max_degree == f.max_degree + g.max_degree
+
+
+@st.composite
+def tables(draw):
+    """Complex tables that are empty (no rows or no columns), 1x1, one row, one
+    column, wide or tall; up to 16 terms per diagonal, so numpy's pairwise sum
+    takes its unrolled path.  Moduli span twelve decades."""
+    short, long = draw(st.integers(2, 16)), draw(st.integers(17, 24))
+    rows, cols = draw(st.sampled_from([(0, 0), (0, short), (short, 0), (1, 1), (1, long),
+                                       (long, 1), (short, long), (long, short)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((rows, cols, 2)) * 10.0 ** rng.integers(-6, 6, (rows, cols, 1))
+    return values.view(complex)[..., 0]
+
+
+@given(tables())
+@settings(max_examples=100, deadline=None)
+def test_angular_sums_match_diagonals(t):
+    D = oracles.diagonals(t, np.arange(len(t)))  # row k: the entries with m - n = k
+    got = s.angular_sums(t)
+    assert got.shape == (len(t),)
+    # each diagonal summed in increasing m, bit for bit
+    ref = np.zeros(len(t), dtype=complex)
+    for column in D.T:
+        ref = ref + column
+    assert np.array_equal(got, ref)
+    # against numpy's pairwise sum of the same terms: either order is within
+    # n u sum|x| of the exact sum, so 1e-15 relative per summed term holds
+    tol = 1e-15 * max(D.shape[1], 1) * np.abs(D).sum(axis=1)
+    assert np.all(np.abs(got - D.sum(axis=1)) <= tol)
 
 
 def _pairing_tol(ft, gt, r_in=0.0):

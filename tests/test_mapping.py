@@ -346,6 +346,7 @@ class TestSharedPowerTable:
         assert not again.flags.writeable
         keys = [k if isinstance(k, tuple) else (k,) for k in m._caches]
         assert not any("powers" in key for key in keys)
+        assert not any("phi_prime" in key for key in keys)  # the Toeplitz matrix is gathered per call
 
 
 class TestMappedAdjoint:

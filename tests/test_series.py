@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def field_of(terms, **kw):
 
 class TestCombine:
     def test_multiply_single_terms(self):
-        assert s.multiply(monomial(1, 0), monomial(0, 1)) == monomial(1, 1)
+        assert s.convolve(monomial(1, 0), monomial(0, 1)) == monomial(1, 1)
 
     def test_conjugate_swaps_indices(self):
         assert s.conjugate(monomial(2, 0)) == monomial(0, 2)
@@ -50,17 +51,18 @@ class TestCombine:
         g = field_of({(0, 1): 1}, max_degree=3)
         assert (f + g).max_degree == 5
 
-    def test_multiply_caps_at_global_degree_and_warns(self):
+    def test_multiply_is_exact_above_degree_16(self):
         f = monomial(9, 0, max_degree=9)
-        g = monomial(8, 0, max_degree=8)
-        with pytest.warns(TruncationWarning):
-            out = s.multiply(f, g)  # degree 17 > default cap 16
-        assert not out  # everything dropped
+        g = monomial(8, 1, 2.0, max_degree=9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            out = f * g
+        assert out == monomial(17, 1, 2.0) and out.max_degree == 18
 
-    def test_multiply_explicit_cap_keeps_exactness(self):
+    def test_multiply_keeps_exactness(self):
         f = monomial(9, 0, max_degree=9)
-        out = s.multiply(f, f, max_degree=18)
-        assert out == monomial(18, 0, max_degree=18)
+        out = s.convolve(f, f)
+        assert out == monomial(18, 0) and out.max_degree == 18
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -252,11 +254,11 @@ class TestProperties:
     @given(field_strategy(3), field_strategy(3))
     @settings(max_examples=40, deadline=None)
     def test_product_rule(self, f, g):
-        prod = s.multiply(f, g, max_degree=12)
+        prod = s.convolve(f, g)
         lhs = s.wirtinger(prod, "d_z")
         rhs = s.add(
-            s.multiply(s.wirtinger(f, "d_z"), g, max_degree=12),
-            s.multiply(f, s.wirtinger(g, "d_z"), max_degree=12),
+            s.convolve(s.wirtinger(f, "d_z"), g),
+            s.convolve(f, s.wirtinger(g, "d_z")),
         )
         gap = s.coefficient_norm(s.subtract(lhs, rhs))
         assert gap <= 1e-9 * (1 + s.coefficient_norm(lhs))
