@@ -21,6 +21,7 @@ import numpy as np
 from .series import (
     CoefficientField,
     _columns,
+    angular_sums,
     cr_residual,
     imag_part,
     pair_tables,
@@ -160,14 +161,12 @@ class LogLaurentField:
         return LogLaurentField(out if which == "d_z" else out.transpose(0, 2, 1), B + 1, self.r_in)
 
     def boundary_trace(self, radius):
-        """Angular-mode coefficients of the restriction to |z| = radius, k = -2B..2B at k + 2B."""
-        B = self.band_limit
-        i, j = np.indices(self.table.shape[1:])
+        """Angular-mode coefficients of the restriction to |z| = radius, k = -2B..2B at k + 2B:
+        the ``angular_sums`` of the level sum weighted by ln(radius^2)^l radius^(m+n)."""
+        powers = np.arange(-self.band_limit, self.band_limit + 1)
         logs = (2.0 * math.log(radius)) ** np.arange(len(self.table))
-        vals = np.tensordot(logs, self.table, 1) * float(radius) ** (i + j - 2 * B)
-        k = (i - j + 2 * B).ravel()
-        return (np.bincount(k, vals.real.ravel(), 4 * B + 1)
-                + 1j * np.bincount(k, vals.imag.ravel(), 4 * B + 1))
+        vals = np.tensordot(logs, self.table, 1) * float(radius) ** np.add.outer(powers, powers)
+        return angular_sums(vals)
 
     def laurent_part(self):
         """(pure Laurent component, coefficient norm of the leftover log terms)."""

@@ -10,7 +10,6 @@ whose reflection gradients span the orthogonal complement.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -19,7 +18,6 @@ from . import series
 from .series import (
     BivariateField,
     HolomorphicSeries,
-    TruncationWarning,
     add,
     angular_sums,
     as_field,
@@ -53,7 +51,7 @@ def project_con_rule(f) -> HolomorphicSeries:
     """Closed-form projection: z^m zbar^n -> (m-n+1)/(m+1) z^(m-n) for m >= n, else 0."""
     t = as_field(f).table
     m, n = np.indices(t.shape)
-    return HolomorphicSeries(angular_sums(t * ((m - n + 1) / (m + 1))))
+    return HolomorphicSeries(angular_sums(t * ((m - n + 1) / (m + 1)))[t.shape[1] - 1 :])
 
 
 def project_con_gram_oracle(f) -> HolomorphicSeries:
@@ -99,16 +97,13 @@ def project_con_bergman(f, quadrature=QuadratureSpec()) -> HolomorphicSeries:
 
 
 def adjoint_dz_disk(h, max_degree=None) -> HolomorphicSeries:
-    """Adjoint of d/dz on holomorphic fields over the disk: a_k z^k -> (k+2) a_k z^(k+1)."""
+    """Adjoint of d/dz on holomorphic fields over the disk: a_k z^k -> (k+2) a_k z^(k+1).
+
+    A cut at max_degree is ``HolomorphicSeries.truncated``, whose
+    TruncationWarning names the dropped coefficient mass.
+    """
     result = (HolomorphicSeries([0, 0, 1.0]) * series.as_series(h)).derivative()
-    if max_degree is not None and result.degree > max_degree:
-        warnings.warn(
-            f"adjoint_dz_disk: top coefficient a_{max_degree} nonzero, output truncated",
-            TruncationWarning,
-            stacklevel=2,
-        )
-        result = result.truncated(max_degree, warn=False)
-    return result
+    return result if max_degree is None else result.truncated(max_degree)
 
 
 # -- exact Dirichlet-Poisson solve --------------------------------------------
@@ -130,10 +125,11 @@ def poisson_disk(rhs) -> BivariateField:
     rows, cols = lifted.shape
     out = np.zeros((rows + 1, cols + 1), dtype=complex)
     out[1:, 1:] = lifted
-    # the trace of angular mode k is the sum of its diagonal; subtract its
-    # harmonic extension z^k (k >= 0) or zbar^-k (k < 0)
-    out[:rows, 0] -= angular_sums(lifted)
-    out[0, 1:cols] -= angular_sums(lifted.T)[1:]
+    # the trace of angular mode k is the sum of its diagonal, at k + cols - 1;
+    # subtract its harmonic extension z^k (k >= 0) or zbar^-k (k < 0)
+    trace = angular_sums(lifted)
+    out[:rows, 0] -= trace[cols - 1 :]
+    out[0, 1:cols] -= trace[: cols - 1][::-1]
     return BivariateField(out, max_degree=rhs.max_degree + 2)
 
 

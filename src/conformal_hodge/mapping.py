@@ -257,8 +257,9 @@ def project_con_mapped(mapping: ConformalMap, f, degree, max_degree=None) -> Hol
     wf = mapping.phi_prime_operator(rows + mapping.phi_prime.degree)[:, :rows] @ f.table
     B = mapping.basis_matrix(degree, max_degree)
     # <<wf, z^k>> collects the terms of angular index k = m - n, so
-    # <<wf, phi' phi^j>> is the sum over k against basis coefficient k
+    # <<wf, phi' phi^j>> is the sum over k >= 0 against basis coefficient k
     moments = series.angular_sums(wf * series.pair_constants(len(wf))[:, None])
+    moments = moments[wf.shape[1] - 1 :]
     width = min(len(moments), B.shape[1])
     rhs = B[:, :width].conj() @ moments[:width]
     coeffs = _solve_gram(mapping, rhs, degree, max_degree)

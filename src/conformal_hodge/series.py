@@ -24,7 +24,6 @@ import numpy as np
 from .quadrature import boundary_points
 
 DEFAULT_MAX_DEGREE = 16
-DROP_TOLERANCE = 1e-300
 VANISHING_TOL = 1e-12
 
 
@@ -55,24 +54,22 @@ class CoefficientField:
     ``table[i, j]`` multiplies ``z^(i+offset) zbar^(j+offset)``; the table is
     trimmed to the rows and columns that hold a nonzero term.  Subclasses
     fix the offset, the domain radius ``r_in`` and the truncation bound;
-    listed terms are checked against a given bound before their table is
-    allocated.
+    every nonzero listed term is kept, and listed terms are checked against
+    a given bound before their table is allocated.
     """
 
     __slots__ = ("table",)
     offset = 0
     r_in = 0.0
-    drop_tolerance = 0.0  # listed terms of smaller modulus are left out
 
     def __init__(self, terms, offset, bound):
         if isinstance(terms, np.ndarray):
             table = np.asarray(terms, dtype=complex)
         else:
             m, n, c = terms if isinstance(terms, tuple) else _columns(terms or {})
-            mag = np.abs(c)
-            if (np.isinf(mag) & np.isfinite(c)).any():  # as abs() of such a complex raises
+            if (np.isinf(np.abs(c)) & np.isfinite(c)).any():  # as abs() of such a complex raises
                 raise OverflowError("absolute value too large")
-            keep = (c != 0) & (mag >= self.drop_tolerance)
+            keep = c != 0
             i, j = m[keep] - offset, n[keep] - offset
             if i.size and min(i.min(), j.min()) < 0:
                 raise ValueError(f"index below the lowest power {offset}")
@@ -183,7 +180,6 @@ class BivariateField(CoefficientField):
     """
 
     __slots__ = ("max_degree",)
-    drop_tolerance = DROP_TOLERANCE
 
     def __init__(self, terms=None, max_degree=None):
         super().__init__(terms, 0, max_degree)
@@ -315,25 +311,22 @@ class HolomorphicSeries:
     def power_table(self, degree, max_degree):
         """Rows k = 0..degree: coefficients of self^k truncated at max_degree (read-only).
 
-        Cached on the series per max_degree.  Longer requests extend the
-        cached rows, so each row is the same whatever the order of requests.
+        Cached on the series per max_degree.  A request past the cached rows
+        builds rows 0..degree afresh by the same product chain, so each row is
+        the same whatever the order of requests.
         """
         tables = getattr(self, "_powers", None)
         if tables is None:
             tables = self._powers = {}
         table = tables.get(max_degree)
-        have = 0 if table is None else len(table)
-        if have <= degree:
-            grown = np.zeros((degree + 1, max_degree + 1), dtype=complex)
-            if have:
-                grown[:have] = table
-            else:
-                grown[0, 0] = 1.0
+        if table is None or len(table) <= degree:
+            table = np.zeros((degree + 1, max_degree + 1), dtype=complex)
+            table[0, 0] = 1.0
             base = self.coeffs[: max_degree + 1]
-            for k in range(max(have, 1), degree + 1 if base.size else 1):
-                grown[k] = np.convolve(grown[k - 1], base)[: max_degree + 1]
-            grown.flags.writeable = False
-            table = tables[max_degree] = grown
+            for k in range(1, degree + 1 if base.size else 1):
+                table[k] = np.convolve(table[k - 1], base)[: max_degree + 1]
+            table.flags.writeable = False
+            tables[max_degree] = table
         return table[: degree + 1]
 
     def compose(self, inner, max_degree):
@@ -480,32 +473,22 @@ def laplacian(f):
 # -- inner products ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def pair_constants(count, r_in=0.0, start=0):
     """Moments of |z|^(2a) over r_in <= |z| <= 1 for a = start .. start+count-1.
 
     pi (1 - r_in^(2a+2)) / (a+1), and 2 pi ln(1/r_in) at a = -1; at r_in = 0
-    this is exactly the disk moment pi/(a+1).  Finite moments are cached per
-    argument triple as a read-only array; an overflowing power is computed
-    afresh, so it warns, raises or turns infinite under the caller's errstate.
+    this is exactly the disk moment pi/(a+1).  Cached per argument triple as
+    a read-only array.  A power past the float range raises
+    FloatingPointError whatever the caller's errstate, and a raise is never
+    cached: an infinite moment would turn a zero sum into a silent NaN.
     """
-    try:
-        return _finite_moments(count, r_in, start)
-    except FloatingPointError:
-        return _moments(count, r_in, start)
-
-
-def _moments(count, r_in, start):
-    d = np.arange(start + 1, start + count + 1, dtype=float)  # a + 1
-    w = math.pi * (1.0 - r_in ** (2.0 * d)) / np.where(d == 0, 1.0, d)
-    w = np.where(d == 0, -2 * math.pi * math.log(r_in or 1.0), w)
+    with np.errstate(over="raise", divide="raise"):
+        d = np.arange(start + 1, start + count + 1, dtype=float)  # a + 1
+        w = math.pi * (1.0 - r_in ** (2.0 * d)) / np.where(d == 0, 1.0, d)
+        w = np.where(d == 0, -2 * math.pi * math.log(r_in or 1.0), w)
     w.flags.writeable = False
     return w
-
-
-@functools.lru_cache(maxsize=256)
-def _finite_moments(count, r_in, start):
-    with np.errstate(over="raise", divide="raise"):
-        return _moments(count, r_in, start)
 
 
 _BLOCK = 32  # contraction rows per BLAS call: fixed and short, so the bits ignore the thread count
@@ -523,12 +506,13 @@ def _diagonal_index(rows, cols):
 
 
 def angular_sums(table):
-    """Sums of a coefficient table along its diagonals m - n = k, for k = 0..rows-1,
-    each in increasing m."""
+    """Sums of a coefficient table along its diagonals m - n = k: every mode
+    k = 1 - cols .. rows - 1, at index k + cols - 1, each summed from zero in
+    increasing m.  A table without columns has no modes."""
     R, C = table.shape
     if not C:
-        return np.zeros(R, dtype=complex)
-    return np.append(table, 0)[_diagonal_index(R, C)[:, C - 1 :]].sum(axis=0)
+        return np.zeros(0, dtype=complex)
+    return np.append(table, 0)[_diagonal_index(R, C)].sum(axis=0)
 
 
 def pair_tables(a, b, w):
@@ -557,9 +541,9 @@ def inner_product(f, g) -> complex:
     Closed form: <<z^m zbar^n, z^p zbar^q>> is the moment of |z|^(2(m+q))
     when m - n == p - q, else 0; extended bilinearly.  On the disk this is
     pi/(m+q+1); on the annulus the moment over r_in <= |z| <= 1.  The sum
-    is one Hankel-weighted matrix product (``pair_tables``).  A moment or
-    product past the float range raises FloatingPointError (an infinite
-    moment times a zero sum would otherwise be a silent NaN).
+    is one Hankel-weighted matrix product (``pair_tables``).  A moment past
+    the float range raises FloatingPointError in ``pair_constants``, whatever
+    the caller's errstate, and so does a sum past it here.
     """
     f, g = as_field(f), as_field(g)
     _check_domain(f, g)

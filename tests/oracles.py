@@ -14,7 +14,8 @@ the membership test is the reference for its field form, and the tuple of
 Laurent levels with a 2x2 solve per angular mode is the reference for the
 level-stacked annulus Poisson solve.  The uncached forms of the disk
 moments, the trailing-zero trim and the Toeplitz matrix of phi' pin their
-cached replacements bit for bit.
+cached replacements bit for bit, and the np.bincount route of the annulus
+boundary trace pins its angular-sum form.
 The random series and the primitive at the very end are test inputs and
 a test-only inverse of the derivative.
 """
@@ -247,6 +248,18 @@ def horner_compose(outer, inner, max_degree):
 # -- uncached forms of the cached kernels --------------------------------------
 
 
+def bincount_boundary_trace(F, radius):
+    """Angular-mode coefficients of the LogLaurentField F on |z| = radius, k = -2B..2B at
+    k + 2B: the radius-weighted level sum binned by k with np.bincount."""
+    B = F.band_limit
+    i, j = np.indices(F.table.shape[1:])
+    logs = (2.0 * math.log(radius)) ** np.arange(len(F.table))
+    vals = np.tensordot(logs, F.table, 1) * float(radius) ** (i + j - 2 * B)
+    k = (i - j + 2 * B).ravel()
+    return (np.bincount(k, vals.real.ravel(), 4 * B + 1)
+            + 1j * np.bincount(k, vals.imag.ravel(), 4 * B + 1))
+
+
 def closed_form_moments(count, r_in=0.0, start=0):
     """Moments of |z|^(2a) over r_in <= |z| <= 1, a = start .. start+count-1, recomputed."""
     d = np.arange(start + 1, start + count + 1, dtype=float)  # a + 1
@@ -316,6 +329,7 @@ def project_con_mapped(mapping, f, degree, max_degree):
     wf = series.convolve(dphi, f)
     B = basis_matrix(mapping, degree, max_degree)
     moments = series.angular_sums(wf.table * series.pair_constants(len(wf.table))[:, None])
+    moments = moments[wf.table.shape[1] - 1 :]  # the modes k >= 0
     width = min(len(moments), B.shape[1])
     rhs = B[:, :width].conj() @ moments[:width]
     return HolomorphicSeries(_solve_gram(mapping, rhs, degree, max_degree))

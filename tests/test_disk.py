@@ -140,7 +140,7 @@ class TestAdjoint:
         assert worst <= 1e-12
 
     def test_truncation_overflow_warns(self):
-        with pytest.warns(TruncationWarning):
+        with pytest.warns(TruncationWarning, match="dropped coefficient mass"):
             out = adjoint_dz_disk(HolomorphicSeries([0, 0, 1.0]), max_degree=2)
         assert out.degree <= 2
 

@@ -9,8 +9,9 @@ holomorphic-only fields, and Laurent fields with negative indices; the
 pairing examples add tables that span several blocks of its contraction,
 rectangular, one-row, one-column and empty tables, and a band-20 Laurent
 field.  The angular diagonal sums are held bit for bit to the oracle's
-diagonals added in increasing m, and to their pairwise sum within the
-a-priori bound of a reordered sum.
+diagonals added from zero in increasing m, every mode of both signs, and to
+their pairwise sum within the a-priori bound of a reordered sum; the annulus
+boundary trace is held bit for bit to its retired np.bincount route.
 """
 
 import math
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_hodge import series as s
-from conformal_hodge.annulus import LaurentField
+from conformal_hodge.annulus import LaurentField, LogLaurentField
 from conformal_hodge.series import BivariateField, HolomorphicSeries
 
 import oracles
@@ -92,26 +93,35 @@ def test_convolve_matches_dict_loop(ft, gt, f_slack, g_slack):
 def tables(draw):
     """Complex tables that are empty (no rows or no columns), 1x1, one row, one
     column, wide or tall; up to 16 terms per diagonal, so numpy's pairwise sum
-    takes its unrolled path.  Moduli span twelve decades."""
+    takes its unrolled path.  Moduli span twelve decades, and about a tenth
+    of the entries are negative zeros, whose sum from zero is a positive zero."""
     short, long = draw(st.integers(2, 16)), draw(st.integers(17, 24))
     rows, cols = draw(st.sampled_from([(0, 0), (0, short), (short, 0), (1, 1), (1, long),
                                        (long, 1), (short, long), (long, short)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.standard_normal((rows, cols, 2)) * 10.0 ** rng.integers(-6, 6, (rows, cols, 1))
-    return values.view(complex)[..., 0]
+    table = values.view(complex)[..., 0]
+    table[rng.random((rows, cols)) < 0.1] = complex(-0.0, -0.0)
+    return table
 
 
 @given(tables())
+@example(np.ones((3, 0), dtype=complex))  # rows but no columns
 @settings(max_examples=100, deadline=None)
 def test_angular_sums_match_diagonals(t):
-    D = oracles.diagonals(t, np.arange(len(t)))  # row k: the entries with m - n = k
+    rows, cols = t.shape
     got = s.angular_sums(t)
-    assert got.shape == (len(t),)
-    # each diagonal summed in increasing m, bit for bit
-    ref = np.zeros(len(t), dtype=complex)
+    if not cols:
+        assert got.shape == (0,)  # a table without columns has no modes
+        return
+    ks = np.arange(1 - cols, rows)  # every mode, at index k + cols - 1
+    D = oracles.diagonals(t, ks)  # row k + cols - 1: the entries with m - n = k
+    assert got.shape == (len(ks),)
+    # each diagonal summed from zero in increasing m, bit for bit
+    ref = np.zeros(len(ks), dtype=complex)
     for column in D.T:
         ref = ref + column
-    assert np.array_equal(got, ref)
+    assert _same_bits(got, ref)
     # against numpy's pairwise sum of the same terms: either order is within
     # n u sum|x| of the exact sum, so 1e-15 relative per summed term holds
     tol = 1e-15 * max(D.shape[1], 1) * np.abs(D).sum(axis=1)
@@ -230,12 +240,47 @@ def test_pair_constants_match_closed_form(count, r_in, start):
     assert np.array_equal(first, ref) and _same_bits(first, ref) and _same_bits(again, ref)
 
 
-def test_overflowing_moments_follow_the_callers_errstate():
-    # a cached infinite moment would skip the raise that numerical failures rely on
-    with np.errstate(over="ignore"):
-        assert np.isinf(s.pair_constants(200, 0.001, -150)).any()
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-        s.pair_constants(200, 0.001, -150)
+def test_overflowing_moments_raise_whatever_the_errstate():
+    # an infinite moment would turn a zero sum into a silent NaN; a raise is
+    # never cached, so the second call raises too
+    for mode in ("ignore", "raise"):
+        with np.errstate(over=mode):
+            for _ in range(2):
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    s.pair_constants(200, 0.001, -150)
+
+
+@given(st.lists(coefficient, max_size=5), st.integers(0, 4), st.integers(1, 6),
+       st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_power_table_does_not_depend_on_the_order_of_requests(coeffs, short, more, max_degree):
+    inner = HolomorphicSeries(coeffs)
+    first = inner.power_table(short, max_degree)
+    kept = first.copy()
+    longer = inner.power_table(short + more, max_degree)  # past the cached rows
+    fresh = HolomorphicSeries(coeffs).power_table(short + more, max_degree)
+    assert _same_bits(longer, fresh)
+    assert _same_bits(first, kept)  # the array returned first keeps its bits
+
+
+@st.composite
+def log_laurent_fields(draw):
+    """LogLaurentField of 1-3 levels on band 0-6, with zero and negative-zero entries."""
+    levels, band = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (levels, 2 * band + 1, 2 * band + 1)
+    table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    table *= 10.0 ** rng.integers(-6, 6, shape)
+    table[rng.random(shape) < 0.3] = 0.0
+    table[rng.random(shape) < 0.1] = complex(-0.0, -0.0)
+    return LogLaurentField(table, band, draw(st.floats(0.01, 0.99)))
+
+
+@given(log_laurent_fields())
+@settings(max_examples=100, deadline=None)
+def test_boundary_trace_matches_bincount_route(F):
+    for radius in (F.r_in, 1.0):
+        assert _same_bits(F.boundary_trace(radius), oracles.bincount_boundary_trace(F, radius))
 
 
 trailing = st.lists(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0),

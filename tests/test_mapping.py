@@ -257,6 +257,11 @@ class TestMappedProjection:
         b = project_con_gram_oracle(f)  # degree f.max_degree = 4
         assert max(abs(a.coefficient(k) - b.coefficient(k)) for k in range(5)) < 1e-10
 
+    def test_zero_field_projects_to_zero(self):
+        # phi' f has rows but no columns: its angular sums have no modes
+        m = ConformalMap(HolomorphicSeries([0.0, 1.0, 0.2]))
+        assert project_con_mapped(m, s.zero_field(), degree=4) == HolomorphicSeries()
+
     def test_scaled_disk_radial_projection(self):
         # pullback of zeta zetabar through phi = 2z is 4 z zbar; projection
         # on the radius-2 disk is the constant R^2/2 = 2
@@ -286,21 +291,23 @@ class TestMappedProjection:
             val = map_inner_product(m, resid, basis_pull)
             assert abs(val) < 1e-9 * max(s.norm(f), 1)
 
+    # z + 0.499z^2 at degree 30, cap 34: the Gram eigenvalue ratio is about
+    # 1e16 even after column scaling (2z's Gram matrix scales to the identity)
     def test_illconditioned_gram_reported(self):
-        m = ConformalMap(HolomorphicSeries([0.0, 2.0]))
+        m = ConformalMap(HolomorphicSeries([0.0, 1.0, 0.499]))
         with pytest.warns(GramConditionWarning):
             project_con_mapped(m, monomial(1, 1), degree=30, max_degree=34)
 
     def test_condition_warned_once_per_factorisation(self):
         # the projection and the adjoint share the cached Gram of one map
-        m = ConformalMap(HolomorphicSeries([0.0, 2.0]))
+        m = ConformalMap(HolomorphicSeries([0.0, 1.0, 0.499]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             project_con_mapped(m, monomial(1, 1), degree=30, max_degree=34)
             project_con_mapped(m, monomial(2, 1), degree=30, max_degree=34)
             adjoint_dz_mapped(m, HolomorphicSeries([0.0, 1.0]), degree=30, max_degree=34)
             assert len(caught) == 1 and caught[0].category is GramConditionWarning
-            project_con_mapped(ConformalMap(HolomorphicSeries([0.0, 2.0])), monomial(1, 1),
+            project_con_mapped(ConformalMap(HolomorphicSeries([0.0, 1.0, 0.499])), monomial(1, 1),
                                degree=30, max_degree=34)
         assert len(caught) == 2
 

@@ -78,9 +78,9 @@ class TestInvariants:
         with pytest.raises(ValueError):
             BivariateField({(-1, 0): 1.0})
 
-    def test_drop_tolerance_default_keeps_tiny(self):
-        f = BivariateField({(0, 0): 1e-200})
-        assert f.coefficient(0, 0) == 1e-200
+    def test_tiny_coefficients_kept(self):
+        f = BivariateField({(0, 0): 1e-200, (1, 0): 5e-324})
+        assert f.coefficient(0, 0) == 1e-200 and f.coefficient(1, 0) == 5e-324
 
     def test_zero_coefficients_omitted(self):
         assert BivariateField({(1, 0): 0.0}) == BivariateField({})

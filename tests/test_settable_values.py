@@ -42,7 +42,7 @@ def defaulted_parameters():
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
-            if inspect.isfunction(obj):
+            if inspect.isfunction(inspect.unwrap(obj)):  # a cached function counts too
                 found += _defaulted(f"{info.name}.{name}", obj)
             elif inspect.isclass(obj):
                 for attr, member in vars(obj).items():
@@ -65,3 +65,4 @@ def test_count_covers_flags_and_parameters():
     assert "stationary --max-iter" in cli_flags()
     assert "dynamics.stationary_solve(max_iter)" in defaulted_parameters()
     assert "mapping.ConformalMap.__init__(validate)" in defaulted_parameters()
+    assert "series.pair_constants(start)" in defaulted_parameters()
