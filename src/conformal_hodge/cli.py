@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from . import dynamics, forms, serialization as ser
-from .annulus import NonConformalInputError
 from .catalog import DOMAINS, hodge_catalog
 from .disk import (
     adjoint_dz_disk,
@@ -289,21 +288,17 @@ def cmd_catalog(args):
 
 
 def cmd_stationary(args):
-    kind, payload = args.domain
+    _, payload = args.domain  # None on the disk
     V = PotentialSpec.quadratic(args.c)
     result = dynamics.stationary_solve(V, parse_series_spec(args.init), tol=args.tol,
                                        max_iter=args.max_iter, degree=args.degree,
-                                       domain=payload if kind == "map" else "disk")
-    summary = {
+                                       domain=payload)
+    _emit(args, {
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
         "converged": result.converged,
         "xi": ser.series_to_json(result.xi),
-    }
-    if result.multipliers is not None:
-        summary["F"] = ser.field_to_json(result.multipliers.F)
-        summary["G"] = ser.field_to_json(result.multipliers.G)
-    _emit(args, summary)
+    })
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
@@ -549,8 +544,7 @@ def main(argv=None):
         # an overflow surfaces as one numerical-failure line, not numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (InputError, ser.FormatError, NonConformalInputError, FileNotFoundError,
-            OSError) as exc:
+    except (InputError, ser.FormatError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except IncompatibleError as exc:

@@ -18,26 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (
-    MultiplierPair,
-    adjoint_dz_disk,
-    conformal_split,
-    project_con_rule,
-)
+from .disk import adjoint_dz_disk
 from .mapping import (
     ConformalMap,
     EmbeddingError,
+    _solve_gram,
     adjoint_dz_mapped,
     map_inner_product,
     map_norm,
     project_con_mapped,
-    pullback,
 )
 from .series import (
     DEFAULT_MAX_DEGREE,
     BivariateField,
     HolomorphicSeries,
-    add,
     as_series,
     coefficient_norm,
     scale,
@@ -72,16 +66,21 @@ class PotentialSpec:
 # -- stationary problem ----------------------------------------------------------
 
 
-def stationary_residual(xi, V: PotentialSpec, domain="disk", proj_degree=None):
-    """Adjoint-derivative term plus projected potential force; zero at stationary points."""
+def stationary_residual(xi, V: PotentialSpec, domain=None, proj_degree=None):
+    """Adjoint-derivative term plus projected potential force; zero at stationary points.
+
+    domain is None for the disk, where the force c xi is holomorphic and so
+    its own projection, or a ConformalMap, whose projection of the pulled-back
+    force runs at proj_degree (default deg xi + 1).
+    """
     xi = as_series(xi)
-    if domain == "disk" or domain is None:
-        return adjoint_dz_disk(xi.derivative()) + project_con_rule(scale(xi.to_field(), V.c))
+    if domain is None:
+        return adjoint_dz_disk(xi.derivative()) + xi * V.c
     mapping: ConformalMap = domain
     if proj_degree is None:
         proj_degree = xi.degree + 1
     adj = adjoint_dz_mapped(mapping, xi.derivative(), degree=proj_degree)
-    pulled = pullback(mapping, xi)
+    pulled = mapping.compose_with(xi)
     forced = project_con_mapped(mapping, scale(pulled.to_field(), V.c), degree=proj_degree)
     return adj + forced
 
@@ -89,7 +88,6 @@ def stationary_residual(xi, V: PotentialSpec, domain="disk", proj_degree=None):
 @dataclass(frozen=True)
 class StationaryResult:
     xi: HolomorphicSeries
-    multipliers: MultiplierPair | None
     iterations: int
     converged: bool
     residual_norm: float
@@ -99,35 +97,38 @@ def stationary_matrix(V: PotentialSpec, domain, n):
     """Matrix L of the residual on coefficient vectors of length n (m = n + 2 rows).
 
     L x is the residual of x at proj_degree=n, which is complex-linear in xi.
-    On the disk L maps z^k to (k(k+1) + c) z^k.  On a mapped disk U it is the
-    Galerkin form G^-1 K + c I of D*D xi + c xi on z^0 ... z^n: G is the Gram
-    matrix of the monomials in L^2(U), read off the map's cached factor at
-    degree n and cap natural_cap(n), and K[j, k] = j k G[j-1, k-1].
+    On the disk (domain None) L maps z^k to (k(k+1) + c) z^k.  On a mapped
+    disk U it is the Galerkin form G^-1 K + c I of D*D xi + c xi on
+    z^0 ... z^n: G is the Gram matrix of the monomials in L^2(U), read off
+    the map's cached factor at degree n and cap natural_cap(n), and
+    K[j, k] = j k G[j-1, k-1].
     """
     L = np.zeros((n + 2, n), dtype=complex)  # adjoint raises the degree by one; keep slack
-    if domain == "disk" or domain is None:
+    if domain is None:
         np.fill_diagonal(L, np.arange(n) * np.arange(1, n + 1) + V.c)
         return L
-    w, Q = domain.gram(n, domain.natural_cap(n))
+    cap = domain.natural_cap(n)
+    w, Q = domain.gram(n, cap)
     G = (Q * w) @ Q.conj().T
     K = np.zeros((n + 1, n), dtype=complex)
     K[1:, 1:] = np.outer(np.arange(1, n + 1), np.arange(1, n)) * G[:n, : n - 1]
-    L[: n + 1] = Q @ ((Q.conj().T @ K) / w[:, None])
+    L[: n + 1] = _solve_gram(domain, K, n, cap)
     L[:n] += V.c * np.eye(n)
     return L
 
 
 def stationary_solve(V: PotentialSpec, init, tol=1e-10, max_iter=50,
-                     domain="disk", degree=None) -> StationaryResult:
+                     domain=None, degree=None) -> StationaryResult:
     """Least-squares steps x += lstsq(L, -r) on the truncated coefficient vector.
 
     r is the residual of the iterate itself (stationary_residual at
     proj_degree n), so L only steers the step: convergence and residual_norm
     are read from r, never from L x.  Non-convergence is a reported outcome,
     not an exception: the last iterate comes back with converged=False.  An
-    init above the degree is cut with a TruncationWarning.  Multipliers are
-    recovered afterwards by splitting the unprojected residual (disk domain
-    only).
+    init above the degree is cut with a TruncationWarning.  domain is None
+    for the disk or a ConformalMap.  No multipliers are reported: on the
+    disk the unprojected residual D*D xi + c xi is holomorphic, so its
+    Lagrange multipliers are zero for every xi.
     """
     init = as_series(init)
     n = (degree if degree is not None else max(init.degree, 1)) + 1
@@ -145,15 +146,8 @@ def stationary_solve(V: PotentialSpec, init, tol=1e-10, max_iter=50,
         x = x + np.linalg.lstsq(L, -r, rcond=None)[0]
         r, rnorm = residual(x)
         iterations += 1
-    xi = HolomorphicSeries(x)
-    multipliers = None
-    if domain == "disk" or domain is None:
-        unprojected = add(adjoint_dz_disk(xi.derivative()).to_field(), scale(xi.to_field(), V.c))
-        _, F, G, _, _, _ = conformal_split(unprojected)
-        multipliers = MultiplierPair(F, G)
     return StationaryResult(
-        xi=xi,
-        multipliers=multipliers,
+        xi=HolomorphicSeries(x),
         iterations=iterations,
         converged=bool(rnorm <= tol),
         residual_norm=rnorm,
@@ -281,11 +275,11 @@ def geodesic_rhs(state: GeodesicState, proj_degree, max_degree):
     """
     mapping, xi = state.phi, state.xi
     n = max_degree + 1
-    xi_pull = pullback(mapping, xi, max_degree)
+    xi_pull = mapping.compose_with(xi, max_degree)
     aT = adjoint_dz_mapped(mapping, xi, degree=proj_degree, max_degree=max_degree)
     X = xi_pull.to_array(n)
-    A = pullback(mapping, aT, max_degree).to_array(n)
-    Y = pullback(mapping, xi.derivative(), max_degree).to_array(n)
+    A = mapping.compose_with(aT, max_degree).to_array(n)
+    Y = mapping.compose_with(xi.derivative(), max_degree).to_array(n)
     B = np.outer(A, X.conj()) - 2 * np.outer(X, Y.conj())
     B[:, 0] -= 2 * np.convolve(Y, X)[:n]
     # degree-budget truncation is the design here, so drop mass silently
@@ -296,7 +290,7 @@ def geodesic_rhs(state: GeodesicState, proj_degree, max_degree):
 
 
 def geodesic_energy(state: GeodesicState) -> float:
-    field = pullback(state.phi, state.xi).to_field()
+    field = state.phi.compose_with(state.xi).to_field()
     return 0.5 * map_inner_product(state.phi, field, field).real
 
 
@@ -408,10 +402,10 @@ def variation_identity_defect(mapping: ConformalMap, xi, eta0, eta1,
             mapping.natural_cap(out_degree), DEFAULT_MAX_DEGREE
         )
     phi = mapping.phi
-    phi_dot = pullback(mapping, xi, max_degree)
-    eta0_pull = pullback(mapping, eta0, max_degree)
-    eta1_pull = pullback(mapping, eta1, max_degree)
-    eta0p_pull = pullback(mapping, eta0.derivative(), max_degree)
+    phi_dot = mapping.compose_with(xi, max_degree)
+    eta0_pull = mapping.compose_with(eta0, max_degree)
+    eta1_pull = mapping.compose_with(eta1, max_degree)
+    eta0p_pull = mapping.compose_with(eta0.derivative(), max_degree)
 
     def velocity(s):
         phi_s = phi + s * eta0_pull
@@ -423,6 +417,6 @@ def variation_identity_defect(mapping: ConformalMap, xi, eta0, eta1,
         out_degree, warn=False
     )
     diff = fd - closed
-    diff_pull = pullback(mapping, diff, max_degree)
-    closed_pull = pullback(mapping, closed, max_degree)
+    diff_pull = mapping.compose_with(diff, max_degree)
+    closed_pull = mapping.compose_with(closed, max_degree)
     return map_norm(mapping, diff_pull), map_norm(mapping, closed_pull)

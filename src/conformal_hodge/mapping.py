@@ -208,7 +208,7 @@ class ConformalMap:
                     f"weighted Gram system condition estimate {cond:.3e} exceeds "
                     f"{GRAM_CONDITION_LIMIT:.0e}",
                     GramConditionWarning,
-                    stacklevel=4,  # the caller of the operator that solves with G
+                    stacklevel=series._caller_stacklevel(),
                 )
             self._caches[key] = eig
         return self._caches[key]
@@ -217,8 +217,14 @@ class ConformalMap:
         """Truncation degree that keeps phi^degree * phi' exact."""
         return degree * max(self.phi.degree, 1) + self.phi_prime.degree
 
-    def compose_with(self, xi: HolomorphicSeries, max_degree):
-        """xi o phi truncated at max_degree."""
+    def compose_with(self, xi, max_degree=None) -> HolomorphicSeries:
+        """The pullback xi o phi of a series on the image domain, cut at max_degree.
+
+        The default cap natural_cap(xi.degree) keeps the composition exact.
+        """
+        xi = as_series(xi)
+        if max_degree is None:
+            max_degree = self.natural_cap(xi.degree)
         return xi.compose(self.phi, max_degree)
 
 
@@ -266,14 +272,6 @@ def project_con_mapped(mapping: ConformalMap, f, degree, max_degree=None) -> Hol
     return HolomorphicSeries(coeffs)
 
 
-def pullback(mapping: ConformalMap, xi, max_degree=None) -> HolomorphicSeries:
-    """Compose a series on the image domain with phi (coordinates back on the disk)."""
-    xi = as_series(xi)
-    if max_degree is None:
-        max_degree = mapping.natural_cap(xi.degree)
-    return mapping.compose_with(xi, max_degree)
-
-
 def adjoint_dz_mapped(mapping: ConformalMap, xi, degree, max_degree=None) -> HolomorphicSeries:
     """Adjoint of d/dz on the image domain, computed entirely on the disk.
 
@@ -286,7 +284,7 @@ def adjoint_dz_mapped(mapping: ConformalMap, xi, degree, max_degree=None) -> Hol
         max_degree = max(
             mapping.natural_cap(degree), mapping.natural_cap(xi.degree) + 2
         )
-    xi_pull = pullback(mapping, xi, max_degree)
+    xi_pull = mapping.compose_with(xi, max_degree)
     A = (HolomorphicSeries([0.0, 0.0, 1.0]) * mapping.phi_prime * xi_pull).truncated(
         max_degree + 1, warn=False
     )

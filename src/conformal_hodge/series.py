@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -29,6 +30,19 @@ VANISHING_TOL = 1e-12
 
 class TruncationWarning(UserWarning):
     """A truncation dropped coefficient mass of nonzero norm."""
+
+
+_PACKAGE_PREFIX = __name__.rpartition(".")[0] + "."
+
+
+def _caller_stacklevel():
+    """The warnings.warn stacklevel, for the function that calls this one, that
+    names the first frame outside the package's modules, however deep inside
+    them the warning is raised.  A module run as __main__ counts as outside."""
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(_PACKAGE_PREFIX):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 def _columns(terms):
@@ -295,7 +309,7 @@ class HolomorphicSeries:
                     f"HolomorphicSeries.truncated: truncation dropped coefficient mass "
                     f"{dropped:.3e} ({dropped / total:.3e} relative)",
                     TruncationWarning,
-                    stacklevel=2,
+                    stacklevel=_caller_stacklevel(),
                 )
         return HolomorphicSeries(self.coeffs[: max_degree + 1])
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from conformal_hodge import annulus, disk, dynamics, forms, series
-from conformal_hodge.mapping import _solve_gram, adjoint_dz_mapped, pullback
+from conformal_hodge.mapping import _solve_gram, adjoint_dz_mapped
 from conformal_hodge.quadrature import boundary_points
 from conformal_hodge.series import HolomorphicSeries
 
@@ -343,10 +343,10 @@ def cut(f, max_degree):
 
 def geodesic_rhs(mapping, xi, proj_degree, max_degree):
     """(phi_dot, xi_dot) of the embedding flow from field products, conjugates and sums."""
-    xi_pull = pullback(mapping, xi, max_degree)
+    xi_pull = mapping.compose_with(xi, max_degree)
     aT = adjoint_dz_mapped(mapping, xi, degree=proj_degree, max_degree=max_degree)
-    aT_pull = pullback(mapping, aT, max_degree)
-    xi_prime_pull = pullback(mapping, xi.derivative(), max_degree)
+    aT_pull = mapping.compose_with(aT, max_degree)
+    xi_prime_pull = mapping.compose_with(xi.derivative(), max_degree)
     div_pull = series.add(xi_prime_pull.to_field(), series.conjugate(xi_prime_pull.to_field()))
     term1 = series.convolve(series.conjugate(xi_pull.to_field()), aT_pull.to_field())
     term2 = series.convolve(div_pull, xi_pull.to_field())

@@ -36,7 +36,6 @@ from conformal_hodge.mapping import (
     ConformalMap,
     adjoint_dz_mapped,
     map_inner_product,
-    pullback,
 )
 from conformal_hodge.series import HolomorphicSeries, monomial
 
@@ -117,11 +116,11 @@ def test_criterion_3_adjoint_identity():
         for k in range(7):
             eta = HolomorphicSeries([0] * k + [1.0])
             lhs = map_inner_product(
-                mp, pullback(mp, xi, 24).to_field(),
-                pullback(mp, eta.derivative(), 24).to_field(),
+                mp, mp.compose_with(xi, 24).to_field(),
+                mp.compose_with(eta.derivative(), 24).to_field(),
             ).real
             rhs = map_inner_product(
-                mp, pullback(mp, adj, 24).to_field(), pullback(mp, eta, 24).to_field()
+                mp, mp.compose_with(adj, 24).to_field(), mp.compose_with(eta, 24).to_field()
             ).real
             worst_mapped = max(worst_mapped, abs(lhs - rhs))
 

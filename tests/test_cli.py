@@ -268,6 +268,16 @@ class TestDynamicsCommands:
         assert data["converged"] is True
         assert data["residual_norm"] <= 1e-10
 
+    def test_stationary_summary_keys(self, tmp_path):
+        # no multipliers on either domain: the disk residual is holomorphic
+        mp, out = tmp_path / "map.json", tmp_path / "st.json"
+        ser.write_json(mp, {"coeffs": [[0.0, 0.0], [1.0, 0.0], [0.1, 0.0]]})
+        for argv in (["--c", "-2", "--init", "0.9*z"],
+                     ["--map", str(mp), "--c", "0", "--init", "1.5+0.3*z"]):
+            assert main(["stationary", *argv, "--out", str(out)]) == 0
+            data = json.loads(out.read_text())
+            assert set(data) == {"converged", "iterations", "residual_norm", "xi"}, argv
+
     def test_stationary_nonconvergence_exit(self, tmp_path):
         code = main(["stationary", "--c", "3", "--init", "z", "--max-iter", "0"])
         assert code == 3

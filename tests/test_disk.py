@@ -1,6 +1,5 @@
 """Projection routes, adjoint, Poisson solve, and decompositions on the disk."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -140,9 +139,10 @@ class TestAdjoint:
         assert worst <= 1e-12
 
     def test_truncation_overflow_warns(self):
-        with pytest.warns(TruncationWarning, match="dropped coefficient mass"):
+        with pytest.warns(TruncationWarning, match="dropped coefficient mass") as record:
             out = adjoint_dz_disk(HolomorphicSeries([0, 0, 1.0]), max_degree=2)
         assert out.degree <= 2
+        assert [w.filename for w in record] == [__file__]  # the caller's line, not the library's
 
 
 class TestPoisson:
@@ -277,6 +277,7 @@ class TestHelmholtz:
             if nv > 1e-14 and ng > 1e-14:
                 ip = abs(s.inner_product(vol, grad).real)
                 assert ip <= 1e-10 * nv * ng
+            assert dec.residual_norm == s.norm(div)  # the reported defect is the divergence
             assert dec.residual_norm <= 1e-12 * max(s.norm(f), 1)
 
 
@@ -294,13 +295,12 @@ class TestSymplectic:
         dec = symplectic_decompose(monomial(0, 1))
         assert dec.divergence_free == monomial(0, 1)
 
-    def test_part_with_divergence_fails_the_closedness_check(self, monkeypatch):
-        # z = x + iy has divergence 2, so its contraction u dy - v dx is not closed
-        real = disk.helmholtz_decompose(monomial(1, 0, 1j))
-        monkeypatch.setattr(disk, "helmholtz_decompose",
-                            lambda f: dataclasses.replace(real, divergence_free=monomial(1, 0)))
-        with pytest.raises(AssertionError, match="not closed"):
-            symplectic_decompose(monomial(1, 0, 1j))
+    def test_wrong_potential_shows_in_the_residual(self, monkeypatch):
+        # with F = 0 the "divergence-free" part of z = x + iy is z itself,
+        # whose divergence 2 has L^2 norm 2 sqrt(pi) on the unit disk
+        monkeypatch.setattr(disk, "poisson_disk", lambda rhs: s.zero_field())
+        for split in (helmholtz_decompose, symplectic_decompose):
+            assert split(monomial(1, 0)).residual_norm == pytest.approx(2 * math.sqrt(PI))
 
     def test_matches_helmholtz_parts(self):
         rng = np.random.default_rng(30)

@@ -77,10 +77,11 @@ class TestStationary:
     def test_init_above_degree_is_cut_with_a_warning(self):
         # c = -6 makes z^2 stationary; the z^5 term of the init lies above degree 3
         init = HolomorphicSeries([0, 0, 0.3, 0, 0, 0.1])
-        with pytest.warns(TruncationWarning, match="dropped coefficient mass 1.000e-01"):
+        with pytest.warns(TruncationWarning, match="dropped coefficient mass 1.000e-01") as record:
             res = stationary_solve(PotentialSpec.quadratic(-6.0), init, degree=3)
         assert res.converged
         assert res.xi == HolomorphicSeries([0, 0, 0.3])
+        assert [w.filename for w in record] == [__file__]  # the caller's line, not the library's
 
     def test_init_within_degree_is_not_reported(self):
         with warnings.catch_warnings():
@@ -111,13 +112,6 @@ class TestStationary:
         assert res.iterations > 0
         keys = [k if isinstance(k, tuple) else (k,) for k in m._caches]
         assert all(isinstance(part, (str, int)) for key in keys for part in key)
-
-    def test_multipliers_vanish_on_boundary(self):
-        res = stationary_solve(
-            PotentialSpec.quadratic(-2.0), HolomorphicSeries([0.1, 0.7]), degree=3
-        )
-        assert res.multipliers is not None
-        assert res.multipliers.validate()
 
 
 def probe_map():
@@ -157,7 +151,7 @@ class TestStationaryMatrix:
         assert np.linalg.norm(J[:, 0::2] - L) <= 1e-6 * np.linalg.norm(L)
         assert np.linalg.norm(J[:, 1::2] - 1j * L) <= 1e-6 * np.linalg.norm(L)
 
-    @pytest.mark.parametrize("domain", ["disk", probe_map(), random_gentle_map(8)],
+    @pytest.mark.parametrize("domain", [None, probe_map(), random_gentle_map(8)],
                              ids=["disk", "probe", "random"])
     def test_product_is_fixed_degree_residual(self, domain):
         V, n = PotentialSpec.quadratic(0.7), 9
@@ -196,7 +190,7 @@ class TestStationaryMatrix:
     def test_disk_matrix_is_the_wave_operator(self, c):
         # on the disk the residual of z^k is (k^2 + k + c) z^k, minus the wave acceleration
         n = 6
-        L = stationary_matrix(PotentialSpec.quadratic(c), "disk", n)
+        L = stationary_matrix(PotentialSpec.quadratic(c), None, n)
         k = np.arange(n)
         expect = np.vstack([np.diag(k * k + k + c), np.zeros((2, n))])
         assert np.max(np.abs(L - expect)) <= 1e-12
@@ -206,7 +200,7 @@ class TestStationaryMatrix:
     @settings(max_examples=60, deadline=None)
     def test_disk_closed_form_matches_column_route(self, n, c):
         V = PotentialSpec.quadratic(c)
-        got, ref = stationary_matrix(V, "disk", n), oracles.stationary_matrix(V, "disk", n)
+        got, ref = stationary_matrix(V, None, n), oracles.stationary_matrix(V, None, n)
         assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("c", [0.0, -2.0, 1.3])
@@ -214,7 +208,7 @@ class TestStationaryMatrix:
         # on phi(z) = z the Gram route G^-1 K + c I must reproduce diag(k(k+1) + c)
         V, identity = PotentialSpec.quadratic(c), ConformalMap.identity()
         for n in range(1, 41):
-            got, ref = stationary_matrix(V, identity, n), stationary_matrix(V, "disk", n)
+            got, ref = stationary_matrix(V, identity, n), stationary_matrix(V, None, n)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), n
 
 
@@ -402,9 +396,10 @@ class TestGeodesic:
     def test_map_above_degree_is_cut_with_a_warning(self):
         coeffs = [0.0, 1.0] + [0.0] * 8 + [0.05]
         st = GeodesicState(ConformalMap(HolomorphicSeries(coeffs)), HolomorphicSeries([0.01]))
-        with pytest.warns(TruncationWarning, match="dropped coefficient mass 5.000e-02"):
+        with pytest.warns(TruncationWarning, match="dropped coefficient mass 5.000e-02") as record:
             traj = geodesic_integrate(st, 1e-3, 1, degree=4)
         assert traj.phi[0].tolist() == [0, 1, 0, 0, 0]
+        assert [w.filename for w in record] == [__file__]
 
     def test_self_intersection_abort(self):
         # min |phi'| = 0.037 stays above the floor; only the boundary crosses itself

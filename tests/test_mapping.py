@@ -21,7 +21,6 @@ from conformal_hodge.mapping import (
     adjoint_dz_mapped,
     map_inner_product,
     project_con_mapped,
-    pullback,
 )
 from conformal_hodge.series import BivariateField, HolomorphicSeries, monomial
 
@@ -200,6 +199,21 @@ class TestCertificateCost:
         assert set(calls["boundary"]) == {128}
 
 
+class TestComposeWith:
+    @given(st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_default_cap_is_the_natural_cap(self, degree, seed):
+        rng = np.random.default_rng(seed)
+        m = ConformalMap(oracles.random_series(rng, 3), validate=False)
+        xi = oracles.random_series(rng, degree)
+        got, ref = m.compose_with(xi), m.compose_with(xi, m.natural_cap(xi.degree))
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    def test_accepts_a_number(self):
+        m = gentle_map()
+        assert m.compose_with(1.5).coeffs.tolist() == [1.5]
+
+
 class TestMapInnerProduct:
     def test_identity_reduces_to_disk(self):
         rng = np.random.default_rng(4)
@@ -274,7 +288,7 @@ class TestMappedProjection:
         m = gentle_map()
         rng = np.random.default_rng(16)
         g = oracles.random_series(rng, 3)
-        f = pullback(m, g, max_degree=12).to_field()
+        f = m.compose_with(g, max_degree=12).to_field()
         got = project_con_mapped(m, f, degree=3)
         assert max(abs(got.coefficient(k) - g.coefficient(k)) for k in range(4)) < 1e-9
 
@@ -284,7 +298,7 @@ class TestMappedProjection:
         f = s.random_field(rng, 4)
         degree = 5
         proj = project_con_mapped(m, f, degree=degree)
-        recon = pullback(m, proj, max_degree=16).to_field()
+        recon = m.compose_with(proj, max_degree=16).to_field()
         resid = s.subtract(f, recon)
         for j in range(degree + 1):
             basis_pull = HolomorphicSeries(m.phi.power_table(j, 16)[j]).to_field()
@@ -295,8 +309,9 @@ class TestMappedProjection:
     # 1e16 even after column scaling (2z's Gram matrix scales to the identity)
     def test_illconditioned_gram_reported(self):
         m = ConformalMap(HolomorphicSeries([0.0, 1.0, 0.499]))
-        with pytest.warns(GramConditionWarning):
+        with pytest.warns(GramConditionWarning) as record:
             project_con_mapped(m, monomial(1, 1), degree=30, max_degree=34)
+        assert [w.filename for w in record] == [__file__]  # the caller's line, not the library's
 
     def test_condition_warned_once_per_factorisation(self):
         # the projection and the adjoint share the cached Gram of one map
@@ -341,7 +356,7 @@ class TestSharedPowerTable:
         degree, cap = 5, 16
 
         def run_operators():
-            pullback(m, xi, cap)
+            m.compose_with(xi, cap)
             adjoint_dz_mapped(m, xi, degree=degree, max_degree=cap)
             project_con_mapped(m, f, degree=degree, max_degree=cap)
 
@@ -372,9 +387,8 @@ class TestMappedAdjoint:
         assert abs(got.coefficient(1) - 0.5) < 1e-12
         # hand check of the defining pairing: <1, (w)_w> = 4 pi = <w/2, w>
         lhs = map_inner_product(m, monomial(0, 0), monomial(0, 0)).real
-        rhs = map_inner_product(
-            m, pullback(m, got).to_field(), pullback(m, HolomorphicSeries([0, 1.0])).to_field()
-        ).real
+        w = HolomorphicSeries([0, 1.0])
+        rhs = map_inner_product(m, m.compose_with(got).to_field(), m.compose_with(w).to_field()).real
         assert lhs == pytest.approx(4 * PI)
         assert rhs == pytest.approx(4 * PI)
 
@@ -390,11 +404,11 @@ class TestMappedAdjoint:
             for k in range(7):
                 eta = HolomorphicSeries([0] * k + [1.0])
                 lhs = map_inner_product(
-                    m, pullback(m, xi, 24).to_field(),
-                    pullback(m, eta.derivative(), 24).to_field(),
+                    m, m.compose_with(xi, 24).to_field(),
+                    m.compose_with(eta.derivative(), 24).to_field(),
                 ).real
                 rhs = map_inner_product(
-                    m, pullback(m, adj, 24).to_field(), pullback(m, eta, 24).to_field()
+                    m, m.compose_with(adj, 24).to_field(), m.compose_with(eta, 24).to_field()
                 ).real
                 worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-8
