@@ -59,17 +59,39 @@ def _toeplitz_gaps(size):
     return gap
 
 
+@functools.lru_cache(maxsize=8)
+def _certified(key):
+    """(phi, phi', operator caches) of the map whose coefficients have the bytes
+    key, once its certificate passes; raises EmbeddingError otherwise.
+
+    Every certified ConformalMap of the same coefficient bytes shares these,
+    so phi's power tables, the basis matrices and the Gram factors are built
+    once while the map is among the last 8 certified in the process.  Each
+    is a pure function of the coefficients; a failure is not cached.
+    """
+    m = ConformalMap(HolomorphicSeries(np.frombuffer(key, dtype=complex)), validate=False)
+    if m.min_deriv <= 0.0:
+        raise EmbeddingError(m.deriv_failure)
+    m.check_boundary_injectivity()
+    return m.phi, m.phi_prime, m._caches
+
+
 class ConformalMap:
-    """Holomorphic embedding of the unit disk given by a truncated series."""
+    """Holomorphic embedding of the unit disk given by a truncated series.
+
+    A map built with validate=True is certified and shares phi and its
+    caches with every certified map of the same coefficient bytes
+    (_certified); one built with validate=False keeps its own.
+    """
 
     def __init__(self, phi, validate=True):
+        self._warned = set()  # the Gram keys whose condition this object has reported
+        if validate:
+            self.phi, self.phi_prime, self._caches = _certified(as_series(phi).coeffs.tobytes())
+            return
         self.phi = as_series(phi)
         self.phi_prime = self.phi.derivative()
         self._caches = {}
-        if validate:
-            if self.min_deriv <= 0.0:
-                raise EmbeddingError(self.deriv_failure)
-            self.check_boundary_injectivity()
 
     def _samples(self):
         return _boundary_samples(series.certificate_samples(self.phi.degree))
@@ -187,9 +209,10 @@ class ConformalMap:
 
         G[j,k] = <<phi' phi^k, phi' phi^j>> on the disk equals V diag(w) V^H,
         with the eigenvalues w in ascending order.  Raises FloatingPointError
-        when G overflows, which a finite but huge phi can cause, and warns
-        GramConditionWarning once per factorisation when w[-1] / w[0] exceeds
-        GRAM_CONDITION_LIMIT.
+        when G overflows, which a finite but huge phi can cause.  Warns
+        GramConditionWarning when w[-1] / w[0] exceeds GRAM_CONDITION_LIMIT,
+        once per map object and (degree, max_degree), although certified maps
+        of the same coefficients share the factor.
         """
         key = ("gram", degree, max_degree)
         if key not in self._caches:
@@ -202,16 +225,17 @@ class ConformalMap:
             for a in eig:
                 a.flags.writeable = False
             w = eig[0]
-            cond = w[-1] / w[0] if w[0] > 0 else math.inf
-            if cond > GRAM_CONDITION_LIMIT:
-                warnings.warn(
-                    f"weighted Gram system condition estimate {cond:.3e} exceeds "
-                    f"{GRAM_CONDITION_LIMIT:.0e}",
-                    GramConditionWarning,
-                    stacklevel=series._caller_stacklevel(),
-                )
-            self._caches[key] = eig
-        return self._caches[key]
+            self._caches[key] = eig, (w[-1] / w[0] if w[0] > 0 else math.inf)
+        eig, cond = self._caches[key]
+        if cond > GRAM_CONDITION_LIMIT and key not in self._warned:
+            self._warned.add(key)
+            warnings.warn(
+                f"weighted Gram system condition estimate {cond:.3e} exceeds "
+                f"{GRAM_CONDITION_LIMIT:.0e}",
+                GramConditionWarning,
+                stacklevel=series._caller_stacklevel(),
+            )
+        return eig
 
     def natural_cap(self, degree):
         """Truncation degree that keeps phi^degree * phi' exact."""

@@ -111,7 +111,23 @@ def suite_adjoint_identities():
     return out
 
 
+def _worst_cross_pairing(gram):
+    """max |Re <<p_i, p_j>>| / (|p_i| |p_j|) over i < j, from the parts' Gram matrix."""
+    norms = [max(math.sqrt(max(row[i], 0.0)), 1e-30) for i, row in enumerate(gram)]
+    return max((abs(gram[i][j]) / (norms[i] * norms[j])
+                for i in range(len(gram)) for j in range(i + 1, len(gram))), default=0.0)
+
+
+def _relative_trace(multipliers):
+    """The largest boundary trace of the multipliers, relative to their coefficient norm."""
+    scale = max(series.coefficient_norm(multipliers.F), series.coefficient_norm(multipliers.G),
+                1e-30)
+    return multipliers.boundary_trace_max() / scale
+
+
 def suite_decomposition():
+    """The conformal split and the Helmholtz split of random fields: each part
+    sum, Gram matrix of the parts and multiplier trace, as the splits report them."""
     rng = np.random.default_rng(DECOMPOSITION_SEED)
     worst_recon = 0.0
     worst_orth = 0.0
@@ -119,25 +135,15 @@ def suite_decomposition():
     worst_rule = 0.0
     for _ in range(DECOMPOSITION_FIELDS):
         f = series.random_field(rng, DECOMPOSITION_DEGREE)
-        dec = conformal_decompose(f)
         scale = max(norm(f), 1e-30)
-        worst_recon = max(worst_recon, dec.residual_norm / scale)
-        # the Gram matrix Re <<p_i, p_j>> of the parts, as the split reports it
-        gram = dec.orthogonality
-        norms = [max(math.sqrt(max(gram[i][i], 0.0)), 1e-30) for i in range(3)]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                worst_orth = max(worst_orth, abs(gram[i][j]) / (norms[i] * norms[j]))
-        coeff_scale = max(
-            series.coefficient_norm(dec.multipliers.F),
-            series.coefficient_norm(dec.multipliers.G),
-            1e-30,
-        )
-        worst_boundary = max(
-            worst_boundary, dec.multipliers.boundary_trace_max() / coeff_scale
-        )
+        dec = conformal_decompose(f)
+        helm = helmholtz_decompose(f)
+        worst_recon = max(worst_recon, dec.residual_norm / scale, helm.residual_norm / scale)
+        worst_orth = max(worst_orth, _worst_cross_pairing(dec.orthogonality),
+                         _worst_cross_pairing(helm.orthogonality))
+        worst_boundary = max(worst_boundary, _relative_trace(dec.multipliers),
+                             _relative_trace(helm.multipliers))
         worst_rule = max(worst_rule, dec.closed_form_defect / scale)
-        worst_recon = max(worst_recon, helmholtz_decompose(f).residual_norm / scale)
     return [
         SuiteResult("decomposition reconstruction", worst_recon <= 1e-10, worst_recon, 1e-10),
         SuiteResult("decomposition orthogonality", worst_orth <= 1e-10, worst_orth, 1e-10),

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_hodge import serialization as ser
-from conformal_hodge import dynamics, forms, series
+from conformal_hodge import disk, dynamics, forms, selftest, series
 from conformal_hodge.cli import InputError, build_parser, main, parse_series_spec
 from conformal_hodge.dynamics import GeodesicState, geodesic_energy
 from conformal_hodge.mapping import ConformalMap, GramConditionWarning
@@ -633,6 +634,28 @@ class TestSelfTest:
         out = capsys.readouterr().out
         assert any(line.startswith("FAIL") and "adjoint identity" in line
                    for line in out.splitlines())
+
+    def test_wrong_helmholtz_potential_fails_the_traces_row(self, capsys, monkeypatch):
+        # F + Re z has the Laplacian of F, so the divergence of f - grad(F + Re z) and
+        # residual_norm stay; only the boundary trace, cos(theta), shows the error
+        real = selftest.helmholtz_decompose
+        re_z = BivariateField({(1, 0): 0.5, (0, 1): 0.5})
+
+        def shifted(f):
+            dec = real(f)
+            F = series.add(dec.multipliers.F, re_z)
+            gradient = series.scale(series.wirtinger(F, "d_zbar"), 2)
+            vol = series.subtract(dec.divergence_free, BivariateField({(0, 0): 1.0}))
+            return replace(dec, multipliers=disk.MultiplierPair(F, dec.multipliers.G),
+                           divergence_free=vol,
+                           orthogonality=disk._orthogonality_matrix([vol, gradient]))
+
+        monkeypatch.setattr(selftest, "helmholtz_decompose", shifted)
+        assert main(["check"]) == 1
+        rows = {line.split("metric=")[0][6:].strip(): line[:4]
+                for line in capsys.readouterr().out.splitlines() if "metric=" in line}
+        assert rows["multiplier boundary traces"] == "FAIL"
+        assert rows["decomposition reconstruction"] == "PASS"
 
     def test_degraded_quadrature_relaxed_threshold(self, capsys):
         assert main(["check", "--quadrature", "8x16"]) == 0

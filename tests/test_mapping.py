@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_hodge import mapping
+from conformal_hodge import serialization as ser
 from conformal_hodge import series as s
+from conformal_hodge.cli import main
 from conformal_hodge.disk import project_con_gram_oracle
 from conformal_hodge.mapping import (
     ConformalMap,
@@ -369,6 +371,63 @@ class TestSharedPowerTable:
         keys = [k if isinstance(k, tuple) else (k,) for k in m._caches]
         assert not any("powers" in key for key in keys)
         assert not any("phi_prime" in key for key in keys)  # the Toeplitz matrix is gathered per call
+
+
+class TestSharedMapState:
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        """The matrices passed to np.linalg.eigh, which factors each Gram matrix."""
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda G: calls.append(G) or eigh(G))
+        return calls
+
+    def test_equal_coefficient_bytes_share_the_gram_factor(self, eigh_calls):
+        a, b = gentle_map(), gentle_map()
+        assert b is not a and b.phi is a.phi
+        first = a.gram(6, 12)
+        assert b.gram(6, 12) is first
+        assert len(eigh_calls) == 1
+
+    def test_a_signed_zero_does_not_share(self, eigh_calls):
+        a = gentle_map()
+        b = ConformalMap(HolomorphicSeries([-0.0, 1.0, 0.1]))
+        assert a.phi == b.phi and b.phi is not a.phi
+        assert all(np.array_equal(x, y) for x, y in zip(a.gram(6, 12), b.gram(6, 12)))
+        assert len(eigh_calls) == 2
+
+    def test_store_holds_at_most_its_bound(self):
+        bound = mapping._certified.cache_info().maxsize
+        maps = [ConformalMap(HolomorphicSeries([0.0, 1.0, 0.01 * k])) for k in range(1, bound + 2)]
+        assert mapping._certified.cache_info().currsize == bound
+        assert ConformalMap(maps[0].phi).phi is not maps[0].phi  # the oldest is rebuilt
+        assert ConformalMap(maps[-1].phi).phi is maps[-1].phi
+
+    def test_uncertifiable_map_raises_on_every_construction(self, tmp_path):
+        # phi = -z0 z + z^2/2, with a critical point between two certificate samples
+        z0 = 0.9999 * complex(math.cos(math.pi / 128), math.sin(math.pi / 128))
+        for _ in range(2):
+            with pytest.raises(EmbeddingError, match="phi' has 1 zero"):
+                ConformalMap(HolomorphicSeries([0.0, -z0, 0.5]))
+        mp = tmp_path / "map.json"
+        ser.write_json(mp, {"coeffs": [[0.0, 0.0], [-z0.real, -z0.imag], [0.5, 0.0]]})
+        for _ in range(2):
+            assert main(["stationary", "--map", str(mp), "--c", "0", "--init", "z"]) == 3
+        assert mapping._certified.cache_info().currsize == 0
+
+    def test_runs_on_a_shared_map_write_the_bytes_of_a_fresh_one(self, tmp_path):
+        mp = tmp_path / "map.json"
+        ser.write_json(mp, {"coeffs": [[0.0, 0.0], [1.0, 0.0], [0.05, -0.03], [0.0, 0.01]]})
+
+        def run(name):
+            out = tmp_path / name
+            assert main(["stationary", "--map", str(mp), "--c", "-1.5",
+                         "--init", "0.2+0.1*z-0.05j*z^2", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        first, second = run("first.json"), run("second.json")
+        assert mapping._certified.cache_info().hits >= 1
+        mapping._certified.cache_clear()
+        assert first == second == run("fresh.json")
 
 
 class TestMappedAdjoint:
