@@ -346,10 +346,6 @@ def _complex_columns(name, n):
     return [x for k in range(n) for x in (f"{name}{k}_re", f"{name}{k}_im")]
 
 
-def _re_im(coeffs):
-    return [v for c in coeffs for v in (c.real, c.imag)]
-
-
 def cmd_wave(args):
     xi0 = parse_series_spec(args.xi0)
     xidot0 = parse_series_spec(args.xidot0) if args.xidot0 else HolomorphicSeries([])
@@ -363,8 +359,7 @@ def cmd_wave(args):
     def table(traj):
         header = ["t"] + _complex_columns("xi", len(traj.xi[0]))
         header += [f"I_{m}" for m in range(args.max_m + 1)]
-        rows = [[t] + _re_im(xi) + list(integrals)
-                for t, xi, integrals in zip(traj.times, traj.xi, traj.integrals)]
+        rows = np.column_stack([traj.times, np.array(traj.xi).view(float), traj.integrals])
         return header, rows, {"first_integral_max_rel_drift": max(_relative_drifts(traj))}
 
     return _write_trajectory(args, run, table, lambda traj: traj.xi[-1])
@@ -383,9 +378,8 @@ def cmd_geodesic(args):
     def table(traj):
         header = ["t"] + _complex_columns("phi", len(traj.phi[0]))
         header += _complex_columns("xi", len(traj.xi[0])) + ["energy", "min_deriv"]
-        rows = [[t] + _re_im(phi) + _re_im(xi) + [e, d]
-                for t, phi, xi, e, d in zip(traj.times, traj.phi, traj.xi,
-                                            traj.energy, traj.min_deriv)]
+        rows = np.column_stack([traj.times, np.array(traj.phi).view(float),
+                                np.array(traj.xi).view(float), traj.energy, traj.min_deriv])
         e0 = traj.energy[0]
         return header, rows, {
             "energy_rel_drift": max(abs(e - e0) for e in traj.energy) / max(e0, 1e-300),

@@ -9,7 +9,10 @@ or band_limit is from 0 to SIZE_LIMIT; readers raise FormatError on anything
 else, before any coefficient table is allocated.  Output JSON is byte for
 byte the text of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
 newline, with shortest round-trip floats; ``dumps`` writes that layout
-itself, since the json module formats indented output in pure Python.  All
+itself, since the json module formats indented output in pure Python.  The
+``*_to_json`` writers hand it each term list as the table's index and
+coefficient arrays, which it fills into one template per term: the same
+bytes as json.dumps of the term dicts, with no dict built per term.  All
 writers are deterministic and atomic.
 """
 
@@ -30,7 +33,6 @@ from .mapping import ConformalMap
 from .series import BivariateField, HolomorphicSeries
 from .torus import TorusField
 
-_TERM_KEYS = {"im", "m", "n", "re"}
 _NUMBER = {int, float}
 _INT64 = range(-2**63, 2**63)
 SIZE_LIMIT = 512  # largest declared max_degree or band_limit
@@ -60,11 +62,21 @@ def _bound(value, what):
     return value
 
 
-def _terms_to_list(items):
-    return [
-        {"m": m, "n": n, "re": c.real, "im": c.imag}
-        for (m, n), c in items
-    ]
+class _TermArrays:
+    """The nonzero terms of a coefficient table, whose entry [i, j] has index
+    (i + offset, j + offset), as index arrays m, n and coefficients c in
+    lexicographic (m, n) order.  dumps writes it as the term list that dicts()
+    returns."""
+
+    __slots__ = ("m", "n", "c")
+
+    def __init__(self, table, offset):
+        i, j = np.nonzero(table)
+        self.m, self.n, self.c = i + offset, j + offset, table[i, j]
+
+    def dicts(self):
+        return [{"m": m, "n": n, "re": c.real, "im": c.imag}
+                for m, n, c in zip(self.m.tolist(), self.n.tolist(), self.c.tolist())]
 
 
 def _malformed(e):
@@ -110,7 +122,7 @@ def _terms_from_list(entries, what="field"):
 
 
 def field_to_json(f: BivariateField) -> dict:
-    return {"max_degree": f.max_degree, "terms": _terms_to_list(f.items())}
+    return {"max_degree": f.max_degree, "terms": _TermArrays(f.table, f.offset)}
 
 
 def field_from_json(d: dict) -> BivariateField:
@@ -140,7 +152,7 @@ def laurent_to_json(f: LaurentField) -> dict:
     return {
         "band_limit": f.band_limit,
         "r_in": f.r_in,
-        "terms": _terms_to_list(f.items()),
+        "terms": _TermArrays(f.table, f.offset),
     }
 
 
@@ -159,15 +171,10 @@ def laurent_from_json(d: dict) -> LaurentField:
 
 def torus_to_json(f: TorusField) -> dict:
     n = f.band_limit
-
-    def comp(arr):
-        j, k = np.nonzero(arr)
-        return _terms_to_list(zip(zip((j - n).tolist(), (k - n).tolist()), arr[j, k].tolist()))
-
     return {
         "band_limit": n,
-        "theta_terms": comp(f.theta_coeffs),
-        "phi_terms": comp(f.phi_coeffs),
+        "theta_terms": _TermArrays(f.theta_coeffs, -n),
+        "phi_terms": _TermArrays(f.phi_coeffs, -n),
     }
 
 
@@ -228,20 +235,21 @@ class _Unhandled(Exception):
     """A value that the direct writer leaves to the json module."""
 
 
-def _term_lines(terms, pad):
-    """The entries of a term list in the indented layout at prefix pad, or None
-    unless each is a dict of exactly im, m, n, re with int indices and finite
-    float values."""
-    if not all(type(t) is dict and t.keys() == _TERM_KEYS
-               and type(t["m"]) is int and type(t["n"]) is int
-               and isinstance(t["re"], float) and math.isfinite(t["re"])
-               and isinstance(t["im"], float) and math.isfinite(t["im"]) for t in terms):
-        return None
-    inner = pad + "  "
-    float_repr = float.__repr__  # as json writes a float or float subclass
-    return [f'{{\n{inner}"im": {float_repr(t["im"])},\n{inner}"m": {t["m"]},\n'
-            f'{inner}"n": {t["n"]},\n{inner}"re": {float_repr(t["re"])}\n{pad}}}'
-            for t in terms]
+def _term_list(terms, pad):
+    """A term list as json.dumps writes it nested at prefix pad: one template
+    per term, filled from the arrays; _Unhandled unless every value is finite."""
+    if not terms.c.size:
+        return "[]"
+    if not np.isfinite(terms.c).all():
+        raise _Unhandled
+    inner, field = pad + "  ", pad + "    "
+    template = (f'{{\n{field}"im": %r,\n{field}"m": %d,\n{field}"n": %d,\n'
+                f'{field}"re": %r\n{inner}}}')
+    values = [None] * (4 * terms.c.size)
+    values[0::4], values[1::4] = terms.c.imag.tolist(), terms.m.tolist()
+    values[2::4], values[3::4] = terms.n.tolist(), terms.c.real.tolist()
+    body = f",\n{inner}".join([template] * terms.c.size) % tuple(values)
+    return f"[\n{inner}{body}\n{pad}]"
 
 
 def _encode(value, pad):
@@ -261,12 +269,14 @@ def _encode(value, pad):
         if not math.isfinite(value):
             raise _Unhandled
         return float.__repr__(value)
+    if type(value) is _TermArrays:
+        return _term_list(value, pad)
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = _term_lines(value, inner) or [_encode(v, inner) for v in value]
+        items = [_encode(v, inner) for v in value]
         brackets = "[]"
     elif isinstance(value, dict):
         if not value:
@@ -289,9 +299,17 @@ def dumps(obj) -> str:
     except (_Unhandled, RecursionError):
         pass  # the json module raises for the value, or writes it its own way
     try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=_plain) + "\n"
     except ValueError as exc:
         raise FloatingPointError(f"result is not finite: {exc}") from exc
+
+
+def _plain(value):
+    """The json module's form of a value it cannot write: a term list's dicts."""
+    if type(value) is _TermArrays:
+        return value.dicts()
+    return json.JSONEncoder().default(value)  # raises its TypeError
 
 
 def atomic_write(path, text):
@@ -323,13 +341,13 @@ def read_json(path):
 def format_csv(header, rows) -> str:
     """CSV text with shortest round-trip floats; a NaN or infinite value raises
     FloatingPointError, as in dumps."""
-    lines = [",".join(header)]
-    for row in rows:
-        values = [float(x) for x in row]
-        if not all(map(math.isfinite, values)):
-            name, bad = next((h, v) for h, v in zip(header, values) if not math.isfinite(v))
-            raise FloatingPointError(f"result is not finite: CSV column {name} is {bad}")
-        lines.append(",".join(map(repr, values)))
+    values = np.asarray(rows, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, k = np.unravel_index(finite.argmin(), finite.shape)  # the first, row by row
+        raise FloatingPointError(f"result is not finite: CSV column {header[k]} "
+                                 f"is {values[i, k].item()}")
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in values.tolist()]
     return "\n".join(lines) + "\n"
 
 

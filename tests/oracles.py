@@ -5,7 +5,7 @@ evaluated by direct power sums, integrals are taken by quadrature, and the
 Dirichlet-Poisson problems are solved by second-order finite differences
 per angular mode on a fine radial grid.  The dict-loop kernels at the end
 are the term-by-term reference for the library's array kernels and its
-JSON term reader, the shift-add diagonal sums are the reference for the
+JSON term reader (and the term dicts the reference for its term writer), the shift-add diagonal sums are the reference for the
 Hankel-weighted pairing and their padded diagonals for the angular sums,
 and the forward-difference Jacobian and the residuals of the monomials,
 one column each, are the references for the stationary matrix.  The field-arithmetic routes of the mapped operators
@@ -27,7 +27,7 @@ from collections import defaultdict
 import numpy as np
 from scipy.linalg import solve_banded
 
-from conformal_hodge import annulus, disk, dynamics, forms, series
+from conformal_hodge import annulus, disk, dynamics, forms, series, serialization
 from conformal_hodge.mapping import _solve_gram, adjoint_dz_mapped
 from conformal_hodge.quadrature import boundary_points
 from conformal_hodge.series import HolomorphicSeries
@@ -174,6 +174,20 @@ def dict_terms(entries):
             raise ValueError(f"refused term {e!r}")
         terms[(m, n)] = c
     return terms
+
+
+def term_dicts(obj):
+    """obj with each term list that a *_to_json writer hands over as index and
+    coefficient arrays turned back into its {"m", "n", "re", "im"} dicts, one
+    term at a time: the form json.dumps writes."""
+    if isinstance(obj, serialization._TermArrays):
+        return [{"m": int(m), "n": int(n), "re": float(c.real), "im": float(c.imag)}
+                for m, n, c in zip(obj.m, obj.n, obj.c)]
+    if isinstance(obj, dict):
+        return {k: term_dicts(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [term_dicts(v) for v in obj]
+    return obj
 
 
 def annulus_moment(a, r_in):

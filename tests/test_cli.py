@@ -376,6 +376,16 @@ class TestDynamicsCommands:
         with pytest.raises(FloatingPointError, match="column x is nan"):
             ser.format_csv(["t", "x"], [[0.0, 1.5], [1.0, math.nan]])
 
+    def test_format_csv_of_an_array_names_the_first_non_finite_cell(self):
+        rows = [[0.0, -0.0, 5e-324], [1e16, 1e-7, -1.7976931348623157e308]]
+        text = "t,x,y\n0.0,-0.0,5e-324\n1e+16,1e-07,-1.7976931348623157e+308\n"
+        assert ser.format_csv(["t", "x", "y"], rows) == text
+        assert ser.format_csv(["t", "x", "y"], np.array(rows)) == text
+        # the first in row order: column y of row 0, not column t of row 1
+        with pytest.raises(FloatingPointError, match="column y is -inf"):
+            ser.format_csv(["t", "x", "y"], np.array([[0.0, 1.5, -math.inf],
+                                                      [math.nan, 1.0, 2.0]]))
+
     def test_stationary_init_above_degree_warns(self, tmp_path):
         out = tmp_path / "st.json"
         with pytest.warns(TruncationWarning, match="dropped coefficient mass 1.000e-01"):

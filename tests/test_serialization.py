@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from conformal_hodge import serialization as ser
 from conformal_hodge.annulus import LaurentField
 from conformal_hodge.cli import main
-from conformal_hodge.disk import conformal_decompose, helmholtz_decompose, symplectic_decompose
+from conformal_hodge.disk import (DecompositionResult, MultiplierPair, conformal_decompose,
+                                  helmholtz_decompose, symplectic_decompose)
 from conformal_hodge.series import BivariateField, HolomorphicSeries
 from conformal_hodge.torus import TorusField
 
@@ -27,7 +28,8 @@ import oracles
 
 
 def stdlib(obj):
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """json.dumps of obj with its term lists as the dicts they stand for."""
+    return json.dumps(oracles.term_dicts(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -142,6 +144,109 @@ class TestWriter:
         with pytest.raises(TypeError) as theirs:
             stdlib(obj)
         assert str(ours.value) == str(theirs.value)
+
+
+BIGGEST = 1.7976931348623157e308
+# coefficients of one-term tables: signed zeros, the smallest subnormal, the
+# largest floats and the values where repr switches to exponent form
+EDGE_COEFFS = [complex(1.0, -0.0), complex(-0.0, 2.5), complex(5e-324, -5e-324),
+               complex(BIGGEST, -BIGGEST), complex(-BIGGEST, BIGGEST), complex(1e16, 1e-7),
+               complex(0.1, -0.1)]
+
+
+def _corner(c):
+    """The table of a degree-2 disk field whose only possible term, c, has
+    index (1, 1); empty for c = 0."""
+    t = np.zeros((2, 2), dtype=complex)
+    t[1, 1] = c
+    return t
+
+
+def _center(x):
+    """A band-1 torus component whose only possible term, complex(x, -0.0), is
+    its mean: real, so that the component is a real field."""
+    t = np.zeros((3, 3), dtype=complex)
+    t[1, 1] = complex(x, -0.0)
+    return t
+
+
+def _decomposition(c):
+    F = BivariateField(_corner(c), 2)
+    return ser.decomposition_to_json(DecompositionResult(
+        "conformal", MultiplierPair(F, F), 0.0, ((1.0, 0.0), (0.0, 1.0)),
+        conformal=HolomorphicSeries([0, c])))
+
+
+# each nesting depth at which the CLI writes a term list, from one coefficient
+NESTED = {
+    "field": lambda c: ser.field_to_json(BivariateField(_corner(c), 2)),
+    "stationary-xi": lambda c: {"converged": True, "iterations": 3, "residual_norm": 1e-13,
+                                "xi": ser.series_to_json(HolomorphicSeries([0, 0, c]))},
+    "decomposition": _decomposition,
+    "torus-residual": lambda c: {"c_phi": -0.25, "c_theta": 0.5, "residual": ser.torus_to_json(
+        TorusField(_center(c.real), _center(c.imag)))},
+}
+
+
+class TestTermArrays:
+    """The term lists the *_to_json writers hand over as arrays."""
+
+    @pytest.mark.parametrize("c", [0j] + EDGE_COEFFS, ids=repr)
+    @pytest.mark.parametrize("where", NESTED)
+    def test_empty_and_one_term_lists_as_json_writes_them(self, where, c):
+        obj = NESTED[where](c)
+        assert ser.dumps(obj) == stdlib(obj)
+
+    def test_negative_zero_kept_by_the_table_is_written(self):
+        f = BivariateField(np.array([[complex(1.0, -0.0)]]), 0)
+        assert ser.dumps(ser.field_to_json(f)) == (
+            '{\n  "max_degree": 0,\n  "terms": [\n    {\n      "im": -0.0,\n      "m": 0,\n'
+            '      "n": 0,\n      "re": 1.0\n    }\n  ]\n}\n')
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("writer", ["field", "series", "decomposition"])
+    def test_non_finite_coefficient_raises_floating_point_error(self, writer, part, bad):
+        c = complex(bad, 0.5) if part == "re" else complex(0.5, bad)
+        obj = {"field": lambda: ser.field_to_json(BivariateField(_corner(c), 2)),
+               "series": lambda: ser.series_to_json(HolomorphicSeries([1.0, c])),
+               "decomposition": lambda: _decomposition(c)}[writer]()
+        with pytest.raises(FloatingPointError, match="result is not finite"):
+            ser.dumps(obj)
+
+    def test_non_finite_series_exits_3_without_output(self, tmp_path, monkeypatch, capsys):
+        # the adjoint multiplies the coefficients by k + 2: its series overflows
+        monkeypatch.chdir(tmp_path)
+        ser.write_json("series.json", {"max_degree": 4, "terms": [
+            {"m": 2, "n": 0, "re": 1e308, "im": 1e308}, {"m": 4, "n": 0, "re": -1e308, "im": 0.0}]})
+        assert main(["adjoint", "--in", "series.json", "--out", "out.json"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: result is not finite"), err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_term_lists_never_reach_the_json_module(self, monkeypatch):
+        # a degree-32 dense field, as the benchmark decomposes it: 1,215 terms written
+        rng = np.random.default_rng(3)
+        D = 32
+        table = rng.standard_normal((D + 1, D + 1)) + 1j * rng.standard_normal((D + 1, D + 1))
+        table[np.add.outer(range(D + 1), range(D + 1)) > D] = 0
+        dense = BivariateField(table, D)
+        dec = ser.decomposition_to_json(conformal_decompose(dense))
+        assert sum(len(oracles.term_dicts(dec[k]["terms"])) for k in ("conformal", "F", "G")) \
+            == 1215
+        objs = [dec, ser.field_to_json(BivariateField({(0, 1): 0.5 - 1j, (2, 0): 2.0})),
+                ser.series_to_json(HolomorphicSeries([0.25, 1j, -3.0])),
+                ser.laurent_to_json(LaurentField({(0, 1): 0.5 - 1j, (1, -1): 2.0}, r_in=0.5)),
+                ser.torus_to_json(TorusField.from_terms(
+                    {(0, 1): 1j, (0, -1): -1j}, {(0, 0): 2.0}, band_limit=1)),
+                _decomposition(0.5 + 2j)]
+        expected = [stdlib(obj) for obj in objs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dumps handed a term list to the json module")
+
+        monkeypatch.setattr(ser.json, "dumps", refuse)
+        assert [ser.dumps(obj) for obj in objs] == expected
 
 
 NUMBERS = FLOATS | st.integers(-10**20, 10**20)

@@ -307,7 +307,7 @@ class TestSerialization:
 
     def test_terms_sorted_lexicographically(self):
         f = BivariateField({(2, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0})
-        terms = ser.field_to_json(f)["terms"]
+        terms = json.loads(ser.dumps(ser.field_to_json(f)))["terms"]
         assert [(t["m"], t["n"]) for t in terms] == [(0, 1), (1, 1), (2, 0)]
 
     def test_duplicate_indices_rejected(self):
