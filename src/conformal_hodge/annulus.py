@@ -8,7 +8,7 @@ or solve reaches past the powers the field holds.  The Dirichlet Poisson
 solution carries powers of ln(z zbar) for the z^-1 modes: a log-Laurent
 field stacks one Laurent level per power on a leading level axis of one
 array, and the two-circle boundary matching solves every angular mode at
-once in closed form.  Two such solves give ``conformal_split``.
+once in closed form.  One such solve gives both potentials of ``conformal_split``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .series import (
     _columns,
     angular_sums,
     cr_residual,
-    imag_part,
     pair_tables,
-    real_part,
     subtract,
 )
 
@@ -151,6 +149,9 @@ class LogLaurentField:
     def scaled(self, a):
         return LogLaurentField(self.table * complex(a), self.band_limit, self.r_in)
 
+    def conjugate(self):  # ln(z zbar) is real: each level is conjugated
+        return LogLaurentField(self.table.transpose(0, 2, 1).conj(), self.band_limit, self.r_in)
+
     def wirtinger(self, which):
         """d_z (d_zbar likewise): level l is d_z L_l + (l + 1) L_(l+1) / z, band widened by one."""
         t = self.table if which == "d_z" else self.table.transpose(0, 2, 1)
@@ -217,11 +218,8 @@ def poisson_annulus(rhs: LaurentField) -> LogLaurentField:
     pick up a ln(z zbar) factor.  Boundary values are matched for every
     angular mode at once, in closed form, with the harmonic pairs
     {z^k, zbar^-k} (and {1, ln(z zbar)} for the rotationally symmetric mode).
+    Both steps are complex-linear: any complex right-hand side is solved as it stands.
     """
-    size = max(rhs.coefficient_norm(), 1.0)
-    if not rhs.is_real(tol=1e-12 * size):
-        raise ValueError("poisson_annulus needs a real-valued right-hand side")
-    rhs = rhs.real_part()
     r_in, B = rhs.r_in, rhs.band_limit + 1
     # z^m zbar^n -> z^(m+1) zbar^(n+1) / (4 (m+1)(n+1)); a zero lifted power
     # takes the factor ln(z zbar) instead, and both zero take ln^2 / 8
@@ -249,14 +247,15 @@ def poisson_annulus(rhs: LaurentField) -> LogLaurentField:
 def conformal_split(f: LaurentField):
     """(h, F, G, grad_bar(F), sgrad_bar(G), stray, residue): the annulus ``disk.conformal_split``.
 
-    F and G vanish on both circles, the gradients are log-augmented, and
-    stray is the coefficient norm of the zbar and log terms that exact
-    arithmetic would cancel from f - grad_bar(F) - sgrad_bar(G), whose
-    z-power part is h.
+    One solve of the complex residue gives Phi = F + iG, zero on both circles.
+    The gradients are log-augmented, and stray is the coefficient norm of the
+    zbar and log terms that exact arithmetic would cancel from
+    f - grad_bar(F) - sgrad_bar(G), whose z-power part is h.
     """
     residue = cr_residual(f)
-    F = poisson_annulus(real_part(residue))
-    G = poisson_annulus(imag_part(residue))
+    potential = poisson_annulus(residue)
+    conj = potential.conjugate()
+    F, G = (potential + conj).scaled(0.5), (potential - conj).scaled(-0.5j)
     gF = F.wirtinger("d_z").scaled(2)
     sG = G.wirtinger("d_z").scaled(2j)
     rest, log_defect = (LogLaurentField.from_laurent(f) - gF - sG).laurent_part()

@@ -2,9 +2,9 @@
 
 Three independent routes compute the orthogonal projection onto conformal
 (holomorphic) fields: a closed-form monomial rule, a reproducing-kernel
-quadrature, and a Gram normal-equation solve.  A coefficient-exact
-Dirichlet-Poisson solver recovers the Lagrange multiplier pair (F, G)
-whose reflection gradients span the orthogonal complement.
+quadrature, and a Gram normal-equation solve.  One coefficient-exact
+Dirichlet-Poisson solve gives the complex potential Phi = F + iG; its parts
+are the Lagrange multiplier pair (F, G), and 2 d_z Phi spans the complement.
 """
 
 from __future__ import annotations
@@ -114,12 +114,10 @@ def poisson_disk(rhs) -> BivariateField:
 
     The particular solution lifts each term by (1,1) in the indices; its
     boundary trace is a trigonometric polynomial (zbar = 1/z on the circle)
-    whose harmonic polynomial extension is subtracted off.
+    whose harmonic polynomial extension is subtracted off.  Both steps are
+    complex-linear: any complex right-hand side is solved as it stands.
     """
     rhs = as_field(rhs)
-    if not rhs.is_real(tol=1e-12 * max(coefficient_norm(rhs), 1.0)):
-        raise ValueError("poisson_disk needs a real-valued right-hand side")
-    rhs = real_part(rhs)  # exact symmetrisation of roundoff
     m, n = np.indices(rhs.table.shape)
     lifted = rhs.table / (4.0 * (m + 1) * (n + 1))
     rows, cols = lifted.shape
@@ -203,14 +201,14 @@ def _orthogonality_matrix(parts):
 def conformal_split(f):
     """(h, F, G, grad_bar(F), sgrad_bar(G), residue) with f = h + grad_bar(F) + sgrad_bar(G).
 
-    F and G solve Laplace problems with right-hand sides Re/Im of the
-    residue 2 d_zbar f, which makes f - grad_bar(F) - sgrad_bar(G)
+    One Dirichlet solve of Laplace(Phi) = 2 d_zbar f gives Phi = F + iG, and
+    grad_bar(F) + sgrad_bar(G) = 2 d_z Phi makes f - grad_bar(F) - sgrad_bar(G)
     holomorphic in exact arithmetic; h is its z-power part.
     """
     f = as_field(f)
     residue = cr_residual(f)
-    F = poisson_disk(real_part(residue))
-    G = poisson_disk(imag_part(residue))
+    potential = poisson_disk(residue)
+    F, G = real_part(potential), imag_part(potential)
     gF = grad_bar(F)
     sG = sgrad_bar(G)
     h = HolomorphicSeries(subtract(subtract(f, gF), sG).table[:, :1])

@@ -407,15 +407,14 @@ def variation_identity_defect(mapping: ConformalMap, xi, eta0, eta1,
     eta1_pull = mapping.compose_with(eta1, max_degree)
     eta0p_pull = mapping.compose_with(eta0.derivative(), max_degree)
 
+    phi_dot_rate = eta1_pull + HolomorphicSeries((eta0p_pull * phi_dot).coeffs[: max_degree + 1])
+
     def velocity(s):
-        phi_s = phi + s * eta0_pull
-        phi_dot_s = phi_dot + s * (eta1_pull + (eta0p_pull * phi_dot).truncated(max_degree, warn=False))
-        return solve_composition(phi_s, phi_dot_s, out_degree)
+        return solve_composition(phi + s * eta0_pull, phi_dot + s * phi_dot_rate, out_degree)
 
     fd = (velocity(eps) - velocity(-eps)) * (1.0 / (2 * eps))
-    closed = eta1 + (eta0.derivative() * xi - xi.derivative() * eta0).truncated(
-        out_degree, warn=False
-    )
+    bracket = eta0.derivative() * xi - xi.derivative() * eta0
+    closed = eta1 + HolomorphicSeries(bracket.coeffs[: out_degree + 1])
     diff = fd - closed
     diff_pull = mapping.compose_with(diff, max_degree)
     closed_pull = mapping.compose_with(closed, max_degree)

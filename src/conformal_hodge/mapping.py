@@ -309,9 +309,7 @@ def adjoint_dz_mapped(mapping: ConformalMap, xi, degree, max_degree=None) -> Hol
             mapping.natural_cap(degree), mapping.natural_cap(xi.degree) + 2
         )
     xi_pull = mapping.compose_with(xi, max_degree)
-    A = (HolomorphicSeries([0.0, 0.0, 1.0]) * mapping.phi_prime * xi_pull).truncated(
-        max_degree + 1, warn=False
-    )
+    A = HolomorphicSeries([0.0, 0.0, 1.0]) * mapping.phi_prime * xi_pull
     P = mapping.phi.power_table(degree, max_degree)
     a = A.derivative().to_array(P.shape[1])
     rhs = P.conj() @ (a * series.pair_constants(P.shape[1]))

@@ -298,25 +298,25 @@ class HolomorphicSeries:
     def to_field(self):
         return BivariateField(self.coeffs[:, None])
 
-    def truncated(self, max_degree, warn=True):
+    def truncated(self, max_degree):
         if len(self.coeffs) - 1 <= max_degree:
             return self
-        if warn:
-            dropped = float(np.linalg.norm(self.coeffs[max_degree + 1 :]))
-            total = float(np.linalg.norm(self.coeffs))
-            if dropped > 0:
-                warnings.warn(
-                    f"HolomorphicSeries.truncated: truncation dropped coefficient mass "
-                    f"{dropped:.3e} ({dropped / total:.3e} relative)",
-                    TruncationWarning,
-                    stacklevel=_caller_stacklevel(),
-                )
+        dropped = float(np.linalg.norm(self.coeffs[max_degree + 1 :]))
+        total = float(np.linalg.norm(self.coeffs))
+        if dropped > 0:
+            warnings.warn(
+                f"HolomorphicSeries.truncated: truncation dropped coefficient mass "
+                f"{dropped:.3e} ({dropped / total:.3e} relative)",
+                TruncationWarning,
+                stacklevel=_caller_stacklevel(),
+            )
         return HolomorphicSeries(self.coeffs[: max_degree + 1])
 
     @staticmethod
     def from_field(field):
-        """Extract the pure z-power part; reject fields with any zbar content."""
-        field = as_field(field)
+        """The z-power part of a disk field; zbar content raises ValueError, others TypeError."""
+        if not isinstance(field, BivariateField):
+            raise TypeError(f"cannot interpret {type(field).__name__} as a holomorphic series")
         bad = field.antiholomorphic_norm()
         if bad > 0.0:
             raise ValueError(f"field has non-holomorphic terms of coefficient norm {bad:.3e}")
@@ -365,9 +365,7 @@ def as_series(x) -> HolomorphicSeries:
         return x
     if isinstance(x, (int, float, complex)):
         return HolomorphicSeries([complex(x)])
-    if isinstance(x, BivariateField):
-        return HolomorphicSeries.from_field(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a holomorphic series")
+    return HolomorphicSeries.from_field(x)
 
 
 def monomial(m, n, c=1.0, max_degree=None):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conformal_hodge import disk, series as s
 from conformal_hodge.disk import (
@@ -177,9 +179,27 @@ class TestPoisson:
             assert trace <= 1e-12 * max(s.coefficient_norm(F), 1.0)
             assert F.is_real(tol=1e-14 * max(s.coefficient_norm(F), 1.0))
 
-    def test_complex_rhs_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_disk(monomial(1, 0))
+
+@st.composite
+def complex_disk_fields(draw):
+    """Dense complex disk fields of total degree 0..8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return s.random_field(rng, draw(st.integers(0, 8)))
+
+
+@given(complex_disk_fields())
+@example(monomial(1, 0))  # z: a right-hand side with no real-valued counterpart
+@settings(max_examples=60, deadline=None)
+def test_poisson_disk_is_complex_linear(rhs):
+    """P(r) solves Laplace(P) = r with P = 0 on the circle for complex r, is the sum of the
+    solves of the real and imaginary parts, and commutes with conjugation."""
+    P = poisson_disk(rhs)
+    size = max(s.coefficient_norm(P), 1.0)
+    assert s.coefficient_norm(s.subtract(s.laplacian(P), rhs)) <= 1e-12 * size
+    assert s.boundary_max(P) <= 1e-12 * size
+    parts = s.add(poisson_disk(s.real_part(rhs)), s.scale(poisson_disk(s.imag_part(rhs)), 1j))
+    assert s.coefficient_norm(s.subtract(P, parts)) <= 1e-12 * s.coefficient_norm(P)
+    assert poisson_disk(s.conjugate(rhs)) == s.conjugate(P)
 
 
 class TestGradients:
@@ -238,6 +258,16 @@ class TestConformalDecompose:
                     ni, nj = s.norm(parts[i]), s.norm(parts[j])
                     if ni > 1e-14 and nj > 1e-14:
                         assert ip <= 1e-10 * ni * nj
+
+    def test_one_poisson_solve_and_real_potentials(self, monkeypatch):
+        # F and G are the parts of the one complex potential Phi = F + iG
+        calls = []
+        solve = disk.poisson_disk
+        monkeypatch.setattr(disk, "poisson_disk", lambda rhs: calls.append(rhs) or solve(rhs))
+        _, F, G, _, _, residue = disk.conformal_split(s.random_field(np.random.default_rng(4), 6))
+        assert calls == [residue]
+        for potential in (F, G):  # every coefficient equal, a zero's sign aside
+            assert potential == s.real_part(potential)
 
     def test_orthogonality_matrix_is_exactly_symmetric(self):
         # Re <<p, q>> = Re <<q, p>>: the reported matrix must agree with that bit for bit

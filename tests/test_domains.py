@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conformal_hodge import annulus
 from conformal_hodge.annulus import (
     LaurentField,
     LogLaurentField,
@@ -18,7 +19,7 @@ from conformal_hodge.annulus import (
     poisson_annulus,
 )
 from conformal_hodge.catalog import hodge_catalog
-from conformal_hodge.series import inner_product, norm
+from conformal_hodge.series import conjugate, imag_part, inner_product, norm
 from conformal_hodge.torus import TorusField, torus_project_con
 
 import oracles
@@ -178,10 +179,6 @@ class TestAnnulusPoisson:
         F = poisson_annulus(LaurentField({(1, 1): 1.0}, r_in=R_IN, band_limit=60))
         assert F.band_limit == 4 and F.table.shape == (3, 9, 9)  # the correction has band 2(1 + 1)
 
-    def test_complex_rhs_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_annulus(laurent_monomial(1, 0, 1.0, r_in=R_IN))
-
 
 @st.composite
 def laurent_fields(draw):
@@ -200,6 +197,41 @@ def trace_bound(F, radius):
     i, j = np.indices(F.table.shape[1:])
     logs = abs(2.0 * math.log(radius)) ** np.arange(len(F.table))[:, None, None]
     return float((np.abs(F.table) * logs * radius ** (i + j - 2.0 * B)).sum())
+
+
+@given(laurent_fields())
+@example(laurent_monomial(1, 0, 1.0, r_in=R_IN))  # z: no real-valued counterpart
+@example(LaurentField({(-1, -1): 1.0j, (-1, 0): 0.5}, r_in=0.7))  # the ln^2 and ln terms
+@settings(max_examples=60, deadline=None)
+def test_poisson_annulus_is_complex_linear(rhs):
+    """P(r) solves Laplace(P) = r with P = 0 on both circles for complex r, is the sum of
+    the solves of the real and imaginary parts, and commutes with conjugation."""
+    P = poisson_annulus(rhs)
+    lap = P.wirtinger("d_z").wirtinger("d_zbar").scaled(4)
+    gap = (lap - LogLaurentField.from_laurent(rhs)).coefficient_norm()
+    assert gap <= 1e-12 * max(rhs.coefficient_norm(), 1.0)
+    for radius in (1.0, rhs.r_in):
+        assert np.abs(P.boundary_trace(radius)).max() <= 1e-12 * max(trace_bound(P, radius), 1e-300)
+    parts = poisson_annulus(rhs.real_part()) + poisson_annulus(imag_part(rhs)).scaled(1j)
+    assert (P - parts).coefficient_norm() <= 1e-12 * P.coefficient_norm()
+    conj = poisson_annulus(conjugate(rhs))
+    assert conj.band_limit == P.band_limit
+    assert np.array_equal(conj.table, P.conjugate().table)
+
+
+def test_split_solves_once_for_real_potentials(monkeypatch):
+    # F and G are the parts of the one complex potential Phi = F + iG
+    calls = []
+    solve = annulus.poisson_annulus
+    monkeypatch.setattr(annulus, "poisson_annulus", lambda rhs: calls.append(rhs) or solve(rhs))
+    rng = np.random.default_rng(7)
+    f = LaurentField({(m, n): complex(*rng.standard_normal(2))
+                      for m in range(-3, 4) for n in range(-3, 4)}, r_in=R_IN)
+    _, F, G, _, _, _, residue = annulus.conformal_split(f)
+    assert calls == [residue]
+    for potential in (F, G):  # every coefficient equal, a zero's sign aside
+        real_part = (potential + potential.conjugate()).scaled(0.5)
+        assert np.array_equal(potential.table, real_part.table)
 
 
 @given(laurent_fields())

@@ -274,6 +274,13 @@ class TestProperties:
         with pytest.raises(ValueError):
             HolomorphicSeries.from_field(g)
 
+    def test_from_field_refuses_laurent_fields(self):
+        # column 0 of an annulus table is the zbar^-band column, not zbar^0: reading it
+        # returned an empty series for 1 + 2z
+        f = LaurentField({(0, 0): 1, (1, 0): 2}, r_in=0.5)
+        with pytest.raises(TypeError):
+            HolomorphicSeries.from_field(f)
+
 
 class TestHolomorphicSeries:
     def test_roundtrip_only_m0_terms(self):

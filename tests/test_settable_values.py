@@ -18,7 +18,7 @@ import pkgutil
 import conformal_hodge
 from conformal_hodge import cli
 
-CEILING = 94
+CEILING = 93
 
 
 def cli_flags():
