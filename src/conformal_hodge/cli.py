@@ -47,6 +47,8 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_INCOMPATIBLE = 4
 
+QUADRATURE_LIMIT = 1024  # the largest `check --quadrature` count, radial or angular
+
 class InputError(Exception):
     pass
 
@@ -202,6 +204,8 @@ def _check_numeric(args):
     for key in ("max_m", "max_iter"):
         if getattr(args, key, 0) < 0:
             raise InputError(f"{key.replace('_', '-')} must be non-negative")
+    if getattr(args, "max_m", 0) > ser.SIZE_LIMIT:
+        raise InputError(f"max-m must be at most {ser.SIZE_LIMIT}")
     degree = getattr(args, "degree", None)
     if degree is not None and not 1 <= degree <= ser.DEGREE_CAP:
         raise InputError(f"degree must lie in [1, {ser.DEGREE_CAP}]")
@@ -399,8 +403,8 @@ def cmd_check(args):
             quad = QuadratureSpec(int(nr), int(nt))
         except ValueError as exc:
             raise InputError("quadrature must look like 64x128") from exc
-        if min(quad) < 1:
-            raise InputError("quadrature counts must be at least 1")
+        if not 1 <= min(quad) <= max(quad) <= QUADRATURE_LIMIT:
+            raise InputError(f"quadrature counts must lie in [1, {QUADRATURE_LIMIT}]")
     results = run_self_test(quad)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED

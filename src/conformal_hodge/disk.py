@@ -10,7 +10,7 @@ are the Lagrange multiplier pair (F, G), and 2 d_z Phi spans the complement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .series import (
     angular_sums,
     as_field,
     boundary_max,
-    coefficient_norm,
     conjugate,
     convolve,
     cr_residual,
@@ -154,47 +153,26 @@ class MultiplierPair:
     def boundary_trace_max(self):
         return max(boundary_max(self.F), boundary_max(self.G))
 
-    def validate(self):
-        """Both potentials real and zero on the boundary, to 1e-10 of their size."""
-        tol = 1e-10 * max(coefficient_norm(self.F), coefficient_norm(self.G), 1e-30)
-        return (self.F.is_real(tol=tol) and self.G.is_real(tol=tol)
-                and self.boundary_trace_max() <= tol)
-
 
 @dataclass(frozen=True)
 class DecompositionResult:
+    """The (name, field) parts a split computed, in reconstruction order, and
+    the Gram matrix of exactly those parts; parts[0] is the conformal or the
+    divergence-free part.  closed_form_defect is None but for `conformal`."""
+
     kind: str
+    parts: tuple
     multipliers: MultiplierPair
     residual_norm: float
     orthogonality: tuple
-    conformal: HolomorphicSeries | None = None
-    divergence_free: BivariateField | None = None
-    closed_form_defect: float = dataclass_field(default=0.0)
-
-    def parts(self):
-        """Named component fields, in reconstruction order."""
-        if self.kind == "conformal":
-            return [
-                ("conformal", self.conformal.to_field()),
-                ("grad_bar_F", grad_bar(self.multipliers.F)),
-                ("sgrad_bar_G", sgrad_bar(self.multipliers.G)),
-            ]
-        return [
-            ("divergence_free", self.divergence_free),
-            ("gradient", scale(wirtinger(self.multipliers.F, "d_zbar"), 2)),
-        ]
-
-    def reconstruction(self):
-        total = series.zero_field()
-        for _, part in self.parts():
-            total = add(total, part)
-        return total
+    closed_form_defect: float | None
 
 
 def _orthogonality_matrix(parts):
-    """Re <<p, q>> over the parts, one pairing per unordered pair: exactly symmetric."""
-    n = len(parts)
-    re = {(i, j): inner_product(parts[i], parts[j]).real for i in range(n) for j in range(i, n)}
+    """Re <<p, q>> over the named parts, one pairing per unordered pair: exactly symmetric."""
+    fields = [p for _, p in parts]
+    n = len(fields)
+    re = {(i, j): inner_product(fields[i], fields[j]).real for i in range(n) for j in range(i, n)}
     return tuple(tuple(re[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
 
 
@@ -223,18 +201,15 @@ def conformal_decompose(f) -> DecompositionResult:
     """
     f = as_field(f)
     h, F, G, gF, sG, _ = conformal_split(f)
-    recon = add(add(h.to_field(), gF), sG)
-    residual_norm = norm(subtract(f, recon))
-    parts = [h.to_field(), gF, sG]
-    rule = project_con_rule(f)
-    defect = norm(subtract(h.to_field(), rule.to_field()))
+    h = h.to_field()
+    parts = (("conformal", h), ("grad_bar_F", gF), ("sgrad_bar_G", sG))
     return DecompositionResult(
         kind="conformal",
-        conformal=h,
+        parts=parts,
         multipliers=MultiplierPair(F, G),
-        residual_norm=residual_norm,
+        residual_norm=norm(subtract(f, add(add(h, gF), sG))),
         orthogonality=_orthogonality_matrix(parts),
-        closed_form_defect=defect,
+        closed_form_defect=norm(subtract(h, project_con_rule(f).to_field())),
     )
 
 
@@ -249,12 +224,14 @@ def helmholtz_decompose(f) -> DecompositionResult:
     F = poisson_disk(real_part(div_curl(f)))  # Laplace(F) = div f
     gradient = scale(wirtinger(F, "d_zbar"), 2)  # F_x + i F_y
     vol = subtract(f, gradient)
+    parts = (("divergence_free", vol), ("gradient", gradient))
     return DecompositionResult(
         kind="helmholtz",
+        parts=parts,
         multipliers=MultiplierPair(F, series.zero_field()),
         residual_norm=norm(real_part(div_curl(vol))),
-        orthogonality=_orthogonality_matrix([vol, gradient]),
-        divergence_free=vol,
+        orthogonality=_orthogonality_matrix(parts),
+        closed_form_defect=None,
     )
 
 

@@ -6,8 +6,8 @@ scheme tracks with bounded energy error); the geodesic embedding flow uses
 classical RK4 with re-projection onto the conformal subspace each stage.
 One stage's right-hand side is array expressions on pulled-back
 coefficient vectors: two outer products and one convolution, cut at
-m + n <= degree, then the mapped projection, which reads the phi'
-operator its map builds once per size.
+m + n <= degree, then the mapped projection, which gathers its map's phi'
+operator on every call.
 """
 
 from __future__ import annotations

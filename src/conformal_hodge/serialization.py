@@ -217,13 +217,9 @@ def map_from_json(d: dict) -> ConformalMap:
 
 
 def decomposition_to_json(result: DecompositionResult) -> dict:
-    if result.kind == "conformal":
-        primary = result.conformal.to_field()
-    else:
-        primary = result.divergence_free
     return {
         "kind": result.kind,
-        "conformal": field_to_json(primary),
+        "conformal": field_to_json(result.parts[0][1]),
         "F": field_to_json(result.multipliers.F),
         "G": field_to_json(result.multipliers.G),
         "residual_norm": result.residual_norm,

@@ -660,11 +660,11 @@ def boundary_max(f):
     return float(np.max(np.abs(evaluate_grid(f, boundary_points(256)))))
 
 
-def random_field(rng, degree, real=False, max_degree=None):
+def random_field(rng, degree, real=False):
     """Random field with standard-normal complex coefficients up to total degree."""
     terms = {}
     for m in range(degree + 1):
         for n in range(degree + 1 - m):
             terms[(m, n)] = complex(rng.standard_normal(), rng.standard_normal())
-    f = BivariateField(terms, max_degree=max_degree or degree)
+    f = BivariateField(terms, max_degree=degree)
     return real_part(f) if real else f

@@ -144,7 +144,7 @@ def test_criterion_4_conformal_decomposition():
         dec = conformal_decompose(f)
         scale = max(s.norm(f), 1e-30)
         worst_recon = max(worst_recon, dec.residual_norm / scale)
-        parts = [p for _, p in dec.parts()]
+        parts = [p for _, p in dec.parts]
         norms = [s.norm(p) for p in parts]
         for i in range(3):
             for j in range(i + 1, 3):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_hodge import serialization as ser
-from conformal_hodge import disk, dynamics, forms, selftest, series
+from conformal_hodge import cli, disk, dynamics, forms, selftest, series
 from conformal_hodge.cli import InputError, build_parser, main, parse_series_spec
 from conformal_hodge.dynamics import GeodesicState, geodesic_energy
 from conformal_hodge.mapping import ConformalMap, GramConditionWarning
@@ -655,10 +656,10 @@ class TestSelfTest:
             dec = real(f)
             F = series.add(dec.multipliers.F, re_z)
             gradient = series.scale(series.wirtinger(F, "d_zbar"), 2)
-            vol = series.subtract(dec.divergence_free, BivariateField({(0, 0): 1.0}))
-            return replace(dec, multipliers=disk.MultiplierPair(F, dec.multipliers.G),
-                           divergence_free=vol,
-                           orthogonality=disk._orthogonality_matrix([vol, gradient]))
+            vol = series.subtract(dec.parts[0][1], BivariateField({(0, 0): 1.0}))
+            parts = (("divergence_free", vol), ("gradient", gradient))
+            return replace(dec, parts=parts, multipliers=disk.MultiplierPair(F, dec.multipliers.G),
+                           orthogonality=disk._orthogonality_matrix(parts))
 
         monkeypatch.setattr(selftest, "helmholtz_decompose", shifted)
         assert main(["check"]) == 1
@@ -727,6 +728,25 @@ class TestErrorPaths:
         assert main(["wave", "--xi0", "z", "--dt", "1e-3", "--steps", "2", "--max-m", "-5"]) == 2
         assert main(["check", "--quadrature", "0x0"]) == 2
         assert main(["stationary", "--c", "3", "--init", "z", "--max-iter", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        # these printed a numpy _ArrayMemoryError traceback and exited 1
+        "wave --xi0 z --dt 1e-3 --steps 1 --max-m 1000000000000",
+        "check --quadrature 10000000x10000000",
+        # the first value past each bound
+        f"wave --xi0 z --dt 1e-3 --steps 1 --max-m {ser.SIZE_LIMIT + 1}",
+        f"check --quadrature {cli.QUADRATURE_LIMIT + 1}x16",
+        f"check --quadrature 8x{cli.QUADRATURE_LIMIT + 1}",
+    ])
+    def test_count_flags_bounded_above(self, argv, capsys):
+        tracemalloc.start()
+        try:
+            assert main(argv.split()) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # rejected before any array of that size is built
+        assert "must" in capsys.readouterr().err
 
     def test_bad_domain_string(self, tmp_path):
         fin = write_field(tmp_path / "f.json", monomial(0, 0))

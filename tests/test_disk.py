@@ -222,7 +222,7 @@ class TestGradients:
 class TestConformalDecompose:
     def test_zbar(self):
         dec = conformal_decompose(monomial(0, 1))
-        assert not dec.conformal
+        assert not dec.parts[0][1]
         assert dec.multipliers.F == s.BivariateField({(1, 1): 0.5, (0, 0): -0.5})
         assert not dec.multipliers.G
         assert s.boundary_max(dec.multipliers.F) < 1e-15
@@ -233,13 +233,14 @@ class TestConformalDecompose:
     def test_holomorphic_passthrough(self):
         for m in range(5):
             dec = conformal_decompose(monomial(m, 0))
-            assert dec.conformal == HolomorphicSeries([0] * m + [1.0])
+            assert dec.parts[0][1] == HolomorphicSeries([0] * m + [1.0]).to_field()
             assert not dec.multipliers.F and not dec.multipliers.G
 
     def test_zzbar(self):
         dec = conformal_decompose(monomial(1, 1))
-        assert dec.conformal == HolomorphicSeries([0.5])
-        recon = dec.reconstruction()
+        assert dec.parts[0][1] == HolomorphicSeries([0.5]).to_field()
+        (_, h), (_, gF), (_, sG) = dec.parts
+        recon = s.add(s.add(h, gF), sG)
         assert s.norm(s.subtract(recon, monomial(1, 1))) < 1e-12
 
     def test_random_fields_contract(self):
@@ -250,8 +251,10 @@ class TestConformalDecompose:
             scale = max(s.norm(f), 1e-30)
             assert dec.residual_norm <= 1e-10 * scale
             assert dec.closed_form_defect <= 1e-10 * scale
-            assert dec.multipliers.validate()
-            parts = [p for _, p in dec.parts()]
+            mp = dec.multipliers
+            assert mp.boundary_trace_max() <= 1e-10 * max(
+                s.coefficient_norm(mp.F), s.coefficient_norm(mp.G), 1e-30)
+            parts = [p for _, p in dec.parts]
             for i in range(3):
                 for j in range(i + 1, 3):
                     ip = abs(s.inner_product(parts[i], parts[j]).real)
@@ -279,28 +282,43 @@ class TestConformalDecompose:
                 assert M.tobytes() == M.T.copy().tobytes()
 
 
+@pytest.mark.parametrize("split", [conformal_decompose, helmholtz_decompose,
+                                   symplectic_decompose])
+def test_reported_numbers_describe_the_returned_parts(split):
+    # the Gram matrix is of the stored parts, and the conformal parts sum to f
+    # within the reported residual
+    f = s.random_field(np.random.default_rng(37), 7)
+    dec = split(f)
+    assert np.array(dec.orthogonality).tobytes() == (
+        np.array(disk._orthogonality_matrix(dec.parts)).tobytes())
+    if dec.kind == "conformal":
+        (_, h), (_, gF), (_, sG) = dec.parts
+        assert s.norm(s.subtract(f, s.add(s.add(h, gF), sG))) <= dec.residual_norm
+    else:
+        assert dec.closed_form_defect is None
+
+
 class TestHelmholtz:
     def test_identity_field_is_pure_gradient(self):
         dec = helmholtz_decompose(monomial(1, 0))
-        assert not dec.divergence_free
+        assert not dec.parts[0][1]
         assert dec.multipliers.F == s.BivariateField({(1, 1): 0.5, (0, 0): -0.5})
 
     def test_rotation_field_is_divergence_free(self):
         dec = helmholtz_decompose(monomial(1, 0, 1j))
-        assert dec.divergence_free == monomial(1, 0, 1j)
+        assert dec.parts[0][1] == monomial(1, 0, 1j)
         assert not dec.multipliers.F
 
     def test_zbar_divergence_free(self):
         dec = helmholtz_decompose(monomial(0, 1))
-        assert dec.divergence_free == monomial(0, 1)
+        assert dec.parts[0][1] == monomial(0, 1)
 
     def test_random_orthogonality_and_divfree(self):
         rng = np.random.default_rng(21)
         for _ in range(8):
             f = s.random_field(rng, 8)
             dec = helmholtz_decompose(f)
-            vol = dec.divergence_free
-            grad = dec.parts()[1][1]
+            (_, vol), (_, grad) = dec.parts
             div = s.real_part(s.div_curl(vol))
             assert s.coefficient_norm(div) <= 1e-12 * max(s.coefficient_norm(vol), 1)
             nv, ng = s.norm(vol), s.norm(grad)
@@ -314,16 +332,16 @@ class TestHelmholtz:
 class TestSymplectic:
     def test_rotation_field(self):
         dec = symplectic_decompose(monomial(1, 0, 1j))
-        assert dec.divergence_free == monomial(1, 0, 1j)
+        assert dec.parts[0][1] == monomial(1, 0, 1j)
         assert dec.kind == "symplectic"
 
     def test_identity_field(self):
         dec = symplectic_decompose(monomial(1, 0))
-        assert not dec.divergence_free
+        assert not dec.parts[0][1]
 
     def test_zbar(self):
         dec = symplectic_decompose(monomial(0, 1))
-        assert dec.divergence_free == monomial(0, 1)
+        assert dec.parts[0][1] == monomial(0, 1)
 
     def test_wrong_potential_shows_in_the_residual(self, monkeypatch):
         # with F = 0 the "divergence-free" part of z = x + iy is z itself,
@@ -336,7 +354,7 @@ class TestSymplectic:
         rng = np.random.default_rng(30)
         f = s.random_field(rng, 6)
         hh, sp = helmholtz_decompose(f), symplectic_decompose(f)
-        assert hh.divergence_free == sp.divergence_free
+        assert hh.parts == sp.parts
         assert hh.multipliers.F == sp.multipliers.F
 
 

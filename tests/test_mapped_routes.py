@@ -18,6 +18,7 @@ condition 1e3 the bound grows with the condition number.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,10 @@ from conformal_hodge.series import BivariateField, HolomorphicSeries
 import oracles
 
 REL_TOL = 1e-12
+
+# a drawn map can take the Gram condition past the warning threshold, and the
+# bounds above grow with that condition: the warning is expected here
+pytestmark = pytest.mark.filterwarnings("ignore::conformal_hodge.mapping.GramConditionWarning")
 
 unit = st.floats(-1, 1).filter(lambda x: x == 0 or abs(x) > 1e-3)
 coefficient = st.builds(complex, unit, unit)

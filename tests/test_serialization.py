@@ -173,8 +173,8 @@ def _center(x):
 def _decomposition(c):
     F = BivariateField(_corner(c), 2)
     return ser.decomposition_to_json(DecompositionResult(
-        "conformal", MultiplierPair(F, F), 0.0, ((1.0, 0.0), (0.0, 1.0)),
-        conformal=HolomorphicSeries([0, c])))
+        "conformal", (("conformal", HolomorphicSeries([0, c]).to_field()),),
+        MultiplierPair(F, F), 0.0, ((1.0, 0.0), (0.0, 1.0)), 0.0))
 
 
 # each nesting depth at which the CLI writes a term list, from one coefficient

@@ -18,7 +18,7 @@ import pkgutil
 import conformal_hodge
 from conformal_hodge import cli
 
-CEILING = 93
+CEILING = 89
 
 
 def cli_flags():
