@@ -5,6 +5,7 @@ Three independent routes compute the orthogonal projection onto conformal
 quadrature, and a Gram normal-equation solve.  One coefficient-exact
 Dirichlet-Poisson solve gives the complex potential Phi = F + iG; its parts
 are the Lagrange multiplier pair (F, G), and 2 d_z Phi spans the complement.
+The conformal split serves the annulus too, with ``annulus.poisson_annulus``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import series
+from . import annulus, series
 from .series import (
     BivariateField,
     HolomorphicSeries,
@@ -130,12 +131,12 @@ def poisson_disk(rhs) -> BivariateField:
     return BivariateField(out, max_degree=rhs.max_degree + 2)
 
 
-def grad_bar(potential) -> BivariateField:
+def grad_bar(potential):
     """Reflection gradient F_x - i F_y identified with 2 d_z F (F real)."""
     return scale(wirtinger(as_field(potential), "d_z"), 2)
 
 
-def sgrad_bar(potential) -> BivariateField:
+def sgrad_bar(potential):
     """Reflection skew gradient G_y + i G_x identified with 2i d_z G (G real)."""
     return scale(wirtinger(as_field(potential), "d_z"), 2j)
 
@@ -177,20 +178,23 @@ def _orthogonality_matrix(parts):
 
 
 def conformal_split(f):
-    """(h, F, G, grad_bar(F), sgrad_bar(G), residue) with f = h + grad_bar(F) + sgrad_bar(G).
+    """(h, F, G, grad_bar(F), sgrad_bar(G), stray, residue) with f = h + grad_bar(F) + sgrad_bar(G).
 
-    One Dirichlet solve of Laplace(Phi) = 2 d_zbar f gives Phi = F + iG, and
-    grad_bar(F) + sgrad_bar(G) = 2 d_z Phi makes f - grad_bar(F) - sgrad_bar(G)
-    holomorphic in exact arithmetic; h is its z-power part.
+    One Dirichlet solve of Laplace(Phi) = 2 d_zbar f gives Phi = F + iG, zero
+    on the boundary of f's domain: the disk, or the annulus r_in <= |z| <= 1
+    with its log-level potentials.  grad_bar(F) + sgrad_bar(G) = 2 d_z Phi
+    makes f - grad_bar(F) - sgrad_bar(G) holomorphic in exact arithmetic; h
+    is its z-power part, and stray the coefficient norm of the zbar and log
+    terms that exact arithmetic would cancel.
     """
     f = as_field(f)
     residue = cr_residual(f)
-    potential = poisson_disk(residue)
+    potential = (annulus.poisson_annulus if f.r_in else poisson_disk)(residue)
     F, G = real_part(potential), imag_part(potential)
     gF = grad_bar(F)
     sG = sgrad_bar(G)
-    h = HolomorphicSeries(subtract(subtract(f, gF), sG).table[:, :1])
-    return h, F, G, gF, sG, residue
+    rest = subtract(subtract(f, gF), sG)
+    return rest.holomorphic_part(), F, G, gF, sG, rest.antiholomorphic_norm(), residue
 
 
 def conformal_decompose(f) -> DecompositionResult:
@@ -200,8 +204,8 @@ def conformal_decompose(f) -> DecompositionResult:
     reconstruction residual rather than by trusting the derivation.
     """
     f = as_field(f)
-    h, F, G, gF, sG, _ = conformal_split(f)
-    h = h.to_field()
+    h, F, G, gF, sG, _, _ = conformal_split(f)
+    h = BivariateField(h.table)  # written with max_degree equal to its degree
     parts = (("conformal", h), ("grad_bar_F", gF), ("sgrad_bar_G", sG))
     return DecompositionResult(
         kind="conformal",

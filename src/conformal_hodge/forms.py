@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import annulus as annulus_mod, disk as disk_mod
 from .annulus import annulus_classify, laurent_monomial
+from .disk import conformal_split
 from .quadrature import boundary_points
 from .series import (
     add,
@@ -28,6 +28,7 @@ from .series import (
     real_part,
     scale,
     subtract,
+    trace_samples,
     wirtinger,
 )
 
@@ -139,9 +140,9 @@ def sharp_map(alpha: OneForm):
 
 
 def boundary_traces(f, radius):
-    """(max tangential, max normal) component of u dx - v dy on 256 samples of
-    |z| = radius: -Im(f n) and Re(f n) for f = u + iv and the unit normal n."""
-    normal = boundary_points(256)
+    """(max tangential, max normal) component of u dx - v dy on ``trace_samples(f)``
+    samples of |z| = radius: -Im(f n) and Re(f n) for f = u + iv and the unit normal n."""
+    normal = boundary_points(trace_samples(f))
     fn = evaluate_grid(f, radius * normal) * normal
     return float(np.max(np.abs(fn.imag))), float(np.max(np.abs(fn.real)))
 
@@ -176,13 +177,14 @@ def _labels_from_norms(norms, total, tol):
 def hodge_membership(f, tol=1e-10) -> MembershipReport:
     """Classify a field on the disk or the annulus into the six-space catalog.
 
-    The conformal split of the field's domain gives the gradient /
+    One ``conformal_split``, on the disk or the annulus, gives the gradient /
     skew-gradient / harmonic parts of its reflected image u dx - v dy; on the
     annulus (r_in > 0) the harmonic part is further resolved against the two
     distinguished z^-1 directions.  Components whose norms land within a
     factor of 3 of the decision threshold are reported as inconclusive rather
-    than guessed.  The (co-)closedness defect is the coefficient norm of the
-    imaginary (real) part of 2 d_zbar f, and each circle is one evaluation.
+    than guessed, and a split whose zbar and log terms do not cancel adds
+    "unresolved" to them.  The (co-)closedness defect is the coefficient norm
+    of the imaginary (real) part of 2 d_zbar f, and each circle is one evaluation.
     """
     norms, stray, coordinates, residue = _split(f)
     total = norm(f)
@@ -206,22 +208,14 @@ def hodge_membership(f, tol=1e-10) -> MembershipReport:
 
 def _split(f):
     """(norms, stray, coordinates, 2 d_zbar f) from the conformal split of f's domain."""
+    h, _, _, gF, sG, stray, residue = conformal_split(f)
+    norms = {"A1": norm(gF), "A2": norm(sG), "A3": 0.0, "A4": 0.0, "A5": 0.0}
     if not f.r_in:
-        h, _, _, gF, sG, residue = disk_mod.conformal_split(f)
-        norms = {"A1": norm(gF), "A2": norm(sG), "A3": 0.0, "A4": 0.0, "A5": 0.0,
-                 "A6": norm(h.to_field())}
-        return norms, 0.0, {}, residue
-    h, _, _, gF, sG, stray, residue = annulus_mod.conformal_split(f)
+        return {**norms, "A6": norm(h)}, stray, {}, residue
     # Under the reflected flat map 1/z is the d ln(x^2+y^2) direction
     # (normal harmonic, exact) and i/z is its star image.
     cls = annulus_classify(h)
     basis_norm = norm(laurent_monomial(-1, 0, 1.0, f.r_in))
-    norms = {
-        "A1": gF.norm(),
-        "A2": sG.norm(),
-        "A3": 0.0,
-        "A4": abs(cls.a5_coeff) * basis_norm,
-        "A5": abs(cls.a4_coeff) * basis_norm,
-        "A6": norm(cls.a6_part),
-    }
+    norms.update(A4=abs(cls.a5_coeff) * basis_norm, A5=abs(cls.a4_coeff) * basis_norm,
+                 A6=norm(cls.a6_part))
     return norms, stray, {"A4": cls.a5_coeff, "A5": cls.a4_coeff}, residue

@@ -5,7 +5,10 @@ complex-valued function it evaluates to, and hence with a planar vector
 field ``u + i v``.  Its coefficients live in one dense complex array,
 ``table[i, j] = c_{i+offset, j+offset}``: offset 0 for polynomials on the
 disk, ``-b`` for Laurent fields on an annulus, with b the largest |power|
-of a term, so a table depends on the terms alone.  Every operation below
+of a term, so a table depends on the terms alone.  An annulus field may
+also carry powers of ln(z zbar), on a leading level axis:
+``table[l, i, j]`` multiplies ``ln(z zbar)^l z^(i+offset) zbar^(j+offset)``,
+and a field without log terms keeps its 2-D table.  Every operation below
 is one array expression on that table and serves both domains.
 All values are immutable after construction and every operation is a pure
 function; reductions run in a fixed index order, BLAS contractions in fixed
@@ -52,7 +55,12 @@ def _columns(terms):
 
 
 def _trimmed(table):
-    """Drop trailing all-zero rows and columns; the zero table has shape (0, 0)."""
+    """Drop trailing all-zero slices on every axis; a one-level table is stored 2-D,
+    and the zero table has shape (0, 0)."""
+    if table.ndim == 3:  # the levels share the rows and columns of their union
+        top = np.flatnonzero(table.any(axis=(1, 2)))[-1:]
+        rows, cols = _trimmed(table.any(axis=0)).shape
+        return table[: top[0] + 1, :rows, :cols] if top.any() else table[0, :rows, :cols]
     if table.size and table[-1].any() and table[:, -1].any():
         return table
     rows = np.flatnonzero(table.any(axis=1))
@@ -62,11 +70,17 @@ def _trimmed(table):
     return table[: rows[-1] + 1, : cols[-1] + 1]
 
 
+def _levels(table):
+    """The table with its level axis: a table without one is level 0."""
+    return table if table.ndim == 3 else table[None]
+
+
 class CoefficientField:
     """Coefficient table shared by disk and annulus fields.
 
-    ``table[i, j]`` multiplies ``z^(i+offset) zbar^(j+offset)``; the table is
-    trimmed to the rows and columns that hold a nonzero term.  Subclasses
+    ``table[i, j]`` multiplies ``z^(i+offset) zbar^(j+offset)``, and a table
+    with levels holds ``table[l, i, j]`` for ``ln(z zbar)^l`` times that; the
+    table is trimmed to the slices that hold a nonzero term.  Subclasses
     fix the offset, the domain radius ``r_in`` and the truncation bound;
     every nonzero listed term is kept, and listed terms are checked against
     a given bound before their table is allocated.
@@ -98,20 +112,22 @@ class CoefficientField:
     # -- accessors ---------------------------------------------------------
 
     def items(self):
-        """Nonzero terms ((m, n), c) in lexicographic (m, n) order."""
-        i, j = np.nonzero(self.table)
+        """Nonzero terms ((m, n), c), or ((l, m, n), c) on a table with levels, in
+        lexicographic order of the key."""
+        *level, i, j = idx = np.nonzero(self.table)
         o = self.offset
-        return [((m + o, n + o), c) for m, n, c in
-                zip(i.tolist(), j.tolist(), self.table[i, j].tolist())]
+        keys = zip(*(a.tolist() for a in level), (i + o).tolist(), (j + o).tolist())
+        return list(zip(keys, self.table[idx].tolist()))
 
     def terms(self):
-        """Copy of the coefficient table as {(m, n): c}."""
+        """Copy of the coefficient table as {key: c}, keyed as ``items``."""
         return dict(self.items())
 
     def coefficient(self, m, n):
-        i, j = m - self.offset, n - self.offset
-        if 0 <= i < self.table.shape[0] and 0 <= j < self.table.shape[1]:
-            return complex(self.table[i, j])
+        """The coefficient of z^m zbar^n, on level 0."""
+        t, i, j = _levels(self.table)[0], m - self.offset, n - self.offset
+        if 0 <= i < t.shape[0] and 0 <= j < t.shape[1]:
+            return complex(t[i, j])
         return 0j
 
     def __bool__(self):
@@ -173,15 +189,17 @@ class CoefficientField:
         return not np.any(np.abs(a - b) > tol)
 
     def holomorphic_part(self):
-        """The terms with n = 0 (no zbar content)."""
-        col = -self.offset
-        t = np.zeros_like(self.table)
-        t[:, col : col + 1] = self.table[:, col : col + 1]
+        """The terms with n = 0 (no zbar content) on level 0."""
+        col, level = -self.offset, _levels(self.table)[0]
+        t = np.zeros_like(level)
+        t[:, col : col + 1] = level[:, col : col + 1]
         return self._like(t, self._bound)
 
     def antiholomorphic_norm(self):
-        """Coefficient norm of the terms with n != 0."""
-        return coefficient_norm(subtract(self, self.holomorphic_part()))
+        """Coefficient norm of the terms outside ``holomorphic_part``: zbar powers and log levels."""
+        t = _levels(self.table).copy()
+        t[0, :, -self.offset : 1 - self.offset] = 0
+        return float(np.linalg.norm(t))
 
 
 class BivariateField(CoefficientField):
@@ -387,14 +405,16 @@ def _check_domain(f, g):
 
 
 def _aligned(f, g):
-    """Both tables padded to one shape at the common (lower) offset."""
+    """Both tables padded to one shape at the common (lower) offset; a table
+    without levels is level 0, and two of them stay 2-D."""
     o = min(f.offset, g.offset)
-    shape = [max(f.table.shape[ax] + f.offset, g.table.shape[ax] + g.offset) - o for ax in (0, 1)]
-    out = [np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)]
+    (p, r, c), (q, s, d) = (_levels(h.table).shape for h in (f, g))
+    out = np.zeros((2, max(p, q), max(r + f.offset, s + g.offset) - o,
+                    max(c + f.offset, d + g.offset) - o), dtype=complex)
     for t, h in zip(out, (f, g)):
-        s = h.offset - o
-        t[s : s + h.table.shape[0], s : s + h.table.shape[1]] = h.table
-    return out
+        i = h.offset - o
+        t[: len(_levels(h.table)), i : i + h.table.shape[-2], i : i + h.table.shape[-1]] = h.table
+    return out if out.shape[1] > 1 else out[:, 0]
 
 
 def add(f, g):
@@ -414,9 +434,9 @@ def scale(f, a):
 
 
 def conjugate(f):
-    """Pointwise complex conjugate: swaps (m, n) -> (n, m) and conjugates."""
+    """Pointwise complex conjugate: swaps (m, n) -> (n, m) and conjugates (ln(z zbar) is real)."""
     f = as_field(f)
-    return f._like(f.table.T.conj(), f._bound)
+    return f._like(np.swapaxes(f.table, -1, -2).conj(), f._bound)
 
 
 def convolve(f, g):
@@ -440,21 +460,24 @@ def convolve(f, g):
 
 
 def wirtinger(f, which):
-    """Wirtinger derivative: d_z maps z^m zbar^n -> m z^(m-1) zbar^n, d_zbar likewise in n."""
+    """Wirtinger derivative: d_z maps z^m zbar^n -> m z^(m-1) zbar^n, d_zbar likewise in n;
+    on levels, d_z ln(z zbar)^l = l ln(z zbar)^(l-1) / z adds l L_l / z to level l - 1."""
     f = as_field(f)
     if which not in ("d_z", "d_zbar"):
         raise ValueError(f"unknown derivative {which!r} (want 'd_z' or 'd_zbar')")
-    t = f.table if which == "d_z" else f.table.T
-    t = (np.arange(t.shape[0]) + f.offset)[:, None] * t
-    if f.offset:
-        # negative powers step below the band: widen it by one, which shifts
-        # the other axis of the table by one place
-        t = np.pad(t, ((0, 0), (1, 0)))
+    t = f.table if which == "d_z" else np.swapaxes(f.table, -1, -2)
+    out = (np.arange(t.shape[-2]) + f.offset)[:, None] * t
+    if t.ndim == 3:  # L_l / z lands where the derivative puts z^(m-1) zbar^n
+        out[:-1] += np.arange(1, len(t))[:, None, None] * t[1:]
+    if f.r_in:
+        # on the annulus, powers step below the band: widen it by one, which
+        # shifts the other axis of the table by one place
+        out = np.pad(out, [(0, 0)] * (out.ndim - 1) + [(1, 0)])
         bound = f._bound + 1
     else:
-        t = t[1:]
+        out = out[1:]
         bound = max(f._bound - 1, 0)
-    return f._like(t if which == "d_z" else t.T, bound)
+    return f._like(out if which == "d_z" else np.swapaxes(out, -1, -2), bound)
 
 
 def cr_residual(f):
@@ -501,6 +524,24 @@ def pair_constants(count, r_in=0.0, start=0):
         w = np.where(d == 0, -2 * math.pi * math.log(r_in or 1.0), w)
     w.flags.writeable = False
     return w
+
+
+@np.errstate(over="raise")  # an overflowing power is a numerical failure, not an infinite moment
+def _log_moments(start, count, L, r_in):
+    """Row l: integrals over the annulus of z^a zbar^a ln(z zbar)^l, a = start .. start+count-1.
+
+    2 pi 2^l I_l with I_l the integral of r^(q-1) ln(r)^l from r_in to 1 and q = 2a + 2:
+    I_0 = (1 - r_in^q) / q and I_l = -r_in^q ln(r_in)^l / q - l I_(l-1) / q, for l = 0..L;
+    at q = 0, I_l = -ln(r_in)^(l+1) / (l+1).
+    """
+    q = 2.0 * np.arange(start + 1, start + count + 1)
+    pole, ln = q == 0, math.log(r_in)
+    q = np.where(pole, 1.0, q)
+    rq, ells = r_in**q, np.arange(L + 1)[:, None]
+    rows = [(1.0 - rq) / q]
+    for ell in range(1, L + 1):
+        rows.append(-rq * ln**ell / q - ell / q * rows[-1])
+    return 2 * math.pi * 2.0**ells * np.where(pole, -(ln ** (ells + 1)) / (ells + 1), rows)
 
 
 _BLOCK = 32  # contraction rows per BLAS call: fixed and short, so the bits ignore the thread count
@@ -553,14 +594,23 @@ def inner_product(f, g) -> complex:
     Closed form: <<z^m zbar^n, z^p zbar^q>> is the moment of |z|^(2(m+q))
     when m - n == p - q, else 0; extended bilinearly.  On the disk this is
     pi/(m+q+1); on the annulus the moment over r_in <= |z| <= 1.  The sum
-    is one Hankel-weighted matrix product (``pair_tables``).  A moment past
-    the float range raises FloatingPointError in ``pair_constants``, whatever
-    the caller's errstate, and so does a sum past it here.
+    is one Hankel-weighted matrix product (``pair_tables``); on tables with
+    levels, one per pair of levels l1, l2, against the moments weighted by
+    ln(z zbar)^(l1 + l2).  A moment past the float range raises
+    FloatingPointError, whatever the caller's errstate, and so does a sum
+    past it here.
     """
     f, g = as_field(f), as_field(g)
     _check_domain(f, g)
-    count = len(f.table) + g.table.shape[1] - 1
-    value = pair_tables(f.table, g.table, pair_constants(count, f.r_in, f.offset + g.offset))
+    start = f.offset + g.offset
+    if f.table.ndim == g.table.ndim == 2:
+        count = len(f.table) + g.table.shape[1] - 1
+        value = pair_tables(f.table, g.table, pair_constants(count, f.r_in, start))
+    else:
+        a, b = _levels(f.table), _levels(g.table)
+        moments = _log_moments(start, a.shape[1] + b.shape[2] - 1, len(a) + len(b) - 2, f.r_in)
+        value = sum(pair_tables(x, y, moments[l1 + l2])
+                    for l1, x in enumerate(a) for l2, y in enumerate(b))
     if not cmath.isfinite(value):
         raise FloatingPointError("the pairing overflows the float range")
     return value
@@ -580,7 +630,8 @@ def coefficient_norm(f) -> float:
 
 
 def evaluate_grid(f, points):
-    """Values of a field or series at a complex point or array of points (Horner in z).
+    """Values of a field or series at a complex point or array of points: Horner in z
+    on each level, times ln(z zbar)^l on level l of a table with levels.
 
     Disk semantics expect |point| <= 1; evaluation outside is permitted but
     the inner-product and projection contracts only hold on the domain.
@@ -588,14 +639,15 @@ def evaluate_grid(f, points):
     f = as_field(f)
     points = np.asarray(points, dtype=complex)
     z = points.ravel()
-    t = f.table
     acc = np.zeros_like(z)
-    if t.size:
+    for ell, t in enumerate(_levels(f.table)):
         # per row m: sum_n c_mn zbar^n (scalars when the field is holomorphic)
         rows = t[:, 0] if t.shape[1] == 1 else np.vander(np.conj(z), t.shape[1], True) @ t.T
+        level = np.zeros_like(z)
         for m in range(t.shape[0] - 1, -1, -1):
-            acc = acc * z + rows[..., m]
-        acc = acc * (z * np.conj(z)).real ** f.offset
+            level = level * z + rows[..., m]
+        acc = acc + level * np.log((z * np.conj(z)).real) ** ell if ell else level
+    acc = acc * (z * np.conj(z)).real ** f.offset
     return acc.reshape(points.shape)[()]  # a scalar for a scalar point
 
 
@@ -655,9 +707,16 @@ def disk_min_modulus(s, vals):
         vals = evaluate_grid(s, boundary_points(n))
 
 
+def trace_samples(f):
+    """Circle samples 4 K, at least 256, with K the larger side of f's table.  On a circle
+    f and f n (n the unit normal) have degree <= K, so by Bernstein's inequality their
+    maximum is at most the sampled maximum over 1 - pi/4."""
+    return max(256, 4 * max(as_field(f).table.shape[-2:]))
+
+
 def boundary_max(f):
-    """max |f| over 256 equispaced samples of the unit circle."""
-    return float(np.max(np.abs(evaluate_grid(f, boundary_points(256)))))
+    """max |f| over ``trace_samples(f)`` equispaced samples of the unit circle."""
+    return float(np.max(np.abs(evaluate_grid(f, boundary_points(trace_samples(f))))))
 
 
 def random_field(rng, degree, real=False):

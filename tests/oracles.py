@@ -12,7 +12,7 @@ one column each, are the references for the stationary matrix.  The field-arithm
 are the reference for their coefficient-vector forms, the 1-form route of
 the membership test is the reference for its field form, and the tuple of
 Laurent levels with a 2x2 solve per angular mode is the reference for the
-level-stacked annulus Poisson solve.  The uncached forms of the disk
+level axis of the annulus fields and their Poisson solve.  The uncached forms of the disk
 moments, the trailing-zero trim and the Toeplitz matrix of phi' pin their
 cached replacements bit for bit, and the np.bincount route of the annulus
 boundary trace pins its angular-sum form.
@@ -44,11 +44,12 @@ def eval_terms(terms, pts):
 
 
 def eval_log_laurent(F, pts):
-    """Direct evaluation of a LogLaurentField sum_l L_l ln(z zbar)^l at complex points."""
+    """Direct evaluation of a field sum_l L_l ln(z zbar)^l with levels at complex points."""
     ln = np.log(np.abs(pts) ** 2)
-    B = F.band_limit
-    return sum(eval_terms({(i - B, j - B): c for (i, j), c in np.ndenumerate(level) if c}, pts)
-               * ln**ell for ell, level in enumerate(F.table))
+    levels = defaultdict(dict)
+    for (ell, m, n), c in level_terms(F).items():
+        levels[ell][(m, n)] = c
+    return sum(eval_terms(terms, pts) * ln**ell for ell, terms in levels.items())
 
 
 def polar_quad_nodes(n_radial=64, n_angular=256, r_inner=0.0, r_outer=1.0):
@@ -263,12 +264,15 @@ def horner_compose(outer, inner, max_degree):
 
 
 def bincount_boundary_trace(F, radius):
-    """Angular-mode coefficients of the LogLaurentField F on |z| = radius, k = -2B..2B at
+    """Angular-mode coefficients of the Laurent field F on |z| = radius, k = -2B..2B at
     k + 2B: the radius-weighted level sum binned by k with np.bincount."""
     B = F.band_limit
-    i, j = np.indices(F.table.shape[1:])
-    logs = (2.0 * math.log(radius)) ** np.arange(len(F.table))
-    vals = np.tensordot(logs, F.table, 1) * float(radius) ** (i + j - 2 * B)
+    levels = F.table if F.table.ndim == 3 else F.table[None]
+    table = np.zeros((len(levels), 2 * B + 1, 2 * B + 1), dtype=complex)
+    table[:, : levels.shape[1], : levels.shape[2]] = levels
+    i, j = np.indices(table.shape[1:])
+    logs = (2.0 * math.log(radius)) ** np.arange(len(table))
+    vals = np.tensordot(logs, table, 1) * float(radius) ** (i + j - 2 * B)
     k = (i - j + 2 * B).ravel()
     return (np.bincount(k, vals.real.ravel(), 4 * B + 1)
             + 1j * np.bincount(k, vals.imag.ravel(), 4 * B + 1))
@@ -376,14 +380,17 @@ def geodesic_rhs(mapping, xi, proj_degree, max_degree):
 
 
 def annulus_split(f):
-    """(h, gF, sG, stray) of the annulus split, with 2 d_z W taken for W = F + iG."""
+    """(h, gF, sG, stray) of the annulus split: one solve each for the real F and G, and
+    2 d_z W taken for W = F + iG."""
     residue = series.scale(series.wirtinger(f, "d_zbar"), 2)
     F = annulus.poisson_annulus(series.real_part(residue))
     G = annulus.poisson_annulus(series.imag_part(residue))
-    gradient_sum = (F + G.scaled(1j)).wirtinger("d_z").scaled(2)
-    rest, log_defect = (annulus.LogLaurentField.from_laurent(f) - gradient_sum).laurent_part()
-    stray = math.hypot(rest.antiholomorphic_norm(), log_defect)
-    return rest.holomorphic_part(), F.wirtinger("d_z").scaled(2), G.wirtinger("d_z").scaled(2j), stray
+    gradient_sum = series.scale(series.wirtinger(series.add(F, series.scale(G, 1j)), "d_z"), 2)
+    rest = series.subtract(f, gradient_sum)
+    h = rest.holomorphic_part()
+    stray = series.coefficient_norm(series.subtract(rest, h))
+    return (h, series.scale(series.wirtinger(F, "d_z"), 2),
+            series.scale(series.wirtinger(G, "d_z"), 2j), stray)
 
 
 def form_traces(alpha, radius):
@@ -402,15 +409,15 @@ def hodge_membership(alpha, tol):
     """MembershipReport of the 1-form alpha through its sharp image and the form calculus."""
     f = forms.sharp_map(alpha)
     if not f.r_in:
-        h, F, G, gF, sG, _ = disk.conformal_split(f)
+        h, F, G, gF, sG, stray, _ = disk.conformal_split(f)
         norms = {"A1": series.norm(gF), "A2": series.norm(sG), "A3": 0.0, "A4": 0.0,
-                 "A5": 0.0, "A6": series.norm(h.to_field())}
-        stray, coordinates = 0.0, {}
+                 "A5": 0.0, "A6": series.norm(h)}
+        coordinates = {}
     else:
         h, gF, sG, stray = annulus_split(f)
         cls = annulus.annulus_classify(h)
         basis_norm = series.norm(annulus.laurent_monomial(-1, 0, 1.0, f.r_in))
-        norms = {"A1": gF.norm(), "A2": sG.norm(), "A3": 0.0,
+        norms = {"A1": series.norm(gF), "A2": series.norm(sG), "A3": 0.0,
                  "A4": abs(cls.a5_coeff) * basis_norm, "A5": abs(cls.a4_coeff) * basis_norm,
                  "A6": series.norm(cls.a6_part)}
         coordinates = {"A4": cls.a5_coeff, "A5": cls.a4_coeff}
@@ -468,6 +475,9 @@ class LevelsLogLaurentField:
 
     def scaled(self, a):
         return LevelsLogLaurentField([series.scale(f, a) for f in self.levels], self.r_in)
+
+    def conjugate(self):  # ln(z zbar) is real
+        return LevelsLogLaurentField([series.conjugate(f) for f in self.levels], self.r_in)
 
     def wirtinger(self, which):
         # d/dz [L ln^l] = (d_z L) ln^l + l (L / z) ln^(l-1)
@@ -574,13 +584,12 @@ def levels_conformal_split(f):
     return F, G, gF, sG, math.hypot(rest.antiholomorphic_norm(), log_defect)
 
 
-def levels_table(F, band):
-    """The levels of F as one array: [l, i, j] holds ln^l z^(i-band) zbar^(j-band)."""
-    out = np.zeros((len(F.levels), 2 * band + 1, 2 * band + 1), dtype=complex)
-    for ell, f in enumerate(F.levels):
-        for (m, n), c in f.items():
-            out[ell, m + band, n + band] = c
-    return out
+def level_terms(F):
+    """{(l, m, n): c} of a Laurent field with or without levels, or of a LevelsLogLaurentField."""
+    if isinstance(F, LevelsLogLaurentField):
+        return {(ell, m, n): c for ell, f in enumerate(F.levels) for (m, n), c in f.items()}
+    return {(key if len(key) == 3 else (0, *key)): c for key, c in F.items()}
+
 
 def random_series(rng, degree):
     return HolomorphicSeries(

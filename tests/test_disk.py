@@ -267,7 +267,7 @@ class TestConformalDecompose:
         calls = []
         solve = disk.poisson_disk
         monkeypatch.setattr(disk, "poisson_disk", lambda rhs: calls.append(rhs) or solve(rhs))
-        _, F, G, _, _, residue = disk.conformal_split(s.random_field(np.random.default_rng(4), 6))
+        _, F, G, _, _, _, residue = disk.conformal_split(s.random_field(np.random.default_rng(4), 6))
         assert calls == [residue]
         for potential in (F, G):  # every coefficient equal, a zero's sign aside
             assert potential == s.real_part(potential)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conformal_hodge import forms, series as s
+from conformal_hodge import disk, forms, series as s
 from conformal_hodge.annulus import LaurentField, laurent_monomial
 from conformal_hodge.disk import conformal_split, grad_bar, poisson_disk, sgrad_bar
 from conformal_hodge.forms import (
@@ -23,6 +23,7 @@ from conformal_hodge.forms import (
     sharp_map,
     star,
 )
+from conformal_hodge.serialization import field_from_json
 from conformal_hodge.series import BivariateField, monomial
 
 import oracles
@@ -143,8 +144,16 @@ class TestMembershipDisk:
         rep = hodge_membership(f)
         assert rep.labels == ("A1",)
         assert rep.boundary_tangential_max < 1e-12  # exact forms with normal potential
-        _, got_F, _, _, _, _ = conformal_split(f)
+        _, got_F, _, _, _, _, _ = conformal_split(f)
         assert s.coefficient_norm(s.subtract(got_F, F)) < 1e-12
+
+    def test_split_that_leaves_zbar_terms_is_unresolved(self, monkeypatch):
+        # a Poisson solve off by 0.1 z zbar, whose Laplacian is 0.4: the split
+        # leaves zbar terms, and the labels it would give are not trusted
+        solve = disk.poisson_disk
+        monkeypatch.setattr(disk, "poisson_disk", lambda rhs: s.add(solve(rhs), monomial(1, 1, 0.1)))
+        rep = hodge_membership(s.random_field(np.random.default_rng(3), 6))
+        assert "unresolved" in rep.inconclusive
 
     def test_flat_holomorphic_is_A6(self):
         rep = hodge_membership(monomial(1, 0))
@@ -214,6 +223,15 @@ class TestBoundaryTraces:
         tang, norm_c = boundary_traces(sharp_map(alpha), radius=0.7)
         assert norm_c < 1e-14
         assert tang == pytest.approx(0.7)
+
+    def test_high_angular_mode_is_not_aliased_away(self):
+        # f n = sin(128 theta) on the unit circle, zero at each of 256 equispaced
+        # samples; 4 K samples, K = 130 the larger side of the table, bound the
+        # maximum 1 by the sampled one over 1 - pi/4
+        f = field_from_json({"max_degree": 129, "terms": [
+            {"m": 128, "n": 1, "re": 0.0, "im": -0.5}, {"m": 0, "n": 129, "re": 0.0, "im": 0.5}]})
+        assert hodge_membership(f).boundary_normal_max >= 1 - math.pi / 4
+        assert s.boundary_max(f) >= 1 - math.pi / 4
 
 
 # -- the field route against the 1-form route ------------------------------------

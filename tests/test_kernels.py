@@ -11,7 +11,10 @@ rectangular, one-row, one-column and empty tables, and a band-20 Laurent
 field.  The angular diagonal sums are held bit for bit to the oracle's
 diagonals added from zero in increasing m, every mode of both signs, and to
 their pairwise sum within the a-priori bound of a reordered sum; the annulus
-boundary trace is held bit for bit to its retired np.bincount route.
+boundary trace is held bit for bit to its retired np.bincount route.  The
+operations on annulus fields with log levels are held to the tuple-of-levels
+route, one LaurentField per power of ln(z zbar), within the same relative
+tolerance.
 """
 
 import math
@@ -23,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_hodge import series as s
-from conformal_hodge.annulus import LaurentField, LogLaurentField
+from conformal_hodge.annulus import LaurentField, boundary_trace
 from conformal_hodge.series import BivariateField, HolomorphicSeries
 
 import oracles
@@ -263,24 +266,103 @@ def test_power_table_does_not_depend_on_the_order_of_requests(coeffs, short, mor
     assert _same_bits(first, kept)  # the array returned first keeps its bits
 
 
-@st.composite
-def log_laurent_fields(draw):
-    """LogLaurentField of 1-3 levels on band 0-6, with zero and negative-zero entries."""
-    levels, band = draw(st.integers(1, 3)), draw(st.integers(0, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _level_table(rng, levels, band):
     shape = (levels, 2 * band + 1, 2 * band + 1)
     table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    table *= 10.0 ** rng.integers(-6, 6, shape)
     table[rng.random(shape) < 0.3] = 0.0
-    table[rng.random(shape) < 0.1] = complex(-0.0, -0.0)
-    return LogLaurentField(table, band, draw(st.floats(0.01, 0.99)))
+    return table
+
+
+@st.composite
+def log_laurent_fields(draw):
+    """Laurent fields of 1-3 levels on band 0-6, with zero and negative-zero entries."""
+    levels, band = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = _level_table(rng, levels, band)
+    table *= 10.0 ** rng.integers(-6, 6, table.shape)
+    table[rng.random(table.shape) < 0.1] = complex(-0.0, -0.0)
+    return LaurentField(table, draw(st.floats(0.01, 0.99)), band)
 
 
 @given(log_laurent_fields())
 @settings(max_examples=100, deadline=None)
 def test_boundary_trace_matches_bincount_route(F):
     for radius in (F.r_in, 1.0):
-        assert _same_bits(F.boundary_trace(radius), oracles.bincount_boundary_trace(F, radius))
+        assert _same_bits(boundary_trace(F, radius), oracles.bincount_boundary_trace(F, radius))
+
+
+@st.composite
+def level_pairs(draw):
+    """Two fields of 1-3 levels on bands 0-4 of one annulus, each as a LaurentField and
+    as the oracle's tuple of levels; one level is a field without levels."""
+    r_in = draw(st.floats(0.3, 0.9))
+    pair = []
+    for _ in range(2):
+        levels, band = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+        table = _level_table(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), levels, band)
+        ref = oracles.LevelsLogLaurentField(
+            [LaurentField({(i - band, j - band): c for (i, j), c in np.ndenumerate(t) if c}, r_in)
+             for t in table], r_in)
+        pair.append((LaurentField(table, r_in, band), ref))
+    return pair
+
+
+def _assert_levels_close(got, want, size):
+    got, want = oracles.level_terms(got), oracles.level_terms(want)
+    assert all(abs(got.get(k, 0j) - want.get(k, 0j)) <= REL_TOL * size for k in {*got, *want})
+
+
+def _log_pairing_tol(F, G):
+    """REL_TOL times sum |f_mn| |g_pq| |w_l(m+q)| over the matched pairs of every level
+    pair, with w_l the moments weighted by ln(z zbar)^l."""
+    moduli = [[LaurentField({k: abs(c) for k, c in f.items()}, F.r_in) for f in H.levels]
+              for H in (F, G)]
+    scale = 0.0
+    for l1, f in enumerate(moduli[0]):
+        for l2, g in enumerate(moduli[1]):
+            start, sums = oracles.pair_sums(f, g)
+            scale += sum(x.real * abs(oracles.log_moment(start + a, l1 + l2, F.r_in))
+                         for a, x in enumerate(sums))
+    return REL_TOL * scale
+
+
+@given(level_pairs())
+@settings(max_examples=60, deadline=None)
+def test_level_operations_match_tuple_of_levels_route(pair):
+    (f, F), (g, G) = pair
+    size = s.coefficient_norm(f) + s.coefficient_norm(g)
+    _assert_levels_close(s.add(f, g), F + G, size)
+    _assert_levels_close(s.subtract(f, g), F - G, size)
+    _assert_levels_close(s.scale(f, 0.75 - 2j), F.scaled(0.75 - 2j), 2.2 * size)
+    _assert_levels_close(s.conjugate(g), G.conjugate(), size)
+    for which in ("d_z", "d_zbar"):
+        _assert_levels_close(s.wirtinger(f, which), F.wirtinger(which), 8 * size)
+    assert f.holomorphic_part() == F.levels[0].holomorphic_part()
+    assert abs(s.inner_product(f, g) - F.inner(G)) <= _log_pairing_tol(F, G)
+    rng = np.random.default_rng(len(f) + len(g))
+    pts = np.sqrt(rng.uniform(f.r_in**2, 1.0, 50)) * np.exp(2j * math.pi * rng.random(50))
+    ln = np.abs(np.log(np.abs(pts) ** 2))
+    bound = sum(abs(c) * ln**ell * np.abs(pts) ** (m + n)
+                for (ell, m, n), c in oracles.level_terms(F).items())
+    assert np.all(np.abs(s.evaluate_grid(f, pts) - oracles.eval_log_laurent(F, pts))
+                  <= REL_TOL * bound)
+
+
+@given(st.integers(0, 4), st.integers(0, 2**32 - 1), st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_one_level_table_is_stored_as_the_plain_field(band, seed, zero_levels):
+    table = _level_table(np.random.default_rng(seed), 1, band)
+    stacked = np.concatenate([table, np.zeros((zero_levels,) + table.shape[1:])])
+    plain = LaurentField(table[0], 0.5, band)
+    for f in (LaurentField(stacked, 0.5, band), LaurentField(table, 0.5, band)):
+        assert f.table.ndim == 2 and f == plain and _same_bits(f.table, plain.table)
+        assert hash(f) == hash(plain) and f.items() == plain.items()
+    # cancelling the log levels of a field with levels leaves its level 0, bit for bit
+    logs = _level_table(np.random.default_rng(seed + 1), 2, band)
+    logs[0] = 0.0
+    leveled = LaurentField(np.concatenate([table, logs[1:]]), 0.5, band)
+    level0 = s.subtract(leveled, LaurentField(logs, 0.5, band))
+    assert level0 == plain and _same_bits(level0.table, plain.table)
 
 
 trailing = st.lists(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
