@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import CoefficientField, _columns, _levels, add, angular_sums, subtract
+from .series import CoefficientField, _columns, _frozen, _levels, add, angular_sums, subtract
 
 
 class NonConformalInputError(ValueError):
@@ -32,8 +32,10 @@ class LaurentField(CoefficientField):
     with ``band_limit`` the largest |power| of a term, and ``table[l, i, j]``
     that of ln(z zbar)^l times it on a table with levels.  ``terms`` is a
     {(m, n): c} mapping or a tuple (m, n, c) of index and coefficient arrays,
-    whose indices a declared band_limit bounds before any allocation; or a
-    2-D or 3-D complex array, a table on the band ``band_limit`` (then required).
+    led by the level array l for a table with levels, whose indices a
+    declared band_limit bounds before any allocation; or a 2-D or 3-D complex
+    array, a table on the band ``band_limit`` (then required).  Operations
+    build their results through ``_like``.
     """
 
     __slots__ = ("band_limit", "r_in")
@@ -41,23 +43,33 @@ class LaurentField(CoefficientField):
     def __init__(self, terms, r_in, band_limit=None):
         if not 0.0 < r_in < 1.0:
             raise ValueError("r_in must lie strictly between 0 and 1")
+        self.r_in = float(r_in)
         if not isinstance(terms, np.ndarray):
-            m, n, c = terms if isinstance(terms, tuple) else _columns(terms or {})
-            terms = m, n, c = m[c != 0], n[c != 0], c[c != 0]
+            *level, m, n, c = terms if isinstance(terms, tuple) else _columns(terms or {})
+            terms = *level, m, n, c = tuple(a[c != 0] for a in (*level, m, n, c))
             powers = np.abs(np.concatenate((m, n))).astype(np.uint64)  # |int64 min| fits here
             band = int(powers.max(initial=0))
             if band_limit is not None and band > band_limit:  # before any table is allocated
                 raise ValueError(f"index outside band limit {band_limit}")
             band_limit = band
         super().__init__(terms, -band_limit, None)
-        t, b = self.table, int(band_limit)
-        if max(t.shape[-2:]) > 2 * b + 1:
-            raise ValueError(f"index outside band limit {b}")
+        if max(self.table.shape[-2:]) > 2 * band_limit + 1:
+            raise ValueError(f"index outside band limit {band_limit}")
+        self._narrow(self.table, int(band_limit))
+
+    def _like(self, table, band_limit):
+        """As BivariateField._like, for a table on a band the operation proves, on self's annulus."""
+        f = object.__new__(LaurentField)
+        f._narrow(_frozen(table), int(band_limit))
+        f.r_in = self.r_in
+        return f
+
+    def _narrow(self, t, b):
+        """Store table t of band b on the least band of its terms (an edge term may cancel)."""
         if max(t.shape[-2:]) < 2 * b + 1 and not (t[..., :1, :].any() or t[..., :1].any()):  # no edge term
-            b = int(np.abs(np.concatenate(np.nonzero(t)[-2:]) - band_limit).max(initial=0))
-            self.table = t[..., band_limit - b :, band_limit - b :]
-        self.band_limit = b
-        self.r_in = float(r_in)
+            least = int(np.abs(np.concatenate(np.nonzero(t)[-2:]) - b).max(initial=0))
+            t, b = t[..., b - least :, b - least :], least
+        self.table, self.band_limit = t, b
 
     @property
     def offset(self):
@@ -66,9 +78,6 @@ class LaurentField(CoefficientField):
     @property
     def _bound(self):
         return self.band_limit
-
-    def _like(self, table, bound):
-        return LaurentField(table, r_in=self.r_in, band_limit=bound)
 
 
 def laurent_monomial(m, n, c, r_in):
@@ -139,7 +148,7 @@ def poisson_annulus(rhs: LaurentField) -> LaurentField:
     den = 4.0 * np.where(m1 == 0, 1, m1) * np.where(n1 == 0, 1, n1) * np.where(logs == 2, 2, 1)
     lifted = np.zeros((3, 2 * B + 1, 2 * B + 1), dtype=complex)
     lifted[logs, m1 + B, n1 + B] = rhs.table / den
-    part = LaurentField(lifted, r_in, B)
+    part = rhs._like(lifted, B)
     t1, t2 = boundary_trace(part, 1.0), boundary_trace(part, r_in)
     # mode k != 0: a on z^k (k > 0) or zbar^-k (k < 0) and b on the other
     # member of the pair, with traces r^|k| and r^-|k| on |z| = r
@@ -153,4 +162,4 @@ def poisson_annulus(rhs: LaurentField) -> LaurentField:
     correction[0, c, ::-1] = np.where(k > 0, b, a)
     # mode 0: basis {1, ln(z zbar)} with traces {1, 2 ln r}
     correction[:, c, c] = -t1[c], (t1[c] - t2[c]) / (2.0 * math.log(r_in))
-    return add(part, LaurentField(correction, r_in, c))
+    return add(part, rhs._like(correction, c))

@@ -274,6 +274,8 @@ def cmd_classify(args):
         f = ser.laurent_from_json(data)
         if f.r_in != payload:
             raise InputError("r_in in the field JSON disagrees with the domain selector")
+        if f.table.ndim == 3:  # the annulus Poisson solve takes no log levels on its right-hand side
+            raise InputError("classify takes an annulus field without log levels")
     report = forms.hodge_membership(f, tol=args.tol)
     extra = {}
     if kind == "annulus" and f.antiholomorphic_norm() == 0.0:

@@ -51,7 +51,7 @@ def project_con_rule(f) -> HolomorphicSeries:
     """Closed-form projection: z^m zbar^n -> (m-n+1)/(m+1) z^(m-n) for m >= n, else 0."""
     t = as_field(f).table
     m, n = np.indices(t.shape)
-    return HolomorphicSeries(angular_sums(t * ((m - n + 1) / (m + 1)))[t.shape[1] - 1 :])
+    return HolomorphicSeries._like(angular_sums(t * ((m - n + 1) / (m + 1)))[t.shape[1] - 1 :])
 
 
 def project_con_gram_oracle(f) -> HolomorphicSeries:
@@ -128,7 +128,7 @@ def poisson_disk(rhs) -> BivariateField:
     trace = angular_sums(lifted)
     out[:rows, 0] -= trace[cols - 1 :]
     out[0, 1:cols] -= trace[: cols - 1][::-1]
-    return BivariateField(out, max_degree=rhs.max_degree + 2)
+    return BivariateField._like(out, rhs.max_degree + 2)
 
 
 def grad_bar(potential):
@@ -205,7 +205,7 @@ def conformal_decompose(f) -> DecompositionResult:
     """
     f = as_field(f)
     h, F, G, gF, sG, _, _ = conformal_split(f)
-    h = BivariateField(h.table)  # written with max_degree equal to its degree
+    h = BivariateField._like(h.table, h.degree())  # written with max_degree equal to its degree
     parts = (("conformal", h), ("grad_bar_F", gF), ("sgrad_bar_G", sG))
     return DecompositionResult(
         kind="conformal",

@@ -284,8 +284,8 @@ def geodesic_rhs(state: GeodesicState, proj_degree, max_degree):
     B[:, 0] -= 2 * np.convolve(Y, X)[:n]
     # degree-budget truncation is the design here, so drop mass silently
     B[_above_degree(max_degree)] = 0
-    xi_dot = project_con_mapped(mapping, BivariateField(B, max_degree), degree=proj_degree,
-                                max_degree=max_degree)
+    xi_dot = project_con_mapped(mapping, BivariateField._like(B, max_degree),
+                                degree=proj_degree, max_degree=max_degree)
     return xi_pull, xi_dot
 
 

@@ -292,8 +292,7 @@ def project_con_mapped(mapping: ConformalMap, f, degree, max_degree=None) -> Hol
     moments = moments[wf.shape[1] - 1 :]
     width = min(len(moments), B.shape[1])
     rhs = B[:, :width].conj() @ moments[:width]
-    coeffs = _solve_gram(mapping, rhs, degree, max_degree)
-    return HolomorphicSeries(coeffs)
+    return HolomorphicSeries._like(_solve_gram(mapping, rhs, degree, max_degree))
 
 
 def adjoint_dz_mapped(mapping: ConformalMap, xi, degree, max_degree=None) -> HolomorphicSeries:
@@ -313,5 +312,4 @@ def adjoint_dz_mapped(mapping: ConformalMap, xi, degree, max_degree=None) -> Hol
     P = mapping.phi.power_table(degree, max_degree)
     a = A.derivative().to_array(P.shape[1])
     rhs = P.conj() @ (a * series.pair_constants(P.shape[1]))
-    coeffs = _solve_gram(mapping, rhs, degree, max_degree)
-    return HolomorphicSeries(coeffs)
+    return HolomorphicSeries._like(_solve_gram(mapping, rhs, degree, max_degree))

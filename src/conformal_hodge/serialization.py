@@ -2,18 +2,20 @@
 
 Field JSON: {"max_degree": D, "terms": [{"m": int, "n": int, "re": float,
 "im": float}, ...]} with terms in lexicographic (m, n) order and no
-duplicate indices.  Annulus fields add "r_in" and "band_limit"; torus
-fields carry separate theta/phi term lists with "band_limit".  Numbers are
-JSON numbers and integer fields JSON integers, and a declared max_degree
-or band_limit is from 0 to SIZE_LIMIT; readers raise FormatError on anything
-else, before any coefficient table is allocated.  Output JSON is byte for
-byte the text of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
-newline, with shortest round-trip floats; ``dumps`` writes that layout
-itself, since the json module formats indented output in pure Python.  The
-``*_to_json`` writers hand it each term list as the table's index and
-coefficient arrays, which it fills into one template per term: the same
-bytes as json.dumps of the term dicts, with no dict built per term.  All
-writers are deterministic and atomic.
+duplicate indices.  Annulus fields add "r_in" and "band_limit", and each
+term of one with log levels its level "l" (the power of ln(z zbar), 0 to
+2), in (l, m, n) order; torus fields carry separate theta/phi term lists
+with "band_limit".  Numbers are JSON numbers and integer fields JSON
+integers, and a declared max_degree or band_limit is from 0 to SIZE_LIMIT;
+readers raise FormatError on anything else, before any coefficient table
+is allocated.  Output JSON is byte for byte the text of
+``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, with
+shortest round-trip floats; ``dumps`` writes that layout itself, since the
+json module formats indented output in pure Python.  The ``*_to_json``
+writers hand it each term list as the table's index and coefficient
+arrays, which it fills into one template per term: the same bytes as
+json.dumps of the term dicts, with no dict built per term.  All writers
+are deterministic and atomic.
 """
 
 from __future__ import annotations
@@ -63,49 +65,58 @@ def _bound(value, what):
 
 
 class _TermArrays:
-    """The nonzero terms of a coefficient table, whose entry [i, j] has index
-    (i + offset, j + offset), as index arrays m, n and coefficients c in
-    lexicographic (m, n) order.  dumps writes it as the term list that dicts()
-    returns."""
+    """The nonzero terms of a coefficient table, whose entry [i, j] or [l, i, j]
+    has index (i + offset, j + offset), as the level array l (None without
+    levels), index arrays m, n and coefficients c in lexicographic (l, m, n)
+    order.  dumps writes it as the term list that dicts() returns."""
 
-    __slots__ = ("m", "n", "c")
+    __slots__ = ("l", "m", "n", "c")
 
     def __init__(self, table, offset):
-        i, j = np.nonzero(table)
-        self.m, self.n, self.c = i + offset, j + offset, table[i, j]
+        *level, i, j = idx = np.nonzero(table)
+        self.l, self.m, self.n, self.c = (level or [None])[0], i + offset, j + offset, table[idx]
+
+    def columns(self):
+        """(key, format, values) of each key of a term, in sorted key order."""
+        return [col for col in (("im", "%r", self.c.imag), ("l", "%d", self.l), ("m", "%d", self.m),
+                                ("n", "%d", self.n), ("re", "%r", self.c.real)) if col[2] is not None]
 
     def dicts(self):
-        return [{"m": m, "n": n, "re": c.real, "im": c.imag}
-                for m, n, c in zip(self.m.tolist(), self.n.tolist(), self.c.tolist())]
+        keys, _, values = zip(*self.columns())
+        return [dict(zip(keys, row)) for row in zip(*(a.tolist() for a in values))]
 
 
 def _malformed(e):
-    """Whether a decoded term lacks JSON integers m, n in the int64 range or
-    JSON numbers re, im in the float range (a bool is not a number here)."""
+    """Whether a decoded term lacks JSON integers m, n in the int64 range (and l,
+    if present) or JSON numbers re, im in the float range (a bool is not a number)."""
     try:
-        m, n, re, im = e["m"], e["n"], e["re"], e["im"]
+        m, n, re, im, ell = e["m"], e["n"], e["re"], e["im"], e.get("l", 0)
         complex(re, im)  # OverflowError past the float range
     except (KeyError, TypeError, OverflowError):
         return True
-    return not ({type(m), type(n)} <= {int} and {type(re), type(im)} <= _NUMBER
+    return not ({type(m), type(n), type(ell)} <= {int} and {type(re), type(im)} <= _NUMBER
                 and m in _INT64 and n in _INT64)
 
 
-def _terms_from_list(entries, what="field"):
-    """Index and coefficient arrays (m, n, c) of a JSON term list.
+def _terms_from_list(entries, what="field", levels=0):
+    """Level, index and coefficient arrays (l, m, n, c) of a JSON term list; l is
+    a term's optional key "l" (0 when absent), from 0 to levels.
 
-    A term that _malformed refuses, a non-finite coefficient and a repeated
-    index are refused.
+    A term that _malformed refuses, a level out of range (before any array is
+    built), a non-finite coefficient and a repeated (l, m, n) are refused.
     """
     if type(entries) is not list:
         raise FormatError(f"{what} terms must be a list")
     try:
-        rows = [(e["m"], e["n"], e["re"], e["im"]) for e in entries]
-        m, n, re, im = zip(*rows) if rows else [()] * 4
-        if not ({*map(type, m), *map(type, n)} <= {int}
+        rows = [(e["m"], e["n"], e["re"], e["im"], e.get("l", 0)) for e in entries]
+        m, n, re, im, ell = zip(*rows) if rows else [()] * 5
+        if not ({*map(type, m), *map(type, n), *map(type, ell)} <= {int}
                 and {*map(type, re), *map(type, im)} <= _NUMBER):
             raise TypeError
-        mn = np.array((m, n), dtype=np.int64)
+        if not 0 <= min(ell, default=0) <= max(ell, default=0) <= levels:
+            k = next(k for k, x in enumerate(ell) if not 0 <= x <= levels)
+            raise FormatError(f"{what} term {entries[k]!r} has a level outside 0 to {levels}")
+        key = np.array((ell, m, n), dtype=np.int64)
         c = np.empty(len(rows), dtype=complex)
         c.real, c.imag = re, im
     except (KeyError, TypeError, OverflowError) as exc:
@@ -113,12 +124,12 @@ def _terms_from_list(entries, what="field"):
     finite = np.isfinite(c)
     if not finite.all():
         raise FormatError(f"non-finite coefficient in {what} term {entries[finite.argmin()]!r}")
-    order = np.lexsort(mn[::-1])
-    repeats = order[1:][(np.diff(mn[:, order]) == 0).all(axis=0)]
+    order = np.lexsort(key[::-1])
+    repeats = order[1:][(np.diff(key[:, order]) == 0).all(axis=0)]
     if repeats.size:
         k = repeats.min()  # the first term whose index came before
-        raise FormatError(f"duplicate index {(int(mn[0, k]), int(mn[1, k]))} in {what} terms")
-    return mn[0], mn[1], c
+        raise FormatError(f"duplicate index {tuple(key[0 if levels else 1 :, k].tolist())} in {what} terms")
+    return key[0], key[1], key[2], c
 
 
 def field_to_json(f: BivariateField) -> dict:
@@ -132,7 +143,7 @@ def field_from_json(d: dict) -> BivariateField:
         raise FormatError("field JSON needs 'max_degree' and 'terms'") from exc
     max_degree = _bound(max_degree, "max_degree")
     try:
-        return BivariateField(_terms_from_list(entries), max_degree=max_degree)
+        return BivariateField(_terms_from_list(entries)[1:], max_degree=max_degree)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -162,7 +173,7 @@ def laurent_from_json(d: dict) -> LaurentField:
     except (KeyError, TypeError) as exc:
         raise FormatError("laurent JSON needs 'r_in', 'band_limit', 'terms'") from exc
     try:
-        return LaurentField(_terms_from_list(entries, what="laurent"),
+        return LaurentField(_terms_from_list(entries, what="laurent", levels=2),
                             r_in=_number(r_in, "r_in", False),
                             band_limit=_bound(band, "band_limit"))
     except ValueError as exc:
@@ -188,7 +199,7 @@ def torus_from_json(d: dict) -> TorusField:
     th = np.zeros((side, side), dtype=complex)
     ph = np.zeros((side, side), dtype=complex)
     for arr, entries, what in ((th, th_entries, "torus theta"), (ph, ph_entries, "torus phi")):
-        j, k, c = _terms_from_list(entries, what)
+        _, j, k, c = _terms_from_list(entries, what)
         outside = (np.minimum(j, k) < -n) | (np.maximum(j, k) > n)
         if outside.any():
             q = outside.argmax()
@@ -238,12 +249,11 @@ def _term_list(terms, pad):
         return "[]"
     if not np.isfinite(terms.c).all():
         raise _Unhandled
-    inner, field = pad + "  ", pad + "    "
-    template = (f'{{\n{field}"im": %r,\n{field}"m": %d,\n{field}"n": %d,\n'
-                f'{field}"re": %r\n{inner}}}')
-    values = [None] * (4 * terms.c.size)
-    values[0::4], values[1::4] = terms.c.imag.tolist(), terms.m.tolist()
-    values[2::4], values[3::4] = terms.n.tolist(), terms.c.real.tolist()
+    cols, inner, field = terms.columns(), pad + "  ", pad + "    "
+    template = "{\n" + ",\n".join(f'{field}"{key}": {fmt}' for key, fmt, _ in cols) + f"\n{inner}}}"
+    values = [None] * (len(cols) * terms.c.size)
+    for q, (_, _, a) in enumerate(cols):
+        values[q :: len(cols)] = a.tolist()
     body = f",\n{inner}".join([template] * terms.c.size) % tuple(values)
     return f"[\n{inner}{body}\n{pad}]"
 

@@ -11,8 +11,11 @@ also carry powers of ln(z zbar), on a leading level axis:
 and a field without log terms keeps its 2-D table.  Every operation below
 is one array expression on that table and serves both domains.
 All values are immutable after construction and every operation is a pure
-function; reductions run in a fixed index order, BLAS contractions in fixed
-row blocks, so results are bit-reproducible whatever the thread count.
+function.  The public constructors check input from outside; an operation
+builds its result through the value type's private constructor ``_like``,
+which trims the table it has just computed but re-runs no check that the
+operation proves.  Reductions run in a fixed index order, BLAS contractions
+in fixed row blocks, so results are bit-reproducible whatever the thread count.
 """
 
 from __future__ import annotations
@@ -56,11 +59,13 @@ def _columns(terms):
 
 def _trimmed(table):
     """Drop trailing all-zero slices on every axis; a one-level table is stored 2-D,
-    and the zero table has shape (0, 0)."""
+    and the zero table has shape (0, 0), or (0,) for the coefficients of a series."""
+    if table.ndim == 1:
+        return table if table.size and table[-1] else table[: np.flatnonzero(table).max(initial=-1) + 1]
     if table.ndim == 3:  # the levels share the rows and columns of their union
         top = np.flatnonzero(table.any(axis=(1, 2)))[-1:]
         rows, cols = _trimmed(table.any(axis=0)).shape
-        return table[: top[0] + 1, :rows, :cols] if top.any() else table[0, :rows, :cols]
+        return table[: top[0] + 1, :rows, :cols] if top.any() else table[:1, :rows, :cols].reshape(rows, cols)
     if table.size and table[-1].any() and table[:, -1].any():
         return table
     rows = np.flatnonzero(table.any(axis=1))
@@ -68,6 +73,13 @@ def _trimmed(table):
         return np.zeros((0, 0), dtype=complex)
     cols = np.flatnonzero(table.any(axis=0))
     return table[: rows[-1] + 1, : cols[-1] + 1]
+
+
+def _frozen(table):
+    """The trimmed table, read-only."""
+    table = _trimmed(table)
+    table.flags.writeable = False
+    return table
 
 
 def _levels(table):
@@ -94,20 +106,20 @@ class CoefficientField:
         if isinstance(terms, np.ndarray):
             table = np.asarray(terms, dtype=complex)
         else:
-            m, n, c = terms if isinstance(terms, tuple) else _columns(terms or {})
+            *level, m, n, c = terms if isinstance(terms, tuple) else _columns(terms or {})
+            if len(level) > bool(self.r_in) or level and level[0].min(initial=0) < 0:
+                raise ValueError("log levels need an annulus, one level array and no level below 0")
             if (np.isinf(np.abs(c)) & np.isfinite(c)).any():  # as abs() of such a complex raises
                 raise OverflowError("absolute value too large")
             keep = c != 0
-            i, j = m[keep] - offset, n[keep] - offset
+            *_, i, j = index = (*(ell[keep] for ell in level), m[keep] - offset, n[keep] - offset)
             if i.size and min(i.min(), j.min()) < 0:
                 raise ValueError(f"index below the lowest power {offset}")
             if bound is not None and i.size:
                 self._check_indices(i, j, bound)
-            table = np.zeros((i.max(initial=-1) + 1, j.max(initial=-1) + 1), dtype=complex)
-            np.add.at(table, (i, j), c[keep])  # adding to zero also turns -0.0 into 0.0
-        table = _trimmed(table)
-        table.flags.writeable = False
-        self.table = table
+            table = np.zeros([a.max(initial=-1) + 1 for a in index], dtype=complex)
+            np.add.at(table, index, c[keep])  # adding to zero also turns -0.0 into 0.0
+        self.table = _frozen(table)
 
     # -- accessors ---------------------------------------------------------
 
@@ -232,8 +244,13 @@ class BivariateField(CoefficientField):
     def _bound(self):
         return self.max_degree
 
-    def _like(self, table, bound):
-        return BivariateField(table, bound)
+    @classmethod
+    def _like(cls, table, max_degree):
+        """Private constructor for a complex table an operation has just allocated and
+        whose degree bound it proves: trimmed and read-only, unchecked."""
+        f = object.__new__(cls)
+        f.table, f.max_degree = _frozen(table), int(max_degree)
+        return f
 
     def degree(self):
         """Largest total degree actually present (0 for the zero field)."""
@@ -252,12 +269,14 @@ class HolomorphicSeries:
     __slots__ = ("coeffs", "_powers")
 
     def __init__(self, coeffs=()):
-        cs = np.array(coeffs, dtype=complex).reshape(-1)
-        if not (cs.size and cs[-1]):
-            nz = np.flatnonzero(cs)
-            cs = cs[: nz[-1] + 1] if nz.size else cs[:0]
-        cs.flags.writeable = False
-        self.coeffs = cs
+        self.coeffs = _frozen(np.array(coeffs, dtype=complex).reshape(-1))
+
+    @classmethod
+    def _like(cls, coeffs):
+        """As BivariateField._like, for a 1-D complex array: trimmed and read-only, not copied."""
+        s = object.__new__(cls)
+        s.coeffs = _frozen(coeffs)
+        return s
 
     @property
     def degree(self):
@@ -289,21 +308,21 @@ class HolomorphicSeries:
     def __add__(self, other):
         other = as_series(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return HolomorphicSeries(self.to_array(n) + other.to_array(n))
+        return HolomorphicSeries._like(self.to_array(n) + other.to_array(n))
 
     def __sub__(self, other):
         return self + (-as_series(other))
 
     def __neg__(self):
-        return HolomorphicSeries(-self.coeffs)
+        return HolomorphicSeries._like(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return HolomorphicSeries(self.coeffs * complex(other))
+            return HolomorphicSeries._like(self.coeffs * complex(other))
         other = as_series(other)
         if not (self.coeffs.size and other.coeffs.size):
             return HolomorphicSeries()
-        return HolomorphicSeries(np.convolve(self.coeffs, other.coeffs))
+        return HolomorphicSeries._like(np.convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -311,10 +330,10 @@ class HolomorphicSeries:
         return evaluate_grid(self, point)
 
     def derivative(self):
-        return HolomorphicSeries(np.arange(1, len(self.coeffs)) * self.coeffs[1:])
+        return HolomorphicSeries._like(np.arange(1, len(self.coeffs)) * self.coeffs[1:])
 
     def to_field(self):
-        return BivariateField(self.coeffs[:, None])
+        return BivariateField._like(self.coeffs[:, None], self.degree)
 
     def truncated(self, max_degree):
         if len(self.coeffs) - 1 <= max_degree:
@@ -365,7 +384,7 @@ class HolomorphicSeries:
         """Series composition self(inner(z)) = sum a_k inner^k, truncated at max_degree."""
         if not self:
             return self
-        return HolomorphicSeries(self.coeffs @ as_series(inner).power_table(self.degree, max_degree))
+        return HolomorphicSeries._like(self.coeffs @ as_series(inner).power_table(self.degree, max_degree))
 
 
 def as_field(x) -> CoefficientField:
@@ -405,8 +424,10 @@ def _check_domain(f, g):
 
 
 def _aligned(f, g):
-    """Both tables padded to one shape at the common (lower) offset; a table
-    without levels is level 0, and two of them stay 2-D."""
+    """Both tables padded to one shape at the common (lower) offset, as they are
+    when they share both; a table without levels is level 0, and two of them stay 2-D."""
+    if f.offset == g.offset and f.table.shape == g.table.shape:
+        return f.table, g.table
     o = min(f.offset, g.offset)
     (p, r, c), (q, s, d) = (_levels(h.table).shape for h in (f, g))
     out = np.zeros((2, max(p, q), max(r + f.offset, s + g.offset) - o,
@@ -456,7 +477,7 @@ def convolve(f, g):
     i, j = np.nonzero(a)
     for m, n, c in zip(i.tolist(), j.tolist(), a[i, j].tolist()):
         out[m : m + rows, n : n + cols] += c * b
-    return BivariateField(out, f.max_degree + g.max_degree)
+    return BivariateField._like(out, f.max_degree + g.max_degree)
 
 
 def wirtinger(f, which):

@@ -179,11 +179,14 @@ def dict_terms(entries):
 
 def term_dicts(obj):
     """obj with each term list that a *_to_json writer hands over as index and
-    coefficient arrays turned back into its {"m", "n", "re", "im"} dicts, one
-    term at a time: the form json.dumps writes."""
+    coefficient arrays turned back into its {"m", "n", "re", "im"} dicts, with
+    "l" on a table with levels, one term at a time: the form json.dumps writes."""
     if isinstance(obj, serialization._TermArrays):
-        return [{"m": int(m), "n": int(n), "re": float(c.real), "im": float(c.imag)}
-                for m, n, c in zip(obj.m, obj.n, obj.c)]
+        terms = [{"m": int(m), "n": int(n), "re": float(c.real), "im": float(c.imag)}
+                 for m, n, c in zip(obj.m, obj.n, obj.c)]
+        for term, level in zip(terms, [] if obj.l is None else obj.l):
+            term["l"] = int(level)
+        return terms
     if isinstance(obj, dict):
         return {k: term_dicts(v) for k, v in obj.items()}
     if isinstance(obj, list):

@@ -17,10 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_hodge import serialization as ser
-from conformal_hodge.annulus import LaurentField
+from conformal_hodge.annulus import LaurentField, poisson_annulus
 from conformal_hodge.cli import main
 from conformal_hodge.disk import (DecompositionResult, MultiplierPair, conformal_decompose,
-                                  helmholtz_decompose, symplectic_decompose)
+                                  conformal_split, helmholtz_decompose, symplectic_decompose)
 from conformal_hodge.series import BivariateField, HolomorphicSeries
 from conformal_hodge.torus import TorusField
 
@@ -49,6 +49,17 @@ def _terms(lo, hi, parts=PARTS):
 DISK_FIELDS = _terms(0, 8).map(BivariateField)
 SERIES = st.lists(_coeffs(PARTS), max_size=10).map(HolomorphicSeries)
 LAURENT_FIELDS = _terms(-4, 4).map(lambda t: LaurentField(t, r_in=0.5))
+# the same terms spread over up to three log levels
+LEVELLED_FIELDS = st.builds(
+    lambda t, k: LaurentField((np.arange(len(t)) % k, *np.array(list(t), dtype=int).reshape(-1, 2).T,
+                               np.array(list(t.values()), dtype=complex)), r_in=0.5),
+    _terms(-4, 4), st.integers(2, 3))
+# a solve with log levels, and both potentials of an annulus split
+ANNULUS_SOLVES = {
+    "poisson-z-zbar": lambda: poisson_annulus(LaurentField({(1, 1): 1.0}, r_in=0.5)),
+    "split-F": lambda: conformal_split(LaurentField({(0, 1): 1 + 2j, (1, -1): 0.5j}, r_in=0.4))[1],
+    "split-G": lambda: conformal_split(LaurentField({(0, 1): 1 + 2j, (1, -1): 0.5j}, r_in=0.4))[2],
+}
 TORUS_FIELDS = st.builds(lambda th, ph: TorusField.from_terms(th, ph, band_limit=2),
                          _terms(-2, 2, MODERATE), _terms(-2, 2, MODERATE))
 DECOMPOSITIONS = st.builds(
@@ -237,6 +248,7 @@ class TestTermArrays:
         objs = [dec, ser.field_to_json(BivariateField({(0, 1): 0.5 - 1j, (2, 0): 2.0})),
                 ser.series_to_json(HolomorphicSeries([0.25, 1j, -3.0])),
                 ser.laurent_to_json(LaurentField({(0, 1): 0.5 - 1j, (1, -1): 2.0}, r_in=0.5)),
+                ser.laurent_to_json(ANNULUS_SOLVES["poisson-z-zbar"]()),
                 ser.torus_to_json(TorusField.from_terms(
                     {(0, 1): 1j, (0, -1): -1j}, {(0, 0): 2.0}, band_limit=1)),
                 _decomposition(0.5 + 2j)]
@@ -279,10 +291,49 @@ class TestReader:
         assert back == f and back.max_degree == f.max_degree
 
     @settings(max_examples=200, deadline=None)
-    @given(LAURENT_FIELDS)
+    @given(LAURENT_FIELDS | LEVELLED_FIELDS)
     def test_laurent_field_round_trip(self, f):
         back = ser.laurent_from_json(json.loads(ser.dumps(ser.laurent_to_json(f))))
         assert back == f and back.band_limit == f.band_limit
+
+    @pytest.mark.parametrize("solve", ANNULUS_SOLVES)
+    def test_annulus_solves_with_levels_round_trip(self, solve):
+        f = ANNULUS_SOLVES[solve]()
+        assert f.table.ndim == 3
+        text = ser.dumps(ser.laurent_to_json(f))
+        assert text == stdlib(ser.laurent_to_json(f)) and '"l": 1' in text
+        assert ser.laurent_from_json(json.loads(text)) == f
+
+    @pytest.mark.parametrize("level, message", [
+        (3, "level outside 0 to 2"), (-1, "level outside 0 to 2"), (2**70, "level outside 0 to 2"),
+        (True, "malformed laurent term"), (1.0, "malformed laurent term")])
+    def test_level_outside_0_to_2_exits_2(self, tmp_path, capsys, level, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"r_in": 0.5, "band_limit": 1, "terms": [
+            {"l": 1, "m": 0, "n": 0, "re": 1.0, "im": 0.0},
+            {"l": level, "m": 1, "n": 0, "re": 1.0, "im": 0.0}]}))
+        assert main(["classify", "--r-in", "0.5", "--in", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_classify_refuses_a_field_with_levels(self, tmp_path, capsys):
+        path = tmp_path / "levels.json"
+        ser.write_json(path, ser.laurent_to_json(ANNULUS_SOLVES["poisson-z-zbar"]()))
+        assert main(["classify", "--r-in", "0.5", "--in", str(path)]) == 2
+        assert "without log levels" in capsys.readouterr().err
+
+    def test_disk_term_with_a_level_refused(self):
+        with pytest.raises(ser.FormatError, match="level outside 0 to 0"):
+            ser.field_from_json({"max_degree": 2, "terms": [
+                {"l": 1, "m": 1, "n": 0, "re": 1.0, "im": 0.0}]})
+        assert ser.field_from_json({"max_degree": 2, "terms": [
+            {"l": 0, "m": 1, "n": 0, "re": 1.0, "im": 0.0}]}) == BivariateField({(1, 0): 1.0})
+
+    def test_duplicate_index_on_one_level_refused(self):
+        terms = [{"l": 1, "m": 0, "n": 0, "re": 1.0, "im": 0.0},
+                 {"l": 0, "m": 0, "n": 0, "re": 1.0, "im": 0.0},
+                 {"l": 1, "m": 0, "n": 0, "re": 2.0, "im": 0.0}]
+        with pytest.raises(ser.FormatError, match=r"duplicate index \(1, 0, 0\)"):
+            ser.laurent_from_json({"r_in": 0.5, "band_limit": 1, "terms": terms})
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(TERMS, max_size=6))
