@@ -6,8 +6,8 @@ scheme tracks with bounded energy error); the geodesic embedding flow uses
 classical RK4 with re-projection onto the conformal subspace each stage.
 One stage's right-hand side is array expressions on pulled-back
 coefficient vectors: two outer products and one convolution, cut at
-m + n <= degree, then the mapped projection, which gathers its map's phi'
-operator on every call.
+m + n <= degree, then the mapped projection, whose phi' operator is a
+strided view of phi' built on every call.
 """
 
 from __future__ import annotations
@@ -385,22 +385,19 @@ def solve_composition(inner: HolomorphicSeries, rhs: HolomorphicSeries, degree):
     return HolomorphicSeries(sol)
 
 
-def variation_identity_defect(mapping: ConformalMap, xi, eta0, eta1,
-                              eps=1e-5, out_degree=None, max_degree=None):
+def variation_identity_defect(mapping: ConformalMap, xi, eta0, eta1):
     """Central-difference check of the variation formula for the velocity field.
 
     Vary the embedding by s -> phi + s (eta0 o phi) with time derivative
     carrying eta1 = d(eta)/dt; the recovered velocity variation must match
-    eta1 + eta0' xi - xi' eta0.  Returns (defect_norm, closed_form_norm) in
-    the weighted norm of the image domain.
+    eta1 + eta0' xi - xi' eta0, through degree deg xi + deg eta0 + 4.
+    Returns (defect_norm, closed_form_norm) in the weighted norm of the
+    image domain.
     """
     xi, eta0, eta1 = as_series(xi), as_series(eta0), as_series(eta1)
-    if out_degree is None:
-        out_degree = xi.degree + eta0.degree + 4
-    if max_degree is None:
-        max_degree = 4 * max(
-            mapping.natural_cap(out_degree), DEFAULT_MAX_DEGREE
-        )
+    out_degree = xi.degree + eta0.degree + 4
+    max_degree = 4 * max(mapping.natural_cap(out_degree), DEFAULT_MAX_DEGREE)
+    eps = 1e-5  # the central-difference step
     phi = mapping.phi
     phi_dot = mapping.compose_with(xi, max_degree)
     eta0_pull = mapping.compose_with(eta0, max_degree)

@@ -37,26 +37,9 @@ GRAM_CONDITION_LIMIT = 1e12
 
 @functools.cache
 def _boundary_samples(n):
-    """n equispaced points of the unit circle and the mask of the pairs of
-    edges of the closed polygon through them that share no vertex.
-
-    Called with the base count of series.certificate_samples only: the
-    n x n mask would reach 1 GiB at the largest count disk_min_modulus
-    doubles to.
-    """
-    idx = np.arange(n)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    return boundary_points(n), np.minimum(gap, n - gap) > 1
-
-
-@functools.lru_cache(maxsize=8)
-def _toeplitz_gaps(size):
-    """Index array gap[i, j] = i - j on and below the diagonal, size above it (read-only)."""
-    k = np.arange(size)
-    gap = k[:, None] - k[None, :]
-    gap[gap < 0] = size
-    gap.flags.writeable = False
-    return gap
+    """n equispaced points of the unit circle, for the base count of
+    series.certificate_samples."""
+    return boundary_points(n)
 
 
 @functools.lru_cache(maxsize=8)
@@ -100,8 +83,7 @@ class ConformalMap:
         """phi' on the base circle samples (cached): the one evaluation of phi'
         that both certificates read."""
         if "deriv_samples" not in self._caches:
-            self._caches["deriv_samples"] = series.evaluate_grid(self.phi_prime,
-                                                                 self._samples()[0])
+            self._caches["deriv_samples"] = series.evaluate_grid(self.phi_prime, self._samples())
         return self._caches["deriv_samples"]
 
     def _immersion(self):
@@ -168,28 +150,31 @@ class ConformalMap:
     def _polygon_crossing(self):
         """The first pair (i, j) of edges of the boundary polygon on the base
         samples that share no vertex and cross or touch, or None."""
-        pts, nonadjacent = self._samples()
-        img = series.evaluate_grid(self.phi.to_field(), pts)
+        img = series.evaluate_grid(self.phi.to_field(), self._samples())
         x, y = img.real, img.imag
         dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
         # side[i, k]: orientation of vertex k against edge i, a cross product
         side = np.outer(dx, y) - np.outer(dy, x) - (dx * y - dy * x)[:, None]
         straddle = side * np.roll(side, -1, axis=1) <= 0.0
-        meet = straddle & straddle.T & nonadjacent
+        meet = straddle & straddle.T
+        k = np.arange(len(meet))  # edges k - 1, k and k + 1 share a vertex with edge k
+        meet[k, k] = meet[k, k - 1] = meet[k - 1, k] = False
         return tuple(np.argwhere(meet)[0]) if np.any(meet) else None
 
     # -- cached series helpers ------------------------------------------------
 
     def phi_prime_operator(self, size):
-        """Lower-triangular Toeplitz matrix T of phi' (read-only, gathered per call).
+        """Lower-triangular Toeplitz matrix T of phi' (read-only, a view built per call).
 
         T @ v is the coefficient vector of phi' v cut at degree size - 1, for
-        a coefficient vector v of length size.  T[i, j] is coefficient i - j
-        of phi', gathered through the shared index array of _toeplitz_gaps.
+        a coefficient vector v of length size.  T[i, j] = d[size + i - j] for
+        d = [0] * size + phi'[:size], read with strides of one entry forwards
+        per row and backwards per column, so no size x size array is built.
         """
-        d = self.phi_prime.to_array(size + 1)
-        d[size] = 0  # the entry that every negative gap reads
-        T = d[_toeplitz_gaps(size)]
+        d = np.zeros(2 * size, dtype=complex)
+        d[size:] = self.phi_prime.to_array(size)
+        step = d.itemsize
+        T = np.ndarray((size, size), complex, d, size * step, (step, -step))
         T.flags.writeable = False
         return T
 
@@ -282,9 +267,11 @@ def project_con_mapped(mapping: ConformalMap, f, degree, max_degree=None) -> Hol
     f = as_field(f)
     if max_degree is None:
         max_degree = max(mapping.natural_cap(degree), f.max_degree)
-    # the rows of phi' f: each column of f's table times phi', exact
+    # the rows of phi' f: each column of f's table times phi', exact; the operator's
+    # columns are copied contiguous so that a one-column table still takes BLAS
     rows = len(f.table)
-    wf = mapping.phi_prime_operator(rows + mapping.phi_prime.degree)[:, :rows] @ f.table
+    T = mapping.phi_prime_operator(rows + mapping.phi_prime.degree)[:, :rows]
+    wf = np.ascontiguousarray(T) @ f.table
     B = mapping.basis_matrix(degree, max_degree)
     # <<wf, z^k>> collects the terms of angular index k = m - n, so
     # <<wf, phi' phi^j>> is the sum over k >= 0 against basis coefficient k

@@ -405,8 +405,8 @@ def as_series(x) -> HolomorphicSeries:
     return HolomorphicSeries.from_field(x)
 
 
-def monomial(m, n, c=1.0, max_degree=None):
-    return BivariateField({(m, n): c}, max_degree=max_degree)
+def monomial(m, n, c=1.0):
+    return BivariateField({(m, n): c})
 
 
 def zero_field():
@@ -568,25 +568,26 @@ def _log_moments(start, count, L, r_in):
 _BLOCK = 32  # contraction rows per BLAS call: fixed and short, so the bits ignore the thread count
 
 
-@functools.lru_cache(maxsize=32)
-def _diagonal_index(rows, cols):
-    """Flat index of t[i, i - k] at [i, k + cols - 1], k = 1 - cols .. rows - 1, for a (rows, cols)
-    table t; rows * cols, a zero appended to t, where that entry lies off the table."""
-    i = np.arange(rows)[:, None]
-    j = i - np.arange(1 - cols, rows)
-    idx = np.where((0 <= j) & (j < cols), i * cols + j, rows * cols)
-    idx.flags.writeable = False
-    return idx
+def _sheared(table):
+    """Read-only view V[i, k + C - 1] = table[i, i - k], k = 1 - C .. R - 1, of an (R, C) table,
+    zero where i - k lies off it: row i of a zero-padded copy read backwards from column
+    i + C - 1, so the columns of V are the diagonals m - n = k of the table."""
+    R, C = table.shape
+    pad = np.zeros((R + 1, R + C), dtype=complex)  # R zeros before each row, and a row of them
+    pad[:R, R:] = table
+    width, step = max(R + C - 1, 0), pad.itemsize
+    V = np.ndarray((R, width), complex, pad, width * step, ((R + C + 1) * step, -step))
+    V.flags.writeable = False
+    return V
 
 
 def angular_sums(table):
     """Sums of a coefficient table along its diagonals m - n = k: every mode
     k = 1 - cols .. rows - 1, at index k + cols - 1, each summed from zero in
     increasing m.  A table without columns has no modes."""
-    R, C = table.shape
-    if not C:
+    if not table.shape[1]:
         return np.zeros(0, dtype=complex)
-    return np.append(table, 0)[_diagonal_index(R, C)].sum(axis=0)
+    return _sheared(table).sum(axis=0)
 
 
 def pair_tables(a, b, w):
@@ -600,8 +601,8 @@ def pair_tables(a, b, w):
     m, n = min(C, Q), min(R, P)  # k = 1 - m .. n - 1
     if not (m and n):
         return 0j
-    Fd = np.append(a, 0)[_diagonal_index(R, C)[:, C - m : C + n - 1]]
-    Gd = np.append(b.T, 0)[_diagonal_index(Q, P)[:, P - n : P + m - 1][:, ::-1]]
+    Fd = np.ascontiguousarray(_sheared(a)[:, C - m : C + n - 1])  # for its float view below
+    Gd = _sheared(b.T)[:, P - n : P + m - 1][:, ::-1]
     W = np.ndarray((R, Q), float, w, strides=w.strides * 2)  # a view; raises if w is short
     Fr = Fd.view(float)  # W is real: one real matrix product per block
     acc = sum(W[s : s + _BLOCK].T @ Fr[s : s + _BLOCK] for s in range(0, R, _BLOCK))
@@ -740,11 +741,10 @@ def boundary_max(f):
     return float(np.max(np.abs(evaluate_grid(f, boundary_points(trace_samples(f))))))
 
 
-def random_field(rng, degree, real=False):
+def random_field(rng, degree):
     """Random field with standard-normal complex coefficients up to total degree."""
     terms = {}
     for m in range(degree + 1):
         for n in range(degree + 1 - m):
             terms[(m, n)] = complex(rng.standard_normal(), rng.standard_normal())
-    f = BivariateField(terms, max_degree=degree)
-    return real_part(f) if real else f
+    return BivariateField(terms, max_degree=degree)

@@ -14,8 +14,9 @@ the membership test is the reference for its field form, and the tuple of
 Laurent levels with a 2x2 solve per angular mode is the reference for the
 level axis of the annulus fields and their Poisson solve.  The uncached forms of the disk
 moments, the trailing-zero trim and the Toeplitz matrix of phi' pin their
-cached replacements bit for bit, and the np.bincount route of the annulus
-boundary trace pins its angular-sum form.
+cached replacements bit for bit, the index-array gathers of the coefficient
+diagonals and of the phi' Toeplitz pin their strided views bit for bit, and
+the np.bincount route of the annulus boundary trace pins its angular-sum form.
 The random series and the primitive at the very end are test inputs and
 a test-only inverse of the derivative.
 """
@@ -293,6 +294,47 @@ def flatnonzero_trim(coeffs):
     cs = np.array(coeffs, dtype=complex).reshape(-1)
     nz = np.flatnonzero(cs)
     return cs[: nz[-1] + 1] if nz.size else cs[:0]
+
+
+def diagonal_index(rows, cols):
+    """Flat index of t[i, i - k] at [i, k + cols - 1], k = 1 - cols .. rows - 1, for a (rows, cols)
+    table t; rows * cols, a zero appended to t, where that entry lies off the table."""
+    i = np.arange(rows)[:, None]
+    j = i - np.arange(1 - cols, rows)
+    return np.where((0 <= j) & (j < cols), i * cols + j, rows * cols)
+
+
+def gathered_diagonals(table):
+    """The diagonals of a table gathered through diagonal_index: [i, k + cols - 1] = t[i, i - k]."""
+    return np.append(table, 0)[diagonal_index(*table.shape)]
+
+
+def gathered_pairing(a, b, w):
+    """series.pair_tables on diagonals gathered through diagonal_index into contiguous arrays,
+    the route the strided views replaced, with the same blocks of the contraction."""
+    (R, C), (P, Q) = a.shape, b.shape
+    if C == Q == 1:
+        n = min(R, P)
+        return complex((a[:n, 0] * np.conj(b[:n, 0])) @ w[:n])
+    m, n = min(C, Q), min(R, P)
+    if not (m and n):
+        return 0j
+    Fd = np.append(a, 0)[diagonal_index(R, C)[:, C - m : C + n - 1]]
+    Gd = np.append(b.T, 0)[diagonal_index(Q, P)[:, P - n : P + m - 1][:, ::-1]]
+    W = np.ndarray((R, Q), float, w, strides=w.strides * 2)
+    Fr, block = Fd.view(float), series._BLOCK
+    acc = sum(W[s : s + block].T @ Fr[s : s + block] for s in range(0, R, block))
+    return complex((np.conj(Gd) * acc.view(complex)).sum())
+
+
+def gathered_toeplitz(d, size):
+    """Lower-triangular Toeplitz matrix T[i, j] = d[i - j] of the first size entries of d,
+    gathered through the index array gap[i, j] = i - j on and below the diagonal and
+    size, the position of an appended zero, above it."""
+    k = np.arange(size)
+    gap = k[:, None] - k[None, :]
+    gap[gap < 0] = size
+    return np.append(d[:size], 0)[gap]
 
 
 def where_toeplitz(d):

@@ -10,13 +10,17 @@ pairing examples add tables that span several blocks of its contraction,
 rectangular, one-row, one-column and empty tables, and a band-20 Laurent
 field.  The angular diagonal sums are held bit for bit to the oracle's
 diagonals added from zero in increasing m, every mode of both signs, and to
-their pairwise sum within the a-priori bound of a reordered sum; the annulus
-boundary trace is held bit for bit to its retired np.bincount route.  The
-operations on annulus fields with log levels are held to the tuple-of-levels
-route, one LaurentField per power of ln(z zbar), within the same relative
-tolerance.
+their pairwise sum within the a-priori bound of a reordered sum; the strided
+diagonal views, and the angular sums and the pairing read off them, are held
+bit for bit to the index-array gather they replaced; the annulus boundary
+trace is held bit for bit to its retired np.bincount route.  The operations
+on annulus fields with log levels are held to the tuple-of-levels route, one
+LaurentField per power of ln(z zbar), within the same relative tolerance; an
+evaluation also allows the rounding of the log, which the two routes take of
+|z|^2 computed two ways.
 """
 
+import cmath
 import math
 import warnings
 
@@ -32,6 +36,7 @@ from conformal_hodge.series import BivariateField, HolomorphicSeries
 import oracles
 
 REL_TOL = 1e-12
+EPS = np.finfo(float).eps
 SUBNORMAL = np.finfo(float).smallest_subnormal
 
 coefficient = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
@@ -129,6 +134,34 @@ def test_angular_sums_match_diagonals(t):
     # n u sum|x| of the exact sum, so 1e-15 relative per summed term holds
     tol = 1e-15 * max(D.shape[1], 1) * np.abs(D).sum(axis=1)
     assert np.all(np.abs(got - D.sum(axis=1)) <= tol)
+
+
+@given(tables())
+@example(np.zeros((0, 0), dtype=complex))
+@example(np.ones((0, 2), dtype=complex))  # no rows: the modes -1 .. 0 are empty sums
+@example(np.ones((3, 0), dtype=complex))
+@example(np.arange(1, 6, dtype=complex)[:, None])  # one column
+@settings(max_examples=100, deadline=None)
+def test_diagonal_views_match_gathered_diagonals(t):
+    V = s._sheared(t)
+    assert _same_bits(V, oracles.gathered_diagonals(t)) and not V.flags.writeable
+    if t.shape[1]:
+        assert _same_bits(s.angular_sums(t), oracles.gathered_diagonals(t).sum(axis=0))
+
+
+def _random_table(seed, rows, cols):
+    return np.random.default_rng(seed).standard_normal((rows, cols, 2)).view(complex)[..., 0]
+
+
+@given(tables(), tables(), st.integers(0, 2**32 - 1))
+@example(np.ones((0, 2), dtype=complex), _random_table(1, 3, 3), 0)  # an empty table
+@example(_random_table(2, 5, 1), _random_table(3, 4, 1), 1)  # one column each: the termwise sum
+@example(_random_table(4, 5, 1), _random_table(5, 2, 7), 2)  # one column against a wide table
+@example(_random_table(6, 70, 5), _random_table(7, 3, 40), 3)  # three row blocks of the contraction
+@settings(max_examples=100, deadline=None)
+def test_pairing_on_diagonal_views_matches_gathered_diagonals(a, b, seed):
+    w = np.random.default_rng(seed).uniform(0.1, 10.0, len(a) + b.shape[1] + 1)
+    assert _same_bits(np.array(s.pair_tables(a, b, w)), np.array(oracles.gathered_pairing(a, b, w)))
 
 
 def _pairing_tol(ft, gt, r_in=0.0):
@@ -341,11 +374,30 @@ def test_level_operations_match_tuple_of_levels_route(pair):
     assert abs(s.inner_product(f, g) - F.inner(G)) <= _log_pairing_tol(F, G)
     rng = np.random.default_rng(len(f) + len(g))
     pts = np.sqrt(rng.uniform(f.r_in**2, 1.0, 50)) * np.exp(2j * math.pi * rng.random(50))
-    ln = np.abs(np.log(np.abs(pts) ** 2))
-    bound = sum(abs(c) * ln**ell * np.abs(pts) ** (m + n)
-                for (ell, m, n), c in oracles.level_terms(F).items())
     assert np.all(np.abs(s.evaluate_grid(f, pts) - oracles.eval_log_laurent(F, pts))
-                  <= REL_TOL * bound)
+                  <= _evaluation_tol(F, pts))
+
+
+def _evaluation_tol(F, pts):
+    """REL_TOL times sum |c| |ln|z|^2|^l |z|^(m+n) over the terms, plus the rounding of the
+    log: the library takes ln((z conj z).real) and the oracle ln(abs(z)**2), which differ by
+    an ulp of |z|^2, so a term may also differ by l |ln|z|^2|^(l-1) 4 eps |c| |z|^(m+n)."""
+    ln = np.abs(np.log(np.abs(pts) ** 2))
+    return sum(abs(c) * np.abs(pts) ** (m + n)
+               * (REL_TOL * ln**ell + ell * ln ** max(ell - 1, 0) * 4 * EPS)
+               for (ell, m, n), c in oracles.level_terms(F).items())
+
+
+def test_evaluation_near_the_unit_circle_allows_the_rounding_of_the_log():
+    # a draw of the test above: at |z| = 0.99985 the two logs differ by an ulp of |z|^2,
+    # about 1e-16 / |ln|z|^2| relative, so REL_TOL alone is not a bound there
+    c, r_in = 2.6 * cmath.exp(0.7j), 0.8629
+    f = LaurentField(np.array([[[0j]], [[c]]]), r_in, 0)  # c ln(z zbar)
+    F = oracles.LevelsLogLaurentField([LaurentField({}, r_in), LaurentField({(0, 0): c}, r_in)], r_in)
+    z = np.array([complex(0.4854988666741642, -0.8740657143247882)])
+    gap = abs(s.evaluate_grid(f, z) - oracles.eval_log_laurent(F, z))[0]
+    assert gap > REL_TOL * abs(c) * abs(math.log(abs(z[0]) ** 2))
+    assert gap <= _evaluation_tol(F, z)[0]
 
 
 @given(st.integers(0, 4), st.integers(0, 2**32 - 1), st.integers(0, 2))

@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from conformal_hodge.cli import main
 from conformal_hodge.disk import project_con_gram_oracle
 from conformal_hodge.mapping import (
     ConformalMap,
-    _toeplitz_gaps,
     EmbeddingError,
     GramConditionWarning,
     _solve_gram,
@@ -188,7 +188,7 @@ class TestCertificateCost:
         assert m._univalence_margin() > 0
         assert calls["boundary"] and set(calls["boundary"]) == {128}
 
-    def test_near_cusp_doubles_the_samples_without_a_larger_mask(self, calls):
+    def test_near_cusp_doubles_the_samples_but_not_the_polygon_ones(self, calls):
         # phi' = 1 + 0.998 z: the sampling margin 0.002 - 0.998 pi / n first turns
         # positive at n = 2048; the polygon test stays at the base 128 samples
         phi = HolomorphicSeries([0.0, 1.0, 0.499])
@@ -473,22 +473,48 @@ class TestMappedAdjoint:
         assert worst <= 1e-8
 
 
+def _gathered_operator(self, size):
+    return oracles.gathered_toeplitz(self.phi_prime.to_array(size), size)
+
+
 class TestPhiPrimeOperator:
-    @given(st.lists(coefficient, max_size=45), st.integers(1, 40))
+    @given(st.lists(coefficient, max_size=45), st.integers(0, 40))
     @example([0j, 1.0, 0.5], 40)  # deg phi' below the size
     @example([0j] + [1.0] * 44, 3)  # deg phi' above the size
     @example([], 1)  # phi' = 0
+    @example([0j, 1.0], 0)  # size 0
     @settings(max_examples=100, deadline=None)
-    def test_gathered_toeplitz_matches_where_construction(self, phi, size):
+    def test_toeplitz_view_matches_where_construction(self, phi, size):
         m = ConformalMap(HolomorphicSeries(phi), validate=False)
         got = m.phi_prime_operator(size)
         ref = oracles.where_toeplitz(m.phi_prime.to_array(size))
         assert np.array_equal(got, ref)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert got.tobytes() == _gathered_operator(m, size).tobytes()
+        assert got.shape == (size, size) and not got.flags.writeable
+
+    @given(st.lists(coefficient, max_size=5), st.integers(0, 5), st.integers(0, 2),
+           st.sampled_from(["dense", "one column", "empty"]), st.integers(0, 2**32 - 1))
+    @example([], 0, 0, "empty", 0)  # phi = z, f = 0: an operator of size 0
+    @example([], 3, 0, "one column", 1)
+    @example([0.5, 0.2j], 4, 2, "one column", 2)
+    @settings(max_examples=60, deadline=None)
+    def test_view_products_match_the_gathered_operator(self, tail, degree, slack, kind, seed):
+        # phi = z + small higher terms, so the Gram system stays well conditioned
+        phi = HolomorphicSeries([0j, 1.0] + [c / (50 * (k + 2)) for k, c in enumerate(tail)])
+        rng = np.random.default_rng(seed)
+        f = s.random_field(rng, 4)
+        f = {"dense": f, "one column": f.holomorphic_part(), "empty": s.zero_field()}[kind]
+        got, ref = (ConformalMap(phi, validate=False) for _ in range(2))
+        cap = got.natural_cap(degree) + slack
+        with mock.patch.object(ConformalMap, "phi_prime_operator", _gathered_operator):
+            want = ref.basis_matrix(degree, cap), project_con_mapped(ref, f, degree, cap).coeffs
+        have = got.basis_matrix(degree, cap), project_con_mapped(got, f, degree, cap).coeffs
+        for a, b in zip(have, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes() and not a.flags.writeable
 
     def test_cached_operators_are_read_only(self):
         m = gentle_map()
-        for arr in (m.phi_prime_operator(5), _toeplitz_gaps(5), m.basis_matrix(3, 8),
-                    *m.gram(3, 8)):
+        for arr in (m.phi_prime_operator(5), m.basis_matrix(3, 8), *m.gram(3, 8)):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1

@@ -52,15 +52,15 @@ class TestCombine:
         assert (f + g).max_degree == 5
 
     def test_multiply_is_exact_above_degree_16(self):
-        f = monomial(9, 0, max_degree=9)
-        g = monomial(8, 1, 2.0, max_degree=9)
+        f = s.BivariateField({(9, 0): 1.0}, max_degree=9)
+        g = s.BivariateField({(8, 1): 2.0}, max_degree=9)
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             out = f * g
         assert out == monomial(17, 1, 2.0) and out.max_degree == 18
 
     def test_multiply_keeps_exactness(self):
-        f = monomial(9, 0, max_degree=9)
+        f = s.BivariateField({(9, 0): 1.0}, max_degree=9)
         out = s.convolve(f, f)
         assert out == monomial(18, 0) and out.max_degree == 18
 
